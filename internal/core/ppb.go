@@ -264,7 +264,7 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 		opt:   opt,
 		vbm:   vbm,
 		ident: opt.Identifier,
-		hot:   hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries),
+		hot:   hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries, base.LogicalPages()),
 		cold:  cold,
 	}
 	// Bind the GC callbacks once: method-value creation allocates, and

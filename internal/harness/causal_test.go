@@ -40,7 +40,7 @@ func TestCausalSweepShape(t *testing.T) {
 	// Erase parity at striped: legacy/causal x defer-off/defer-on all
 	// run the identical op stream, so per-FTL erase totals must match.
 	for _, kind := range []string{"conv", "ppb"} {
-		want := series("legacy/defer-off/erases/"+kind)[striped]
+		want := series("legacy/defer-off/erases/" + kind)[striped]
 		for _, dep := range CausalDependencyModels {
 			for _, deferOn := range CausalDeferModes {
 				key := dep + "/" + causalDeferName(deferOn) + "/erases/" + kind

@@ -756,21 +756,21 @@ func TableOne() *FigureResult {
 // and sweep rows below are golden-pinned (testdata/golden/<id>.json,
 // re-record with go test ./internal/harness -run TestGoldenFigures -update).
 var Experiments = map[string]func(Scale) (*FigureResult, error){
-	"12": Figure12,          //flashvet:nogolden — paper-scale; shape pinned by TestFigure12ShapeHolds
-	"13": Figure13,          //flashvet:nogolden — paper-scale; hot/cold split pinned by TestFigure12ShapeHolds companions and determinism tests
-	"14": Figure14,          //flashvet:nogolden — paper-scale; shape pinned by TestFigure14ShapeHolds
-	"15": Figure15,          //flashvet:nogolden — paper-scale; write-delta pinned by TestFigure15WriteDeltaSmall
-	"16": Figure16,          //flashvet:nogolden — paper-scale; replay path covered by TestFiguresDeterministicAcrossParallelism
-	"17": Figure17,          //flashvet:nogolden — paper-scale; replay path covered by TestFiguresDeterministicAcrossParallelism
-	"18": Figure18,          //flashvet:nogolden — paper-scale; erase counts pinned by TestFigure18EraseCounts
-	"3":  MotivationFigure3, //flashvet:nogolden — paper-scale; shape pinned by TestMotivationFigure3Shape
-	"a1": AblationSplit,
-	"a2": AblationIdentifier,
-	"a3": AblationLayers,
-	"a4": ChipSweep,
-	"a5": QDSweep,
-	"a6": DispatchSweep,
-	"a7": CausalSweep,
+	"12":  Figure12,          //flashvet:nogolden — paper-scale; shape pinned by TestFigure12ShapeHolds
+	"13":  Figure13,          //flashvet:nogolden — paper-scale; hot/cold split pinned by TestFigure12ShapeHolds companions and determinism tests
+	"14":  Figure14,          //flashvet:nogolden — paper-scale; shape pinned by TestFigure14ShapeHolds
+	"15":  Figure15,          //flashvet:nogolden — paper-scale; write-delta pinned by TestFigure15WriteDeltaSmall
+	"16":  Figure16,          //flashvet:nogolden — paper-scale; replay path covered by TestFiguresDeterministicAcrossParallelism
+	"17":  Figure17,          //flashvet:nogolden — paper-scale; replay path covered by TestFiguresDeterministicAcrossParallelism
+	"18":  Figure18,          //flashvet:nogolden — paper-scale; erase counts pinned by TestFigure18EraseCounts
+	"3":   MotivationFigure3, //flashvet:nogolden — paper-scale; shape pinned by TestMotivationFigure3Shape
+	"a1":  AblationSplit,
+	"a2":  AblationIdentifier,
+	"a3":  AblationLayers,
+	"a4":  ChipSweep,
+	"a5":  QDSweep,
+	"a6":  DispatchSweep,
+	"a7":  CausalSweep,
 	"a8":  IntraChipSweep,
 	"a9":  ReliabilitySweep,
 	"a10": TenantSweep,

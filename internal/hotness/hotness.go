@@ -111,13 +111,16 @@ func (s SizeCheck) Classify(_ uint64, size int) Area {
 // is hot if its LPN was written within the last Window distinct writes
 // (pure temporal locality, no size signal).
 type Recency struct {
-	window *lruList
+	slab   lruSlab
+	window lruList
 }
 
 // NewRecency builds a Recency identifier remembering the given number of
 // recently written LPNs.
 func NewRecency(window int) *Recency {
-	return &Recency{window: newLRUList(window)}
+	// One list, so its level tag is never read; the index grows with
+	// the LPNs seen, bounded by the logical space of the device.
+	return &Recency{slab: newLRUSlab(0), window: newLRUList(0, window)}
 }
 
 // Name implements Identifier.
@@ -125,11 +128,11 @@ func (r *Recency) Name() string { return "recency" }
 
 // Classify implements Identifier.
 func (r *Recency) Classify(lpn uint64, _ int) Area {
-	seen := r.window.contains(lpn)
-	r.window.insertFront(lpn, 0) // refresh/track; eviction is implicit
-	if seen {
+	if n := r.slab.lookup(lpn); n != nilNode {
+		r.slab.touch(&r.window, n)
 		return AreaHot
 	}
+	r.slab.insertFront(&r.window, lpn, 0) // eviction is implicit
 	return AreaCold
 }
 

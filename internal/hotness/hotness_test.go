@@ -1,6 +1,7 @@
 package hotness
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,7 @@ func TestStaticIdentifier(t *testing.T) {
 }
 
 func TestTwoLevelBasicFlow(t *testing.T) {
-	tr := NewTwoLevelLRU(4, 4)
+	tr := NewTwoLevelLRU(4, 4, 64)
 	lvl, dem, demoted := tr.OnWrite(10, 1)
 	if lvl != Hot || demoted {
 		t.Fatalf("first write: %v %v", lvl, dem)
@@ -123,7 +124,7 @@ func TestTwoLevelBasicFlow(t *testing.T) {
 }
 
 func TestTwoLevelHotOverflowDemotesToColdArea(t *testing.T) {
-	tr := NewTwoLevelLRU(2, 2)
+	tr := NewTwoLevelLRU(2, 2, 64)
 	tr.OnWrite(1, 1)
 	tr.OnWrite(2, 2)
 	_, dem, demoted := tr.OnWrite(3, 3)
@@ -136,7 +137,7 @@ func TestTwoLevelHotOverflowDemotesToColdArea(t *testing.T) {
 }
 
 func TestTwoLevelIronOverflowDemotesTailToHot(t *testing.T) {
-	tr := NewTwoLevelLRU(2, 2)
+	tr := NewTwoLevelLRU(2, 2, 64)
 	// Fill iron: write then read 20, 21.
 	for _, lpn := range []uint64{20, 21} {
 		tr.OnWrite(lpn, 1)
@@ -167,14 +168,14 @@ func TestTwoLevelIronOverflowDemotesTailToHot(t *testing.T) {
 }
 
 func TestTwoLevelOnReadUnknown(t *testing.T) {
-	tr := NewTwoLevelLRU(2, 2)
+	tr := NewTwoLevelLRU(2, 2, 64)
 	if _, _, _, ok := tr.OnRead(99); ok {
 		t.Error("unknown LPN should not be hot-area data")
 	}
 }
 
 func TestTwoLevelDemote(t *testing.T) {
-	tr := NewTwoLevelLRU(1, 2)
+	tr := NewTwoLevelLRU(1, 2, 64)
 	tr.OnWrite(1, 1)
 	tr.OnRead(1) // 1 in iron
 	tr.OnWrite(2, 2)
@@ -200,7 +201,7 @@ func TestTwoLevelDemote(t *testing.T) {
 }
 
 func TestTwoLevelRemove(t *testing.T) {
-	tr := NewTwoLevelLRU(2, 2)
+	tr := NewTwoLevelLRU(2, 2, 64)
 	tr.OnWrite(1, 1)
 	tr.OnWrite(2, 1)
 	tr.OnRead(2)
@@ -213,7 +214,7 @@ func TestTwoLevelRemove(t *testing.T) {
 }
 
 func TestTwoLevelLRUOrderIsRecency(t *testing.T) {
-	tr := NewTwoLevelLRU(3, 3)
+	tr := NewTwoLevelLRU(3, 3, 64)
 	tr.OnWrite(1, 1)
 	tr.OnWrite(2, 2)
 	tr.OnWrite(3, 3)
@@ -315,13 +316,13 @@ func TestFreqTableCounterSaturates(t *testing.T) {
 	}
 }
 
-// Property: the two-level tracker never tracks an LPN in both lists, and
-// list sizes never exceed their capacities.
+// Property: list sizes never exceed their capacities, and the lists and
+// their shared index stay consistent, so no LPN is on both lists.
 func TestPropertyTwoLevelInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		hotCap, ironCap := 1+rng.Intn(8), 1+rng.Intn(8)
-		tr := NewTwoLevelLRU(hotCap, ironCap)
+		tr := NewTwoLevelLRU(hotCap, ironCap, 64)
 		for step := 0; step < 400; step++ {
 			lpn := uint64(rng.Intn(24))
 			switch rng.Intn(4) {
@@ -332,13 +333,8 @@ func TestPropertyTwoLevelInvariants(t *testing.T) {
 			case 3:
 				tr.Demote(lpn)
 			}
-			if tr.HotLen() > hotCap || tr.IronLen() > ironCap {
-				t.Logf("capacity exceeded: %d/%d hot, %d/%d iron",
-					tr.HotLen(), hotCap, tr.IronLen(), ironCap)
-				return false
-			}
-			if tr.hot.contains(lpn) && tr.iron.contains(lpn) {
-				t.Logf("LPN %d in both lists", lpn)
+			if err := checkLists(tr); err != nil {
+				t.Logf("step %d: %v", step, err)
 				return false
 			}
 		}
@@ -347,6 +343,49 @@ func TestPropertyTwoLevelInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkLists walks both lists of tr and returns the first broken
+// invariant: each list's links agree with its head, tail and size, and
+// the size is within capacity; every node records the level of the list
+// holding it; the index maps each listed LPN to its node and tracks
+// nothing else.
+func checkLists(tr *TwoLevelLRU) error {
+	s := &tr.slab
+	listed := 0
+	for _, l := range []*lruList{&tr.hot, &tr.iron} {
+		if l.size > l.cap {
+			return fmt.Errorf("%v list holds %d entries, capacity %d", l.level, l.size, l.cap)
+		}
+		count, prev := 0, nilNode
+		for n := l.head; n != nilNode && count <= l.size; n = s.nodes[n].next {
+			nd := s.nodes[n]
+			switch {
+			case nd.prev != prev:
+				return fmt.Errorf("%v list: node %d links back to %d, want %d", l.level, n, nd.prev, prev)
+			case nd.level != l.level:
+				return fmt.Errorf("%v list: node %d records level %v", l.level, n, nd.level)
+			case s.lookup(nd.lpn) != n:
+				return fmt.Errorf("%v list: LPN %d indexes node %d, listed at %d", l.level, nd.lpn, s.lookup(nd.lpn), n)
+			}
+			prev = n
+			count++
+		}
+		if count != l.size || prev != l.tail {
+			return fmt.Errorf("%v list: walked %d nodes to %d, size %d tail %d", l.level, count, prev, l.size, l.tail)
+		}
+		listed += count
+	}
+	indexed := 0
+	for _, v := range s.index {
+		if v != 0 {
+			indexed++
+		}
+	}
+	if indexed != listed {
+		return fmt.Errorf("index tracks %d LPNs, lists hold %d", indexed, listed)
+	}
+	return nil
 }
 
 // Property: the frequency table never exceeds its capacity by more than
@@ -371,5 +410,37 @@ func TestPropertyFreqTableBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// benchSpan is the logical page count of the harness bench-scale device,
+// the span of the repository benchmark's PPB workload.
+const benchSpan = 117849
+
+// BenchmarkTwoLevelLRU drives the tracker the way PPB's host path does —
+// a write, a read and a level lookup per step — over a Zipf-skewed LPN
+// stream scattered across the bench-scale span, with core's default list
+// capacities (span/64 each). The stream runs through once before timing
+// so the node slab has reached its steady-state size.
+func BenchmarkTwoLevelLRU(b *testing.B) {
+	const streamLen = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, benchSpan-1)
+	stream := make([]uint64, streamLen)
+	for i := range stream {
+		stream[i] = zipf.Uint64() * 2654435761 % benchSpan
+	}
+	tr := NewTwoLevelLRU(benchSpan/64, benchSpan/64, benchSpan)
+	step := func(i int) {
+		tr.OnWrite(stream[i%streamLen], uint64(i))
+		tr.OnRead(stream[(i+streamLen/2)%streamLen])
+		tr.Level(stream[(i+streamLen/4)%streamLen])
+	}
+	for i := 0; i < streamLen; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		step(i)
 	}
 }

@@ -9,9 +9,13 @@ package hotness
 //
 // The tracker records logical membership only; physical data movement is
 // the FTL's job and happens progressively (on update or GC).
+//
+// Both lists share one node slab and one per-LPN index, so every
+// operation finds its LPN, and the list holding it, with one array load.
 type TwoLevelLRU struct {
-	hot  *lruList
-	iron *lruList
+	slab lruSlab
+	hot  lruList
+	iron lruList
 }
 
 // Demotion reports an entry that fell out of the hot area (from the hot
@@ -22,18 +26,29 @@ type Demotion struct {
 }
 
 // NewTwoLevelLRU builds a tracker with the given per-list entry
-// capacities.
-func NewTwoLevelLRU(hotCap, ironCap int) *TwoLevelLRU {
-	return &TwoLevelLRU{hot: newLRUList(hotCap), iron: newLRUList(ironCap)}
+// capacities whose index covers the LPN range [0, span), at 4 bytes per
+// LPN. An LPN beyond the span reads as untracked; writing one grows the
+// index.
+func NewTwoLevelLRU(hotCap, ironCap int, span uint64) *TwoLevelLRU {
+	return &TwoLevelLRU{
+		slab: newLRUSlab(span),
+		hot:  newLRUList(Hot, hotCap),
+		iron: newLRUList(IronHot, ironCap),
+	}
+}
+
+// list returns the list holding node n.
+func (t *TwoLevelLRU) list(n int32) *lruList {
+	if t.slab.nodes[n].level == IronHot {
+		return &t.iron
+	}
+	return &t.hot
 }
 
 // Level returns the hot-area level of lpn and whether it is tracked.
 func (t *TwoLevelLRU) Level(lpn uint64) (Level, bool) {
-	if t.iron.contains(lpn) {
-		return IronHot, true
-	}
-	if t.hot.contains(lpn) {
-		return Hot, true
+	if n := t.slab.lookup(lpn); n != nilNode {
+		return t.slab.nodes[n].level, true
 	}
 	return 0, false
 }
@@ -46,13 +61,13 @@ func (t *TwoLevelLRU) Level(lpn uint64) (Level, bool) {
 // insert dem into the cold area. (The single-value return — rather than
 // a slice — keeps the per-write tracker update allocation-free.)
 func (t *TwoLevelLRU) OnWrite(lpn uint64, seq uint64) (lvl Level, dem Demotion, demoted bool) {
-	if t.iron.touch(lpn, seq, true) {
-		return IronHot, Demotion{}, false
+	if n := t.slab.lookup(lpn); n != nilNode {
+		l := t.list(n)
+		t.slab.touch(l, n)
+		t.slab.nodes[n].val = seq
+		return l.level, Demotion{}, false
 	}
-	if t.hot.touch(lpn, seq, true) {
-		return Hot, Demotion{}, false
-	}
-	if ev, overflow := t.hot.insertFront(lpn, seq); overflow {
+	if ev, overflow := t.slab.insertFront(&t.hot, lpn, seq); overflow {
 		return Hot, Demotion{LPN: ev.lpn, LastWrite: ev.val}, true
 	}
 	return Hot, Demotion{}, false
@@ -65,22 +80,35 @@ func (t *TwoLevelLRU) OnWrite(lpn uint64, seq uint64) (lvl Level, dem Demotion, 
 // demoted is true). The returned level is the entry's level after the
 // read; ok is false when lpn is not hot-area data.
 func (t *TwoLevelLRU) OnRead(lpn uint64) (lvl Level, dem Demotion, demoted, ok bool) {
-	if t.iron.touch(lpn, 0, false) {
-		return IronHot, Demotion{}, false, true
-	}
-	seq, tracked := t.hot.value(lpn)
-	if !tracked {
+	n := t.slab.lookup(lpn)
+	if n == nilNode {
 		return 0, Demotion{}, false, false
 	}
-	t.hot.remove(lpn)
-	if ev, overflow := t.iron.insertFront(lpn, seq); overflow {
-		// Iron tail drops to the hot head ("demote if full")...
-		if ev2, overflow2 := t.hot.insertFront(ev.lpn, ev.val); overflow2 {
-			// ...which may push the hot tail out of the area.
-			return IronHot, Demotion{LPN: ev2.lpn, LastWrite: ev2.val}, true, true
+	if t.slab.nodes[n].level == IronHot {
+		t.slab.touch(&t.iron, n)
+		return IronHot, Demotion{}, false, true
+	}
+	t.slab.unlink(&t.hot, n)
+	t.slab.pushFront(&t.iron, n)
+	if t.iron.size > t.iron.cap {
+		// Iron tail drops to the hot head ("demote if full"), which may
+		// push the hot tail out of the area.
+		if dem, demoted := t.toHot(t.iron.tail); demoted {
+			return IronHot, dem, true, true
 		}
 	}
 	return IronHot, Demotion{}, false, true
+}
+
+// toHot moves iron-hot node n to the hot list head and returns the hot
+// tail that falls out of the area, if any.
+func (t *TwoLevelLRU) toHot(n int32) (dem Demotion, demoted bool) {
+	t.slab.unlink(&t.iron, n)
+	t.slab.pushFront(&t.hot, n)
+	if ev, overflow := t.slab.evict(&t.hot); overflow {
+		return Demotion{LPN: ev.lpn, LastWrite: ev.val}, true
+	}
+	return Demotion{}, false
 }
 
 // Demote moves an iron-hot entry down to the hot list, or removes a
@@ -88,38 +116,35 @@ func (t *TwoLevelLRU) OnRead(lpn uint64) (lvl Level, dem Demotion, demoted, ok b
 // Used by the FTL when virtual-block pressure forces a demotion
 // (Figure 10b II: "demote when iron-hot data update").
 func (t *TwoLevelLRU) Demote(lpn uint64) (dem Demotion, demoted bool) {
-	if seq, ok := t.iron.value(lpn); ok {
-		t.iron.remove(lpn)
-		if ev, overflow := t.hot.insertFront(lpn, seq); overflow {
-			return Demotion{LPN: ev.lpn, LastWrite: ev.val}, true
-		}
+	n := t.slab.lookup(lpn)
+	if n == nilNode {
 		return Demotion{}, false
 	}
-	if seq, ok := t.hot.value(lpn); ok {
-		t.hot.remove(lpn)
-		return Demotion{LPN: lpn, LastWrite: seq}, true
+	if t.slab.nodes[n].level == IronHot {
+		return t.toHot(n)
 	}
-	return Demotion{}, false
+	ev := t.slab.drop(&t.hot, n)
+	return Demotion{LPN: ev.lpn, LastWrite: ev.val}, true
 }
 
 // Remove forgets lpn entirely (e.g. the logical page was trimmed).
 func (t *TwoLevelLRU) Remove(lpn uint64) {
-	if !t.iron.remove(lpn) {
-		t.hot.remove(lpn)
+	if n := t.slab.lookup(lpn); n != nilNode {
+		t.slab.drop(t.list(n), n)
 	}
 }
 
 // LastWrite returns the sequence number recorded for the entry's most
 // recent write. Used by the "demote if not modified" GC rule.
 func (t *TwoLevelLRU) LastWrite(lpn uint64) (uint64, bool) {
-	if v, ok := t.iron.value(lpn); ok {
-		return v, true
+	if n := t.slab.lookup(lpn); n != nilNode {
+		return t.slab.nodes[n].val, true
 	}
-	return t.hot.value(lpn)
+	return 0, false
 }
 
 // HotLen returns the number of tracked hot-list entries.
-func (t *TwoLevelLRU) HotLen() int { return t.hot.len() }
+func (t *TwoLevelLRU) HotLen() int { return t.hot.size }
 
 // IronLen returns the number of tracked iron-hot entries.
-func (t *TwoLevelLRU) IronLen() int { return t.iron.len() }
+func (t *TwoLevelLRU) IronLen() int { return t.iron.size }

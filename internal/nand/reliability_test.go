@@ -61,12 +61,12 @@ func TestReliabilityProfileByName(t *testing.T) {
 
 func TestReliabilityConfigValidate(t *testing.T) {
 	bad := []ReliabilityConfig{
-		{Enabled: true},                                        // BaseBER missing
-		{Enabled: true, BaseBER: 1e-3, LayerSkew: -1},          // negative skew
-		{Enabled: true, BaseBER: 1e-3, PECycleFactor: -0.1},    // negative wear factor
-		{Enabled: true, BaseBER: 1e-3, RetentionCap: 0.5},      // cap below 1
-		{Enabled: true, BaseBER: 1e-3},                         // ECCCorrectBER missing
-		{Enabled: true, BaseBER: 1e-3, ECCCorrectBER: 1e-3},    // RetryStepBER missing
+		{Enabled: true}, // BaseBER missing
+		{Enabled: true, BaseBER: 1e-3, LayerSkew: -1},                           // negative skew
+		{Enabled: true, BaseBER: 1e-3, PECycleFactor: -0.1},                     // negative wear factor
+		{Enabled: true, BaseBER: 1e-3, RetentionCap: 0.5},                       // cap below 1
+		{Enabled: true, BaseBER: 1e-3},                                          // ECCCorrectBER missing
+		{Enabled: true, BaseBER: 1e-3, ECCCorrectBER: 1e-3},                     // RetryStepBER missing
 		{Enabled: true, BaseBER: 1e-3, ECCCorrectBER: 1e-3, RetryStepBER: 1e-3}, // MaxRetries missing
 		{Enabled: true, BaseBER: 1e-3, ECCCorrectBER: 1e-3, RetryStepBER: 1e-3,
 			MaxRetries: 1, ECCDecodeLatency: -time.Second}, // negative latency
