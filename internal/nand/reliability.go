@@ -200,6 +200,7 @@ const (
 type relState struct {
 	cfg      ReliabilityConfig
 	rng      uint64          // splitmix64 state
+	cleanBER float64         // clean-read threshold (see surelyClean)
 	layerBER []float64       // per page-index layer-skewed base RBER
 	progTime []time.Duration // per-PPN program-time stamp
 	uncorr   []uint32        // per-block uncorrectable-read count
@@ -221,9 +222,26 @@ func (r *relState) nextFloat() float64 {
 	return (float64(z>>11) + 0.5) / (1 << 53)
 }
 
-// expSample draws an Exp(1) variate; the offset in nextFloat keeps the
-// uniform strictly inside (0,1) so the log never sees zero.
-func (r *relState) expSample() float64 { return -math.Log(r.nextFloat()) }
+// surelyClean reports, without a logarithm, that a read of error rate
+// rber whose Exp(1) variate is -ln u samples at or below ECCCorrectBER.
+// On (0,1], -ln u <= (1-u)(1+u)/(2u) (the log-mean inequality at t =
+// 1/u). That form rounds to within a few ulps of its true value, and
+// the 1e-9 margin in cleanBER absorbs the rounding of both sides, so
+// the test fires only for reads the exact comparison also finds clean.
+func (r *relState) surelyClean(rber, u float64) bool {
+	return rber*((1-u)*(1+u)/(2*u)) <= r.cleanBER
+}
+
+// cleanThreshold returns the cleanBER of an ECC threshold. Below the
+// normal floating-point range the margin would be lost to rounding, so
+// there it returns 0, which admits only a zero bound — a read the exact
+// comparison also finds clean.
+func cleanThreshold(ecc float64) float64 {
+	if ecc < 0x1p-1022 {
+		return 0
+	}
+	return ecc * (1 - 1e-9)
+}
 
 // flagRetire recommends block b for retirement and enqueues it as a
 // candidate unless it is already queued or retired. The queue is a
@@ -271,6 +289,7 @@ func (d *Device) SetReliability(cfg ReliabilityConfig, seed int64) error {
 		}
 		r.layerBER[p] = cfg.BaseBER * (1 + cfg.LayerSkew*frac)
 	}
+	r.cleanBER = cleanThreshold(cfg.ECCCorrectBER)
 	d.rel = r
 	return nil
 }
@@ -290,7 +309,7 @@ func (d *Device) ReliabilityStats() ReliabilityStats {
 // reliabilityPenalty samples the reliability outcome of reading page of
 // block b and returns the extra device time the read costs (zero for a
 // clean read). It is the read hot path: no allocations, exactly one
-// PRNG draw.
+// PRNG draw, and no logarithm for reads surelyClean settles.
 func (d *Device) reliabilityPenalty(b BlockID, blk *blockState, p PPN, page int) time.Duration {
 	r := d.rel
 	rber := r.layerBER[page] * (1 + r.cfg.PECycleFactor*float64(blk.eraseCount))
@@ -303,7 +322,13 @@ func (d *Device) reliabilityPenalty(b BlockID, blk *blockState, p PPN, page int)
 			rber *= mult
 		}
 	}
-	sampled := rber * r.expSample()
+	// The offset in nextFloat keeps u strictly above zero, so neither
+	// the bound nor the log sees zero.
+	u := r.nextFloat()
+	if r.surelyClean(rber, u) {
+		return 0
+	}
+	sampled := rber * -math.Log(u)
 	if sampled <= r.cfg.ECCCorrectBER {
 		return 0
 	}

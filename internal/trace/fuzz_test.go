@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -13,7 +14,10 @@ import (
 // parsed record carries a non-negative, non-decreasing Request.Time and
 // passes Request.Validate — the open-loop replay gates on exactly these
 // properties (see Request.Time). Malformed input must surface as an
-// error, never as a corrupt record.
+// error, never as a corrupt record. Every record and every error text
+// must also equal those of refMSRReader, the string-based parser the
+// zero-allocation one replaced; the committed corpus holds its corner
+// cases (Unicode case and space rules, signs, overflow, field counts).
 func FuzzMSRReader(f *testing.F) {
 	// A well-formed two-record trace.
 	f.Add("128166372003061629,hm,1,Read,2216341504,4096,419\n" +
@@ -39,9 +43,17 @@ func FuzzMSRReader(f *testing.F) {
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {
 		r := NewMSRReader(bytes.NewReader([]byte(data)))
+		ref := newRefMSRReader(strings.NewReader(data))
 		var last time.Duration
 		for {
 			rec, err := r.Next()
+			want, wantErr := ref.Next()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("error %v, reference %v (from %q)", err, wantErr, data)
+			}
+			if rec != want {
+				t.Fatalf("record %+v, reference %+v (from %q)", rec, want, data)
+			}
 			if err == io.EOF {
 				break
 			}

@@ -25,7 +25,8 @@ func NewSimpleReader(r io.Reader) *SimpleReader {
 	return &SimpleReader{s: bufio.NewScanner(r)}
 }
 
-// Next returns the next request, or io.EOF at end of trace.
+// Next returns the next request, or io.EOF at end of trace. A request
+// that fails Request.Validate is reported like a parse error.
 func (p *SimpleReader) Next() (Request, error) {
 	for p.s.Scan() {
 		p.line++
@@ -34,6 +35,9 @@ func (p *SimpleReader) Next() (Request, error) {
 			continue
 		}
 		req, err := parseSimpleLine(text)
+		if err == nil {
+			err = req.Validate()
+		}
 		if err != nil {
 			return Request{}, fmt.Errorf("trace: line %d: %w", p.line, err)
 		}
@@ -88,9 +92,6 @@ func parseSimpleLine(text string) (Request, error) {
 	size, err := strconv.ParseUint(fields[2], 10, 32)
 	if err != nil {
 		return Request{}, fmt.Errorf("size: %w", err)
-	}
-	if size == 0 {
-		return Request{}, fmt.Errorf("zero-size request")
 	}
 	return Request{Op: op, Offset: off, Size: uint32(size)}, nil
 }

@@ -67,13 +67,20 @@ type Request struct {
 // slot, the same way the GC pool counters fold deep pools.
 const MaxTenants = 8
 
-// End returns the first byte offset after the request.
+// End returns the first byte offset after the request. It wraps for a
+// request that reaches 2^64, which Validate rejects.
 func (r Request) End() uint64 { return r.Offset + uint64(r.Size) }
 
-// Validate reports malformed requests (zero size).
+// Validate reports malformed requests: zero size, or an end past the
+// 64-bit byte address space (offset plus size at or beyond 2^64). It is
+// the one owner of these rules; the readers and MSRWriter.Write call it
+// and add their own "trace:" context to its error.
 func (r Request) Validate() error {
 	if r.Size == 0 {
-		return fmt.Errorf("trace: zero-size %s at offset %d", r.Op, r.Offset)
+		return fmt.Errorf("zero-size %s at offset %d", r.Op, r.Offset)
+	}
+	if r.End() < r.Offset {
+		return fmt.Errorf("%s of %d bytes at offset %d ends past 2^64", r.Op, r.Size, r.Offset)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -45,11 +46,22 @@ func TestRequestPages(t *testing.T) {
 }
 
 func TestRequestValidate(t *testing.T) {
-	if err := (Request{Size: 0}).Validate(); err == nil {
-		t.Error("zero size should be invalid")
+	for _, r := range []Request{
+		{Size: 0},
+		{Op: OpRead, Offset: math.MaxUint64, Size: 4096},         // End() wraps past 2^64
+		{Op: OpWrite, Offset: math.MaxUint64 - 4095, Size: 4096}, // ends at exactly 2^64
+	} {
+		if err := r.Validate(); err == nil {
+			t.Errorf("%+v (End() = %d) should be invalid", r, r.End())
+		}
 	}
-	if err := (Request{Size: 1}).Validate(); err != nil {
-		t.Errorf("unexpected error: %v", err)
+	for _, r := range []Request{
+		{Size: 1},
+		{Op: OpRead, Offset: math.MaxUint64 - 4096, Size: 4096}, // End() = 2^64-1
+	} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v: unexpected error: %v", r, err)
+		}
 	}
 }
 
@@ -145,6 +157,7 @@ func TestMSRReaderErrors(t *testing.T) {
 		"zero size":       "1,hm,0,Read,5,0,0\n",
 		"bad response":    "1,hm,0,Read,5,100,x\n",
 		"negative-ish 32": "1,hm,0,Read,5,99999999999,0\n",
+		"end past 2^64":   "1,hm,0,Read,18446744073709551615,4096,0\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -152,8 +165,8 @@ func TestMSRReaderErrors(t *testing.T) {
 			if err == nil || err == io.EOF {
 				t.Fatalf("want parse error, got %v", err)
 			}
-			if !strings.Contains(err.Error(), "line 1") {
-				t.Errorf("error should cite line number: %v", err)
+			if !strings.HasPrefix(err.Error(), "trace: line 1: ") || strings.Count(err.Error(), "trace:") != 1 {
+				t.Errorf(`error should read "trace: line 1: ..." with no second "trace:": %v`, err)
 			}
 		})
 	}
@@ -303,10 +316,15 @@ func TestSimpleFormatErrors(t *testing.T) {
 		"offset":   "W x 10\n",
 		"size":     "W 0 x\n",
 		"zerosize": "W 0 0\n",
+		"wraps":    "W 18446744073709551615 4096\n",
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ParseSimple(strings.NewReader(in)); err == nil {
+			_, err := ParseSimple(strings.NewReader(in))
+			if err == nil {
 				t.Fatal("want error")
+			}
+			if !strings.HasPrefix(err.Error(), "trace: line 1: ") || strings.Count(err.Error(), "trace:") != 1 {
+				t.Errorf(`error should read "trace: line 1: ..." with no second "trace:": %v`, err)
 			}
 		})
 	}
