@@ -57,7 +57,8 @@
 //
 // Unknown -ftl, -dispatch, -dependency, -reliability, -wear or
 // -suspend names are rejected before the trace is loaded, with the
-// list of valid names.
+// list of valid names, and so are -gb outside (0, 64], -qd below 1 and
+// -tenants outside [1, 8].
 //
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
@@ -106,8 +107,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *tenants < 1 || *tenants > ppbflash.MaxTenants {
-		fmt.Fprintf(os.Stderr, "flashsim: -tenants %d out of range [1, %d]\n", *tenants, ppbflash.MaxTenants)
+	if err := validateRanges(*gb, *qd, *tenants); err != nil {
+		fmt.Fprintln(os.Stderr, "flashsim:", err)
 		os.Exit(2)
 	}
 	// Reject bad policy names before the (possibly long) trace load, with
@@ -135,11 +136,7 @@ func main() {
 			"all requests arrive at t=0 and latency percentiles measure the backlog, not per-request service")
 	}
 
-	divisor := int(64.0 / *gb)
-	if divisor < 1 {
-		divisor = 1
-	}
-	cfg := ppbflash.TableOneConfig().Scaled(divisor).WithSpeedRatio(*ratio)
+	cfg := ppbflash.TableOneConfig().Scaled(int(64.0 / *gb)).WithSpeedRatio(*ratio)
 	if *pageSize != cfg.PageSize {
 		cfg = cfg.WithPageSize(*pageSize)
 	}
@@ -279,6 +276,23 @@ func main() {
 				res.Migrations, res.Diversions, res.Demotions)
 		}
 	}
+}
+
+// validateRanges rejects out-of-range numeric flags up front, naming the
+// valid range: -gb scales the 64 GiB Table 1 device down, so it must lie
+// in (0, 64]; -qd must allow at least one outstanding request; -tenants
+// is bounded by the compositor's tenant slots.
+func validateRanges(gb float64, qd, tenants int) error {
+	if !(gb > 0 && gb <= 64) {
+		return fmt.Errorf("-gb %g out of range (0, 64]", gb)
+	}
+	if qd < 1 {
+		return fmt.Errorf("-qd %d out of range: want at least 1", qd)
+	}
+	if tenants < 1 || tenants > ppbflash.MaxTenants {
+		return fmt.Errorf("-tenants %d out of range [1, %d]", tenants, ppbflash.MaxTenants)
+	}
+	return nil
 }
 
 // validateNames rejects unknown policy names up front: every named knob

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,6 +84,47 @@ func TestValidateNames(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("validateNames() = %q, want it to contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestValidateRanges pins the up-front numeric flag checks: -gb outside
+// (0, 64], -qd below 1 and -tenants outside [1, 8] must be rejected with
+// the valid range in the message instead of being silently replaced
+// (-gb 0 and -gb 100 used to replay on the full 64 GiB device, -qd -5
+// at depth 1 while the report printed QD -5).
+func TestValidateRanges(t *testing.T) {
+	cases := []struct {
+		name    string
+		gb      float64
+		qd      int
+		tenants int
+		wantErr string // substring of the error ("" = valid)
+	}{
+		{name: "defaults", gb: 4, qd: 1, tenants: 1},
+		{name: "full device", gb: 64, qd: 1, tenants: 1},
+		{name: "fraction of a GiB", gb: 0.125, qd: 64, tenants: ppbflash.MaxTenants},
+		{name: "zero gb", gb: 0, qd: 1, tenants: 1, wantErr: "-gb 0 out of range (0, 64]"},
+		{name: "negative gb", gb: -1, qd: 1, tenants: 1, wantErr: "(0, 64]"},
+		{name: "gb above device", gb: 65, qd: 1, tenants: 1, wantErr: "-gb 65 out of range (0, 64]"},
+		{name: "gb NaN", gb: math.NaN(), qd: 1, tenants: 1, wantErr: "(0, 64]"},
+		{name: "zero qd", gb: 4, qd: 0, tenants: 1, wantErr: "-qd 0 out of range: want at least 1"},
+		{name: "negative qd", gb: 4, qd: -5, tenants: 1, wantErr: "-qd -5 out of range"},
+		{name: "zero tenants", gb: 4, qd: 1, tenants: 0, wantErr: "-tenants 0 out of range [1, 8]"},
+		{name: "too many tenants", gb: 4, qd: 1, tenants: ppbflash.MaxTenants + 1, wantErr: "[1, 8]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateRanges(tc.gb, tc.qd, tc.tenants)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("validateRanges() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("validateRanges() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
 	}

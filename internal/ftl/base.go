@@ -51,13 +51,13 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) 
 		vbm.SetTenants(opts.Tenants)
 	}
 	if opts.DeferErases {
-		dev.SetEraseDeferral(opts.EraseDeferWindow)
+		dev.SetEraseDeferral(eraseDeferFactor * cfg.EraseLatency)
 	}
 	if opts.ReorderWindow > 0 && cfg.PlaneCount() > 1 {
 		dev.SetReorderWindow(opts.ReorderWindow)
 	}
 	if opts.Suspend != nand.SuspendOff {
-		dev.SetSuspend(opts.Suspend, opts.SuspendCost, opts.ResumeCost)
+		dev.SetSuspend(opts.Suspend, suspendCost, resumeCost)
 	}
 	if opts.Reliability != nil {
 		if err := dev.SetReliability(*opts.Reliability, opts.ReliabilitySeed); err != nil {
@@ -175,47 +175,6 @@ func (b *Base) InvalidateOld(lpn uint64) error {
 		}
 	}
 	return nil
-}
-
-// victimPolicy is the full-scan victim selection, kept behind
-// Options.DebugScanVictims as the reference implementation the
-// incremental index in vblock.Manager is checked against: greedy by
-// invalid-page count ("the block with the most invalid pages is
-// selected"), ties broken toward lower wear. Blocks the exclude
-// callback rejects (e.g. active blocks) are skipped. Returns ok=false
-// when no candidate has any invalid page.
-//
-// Note: through PR 1 this scan scored victims by the Kawaguchi
-// cost-benefit formula (inv*age/(2*valid+1)). The policy itself changed
-// to plain greedy when selection moved into the incremental index —
-// greedy is what GCLoop always documented, what the paper's baseline
-// assumes, and the only score a bucket index can maintain under O(1)
-// updates (the age term re-orders continuously). Absolute figure
-// numbers shifted slightly with the swap; every asserted figure shape
-// (enhancement signs, sweep monotonicity, erase parity) held.
-type victimPolicy struct {
-	dev *nand.Device
-}
-
-func (v victimPolicy) pick(iter func(func(nand.BlockID) bool), exclude func(nand.BlockID) bool) (nand.BlockID, bool) {
-	var best nand.BlockID
-	bestInv := 0
-	var bestWear uint32
-	iter(func(blk nand.BlockID) bool {
-		if exclude != nil && exclude(blk) {
-			return true
-		}
-		inv := v.dev.InvalidPages(blk)
-		if inv == 0 {
-			return true
-		}
-		wear := v.dev.EraseCount(blk)
-		if inv > bestInv || (inv == bestInv && wear < bestWear) {
-			best, bestInv, bestWear = blk, inv, wear
-		}
-		return true
-	})
-	return best, bestInv > 0
 }
 
 // CheckMapping verifies that every mapped LPN points at a valid page

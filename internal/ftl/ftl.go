@@ -114,14 +114,6 @@ type Options struct {
 	GCLowWater int
 	// GCHighWater is where a GC burst stops (default GCLowWater+2).
 	GCHighWater int
-	// DebugScanVictims selects the O(blocks) full-scan victim selection
-	// instead of the incremental invalid-count index maintained by
-	// vblock.Manager. Both implement the same greedy policy (most
-	// invalid pages, wear tie-break); the flag exists so tests can
-	// cross-check them and perf work can quantify the scan cost. It does
-	// NOT restore the pre-PR-1 cost-benefit scoring (see victimPolicy in
-	// base.go). Leave false outside of debugging.
-	DebugScanVictims bool
 	// Dispatch is the chip-dispatch policy consulted whenever a fresh
 	// physical block is allocated — host writes, GC relocations and
 	// hot/cold stream pipelines alike. nil defaults to vblock.Striped
@@ -140,27 +132,18 @@ type Options struct {
 	// DeferErases routes GC erases through the device's per-chip
 	// deferred queue (nand.Device.SetEraseDeferral): an erase issued
 	// against a busy chip lets later host operations go first and
-	// commits at the chip's next idle gap, bounded by EraseDeferWindow.
-	// Off by default — deferral reorders the timeline even on a single
-	// chip, so it is an explicit knob rather than part of DepCausal.
+	// commits at the chip's next idle gap, at the latest 8 erase
+	// latencies after issue (eraseDeferFactor). Off by default —
+	// deferral reorders the timeline even on a single chip, so it is an
+	// explicit knob rather than part of DepCausal.
 	DeferErases bool
-	// EraseDeferWindow bounds how long a deferred erase may wait before
-	// it is force-committed (zero defaults to 8x the device's erase
-	// latency). Only meaningful with DeferErases.
-	EraseDeferWindow time.Duration
 	// Suspend selects the program/erase suspend-resume policy installed
 	// on the device (nand.Device.SetSuspend): SuspendOff (the zero value,
 	// bit-identical to the pre-suspend model), SuspendErase (reads may
-	// preempt in-flight erases) or SuspendFull (erases and programs).
+	// preempt in-flight erases) or SuspendFull (erases and programs),
+	// each suspension costing 25µs to suspend and 25µs to resume
+	// (suspendCost, resumeCost).
 	Suspend nand.SuspendPolicy
-	// SuspendCost is the device time a read pays before it can sense
-	// while the preempted op winds down (zero defaults to 25µs when
-	// Suspend is active). Only meaningful with Suspend.
-	SuspendCost time.Duration
-	// ResumeCost is the device time the preempted op pays before its
-	// remainder restarts (zero defaults to 25µs when Suspend is active).
-	// Only meaningful with Suspend.
-	ResumeCost time.Duration
 	// ReorderWindow bounds how far before its chip's busiest plane
 	// drains an op on another plane may start — the multi-plane overlap
 	// knob (nand.Device.SetReorderWindow). Zero defaults to 4x the
@@ -171,14 +154,6 @@ type Options struct {
 	// selection (see WearPolicy). The zero value WearNone keeps the
 	// historic greedy behavior bit-identical.
 	Wear WearPolicy
-	// WearWindow is how many invalid-count buckets below the greedy top
-	// WearAware may reach for a less-worn victim (zero defaults to
-	// PagesPerBlock/8, minimum 1). Only meaningful with WearAware.
-	WearWindow int
-	// WearThreshold is the max-vs-min erase-count spread that triggers a
-	// WearThresholdSwap static swap (zero defaults to 8). Only
-	// meaningful with WearThresholdSwap.
-	WearThreshold uint32
 	// Reliability installs the layer-aware reliability model on the
 	// device at construction (nil leaves the model off; a disabled
 	// config is equivalent). See nand.ReliabilityConfig and
@@ -197,6 +172,27 @@ type Options struct {
 	Tenants int
 }
 
+// Fixed settings of the deferral, suspend and wear machinery.
+const (
+	// eraseDeferFactor bounds how long a deferred erase may wait before
+	// it is force-committed, in multiples of the device's erase latency
+	// (Options.DeferErases).
+	eraseDeferFactor = 8
+	// suspendCost is the device time a read pays before it can sense
+	// while the preempted op winds down; resumeCost is the time the
+	// preempted op pays before its remainder restarts (Options.Suspend).
+	suspendCost = 25 * time.Microsecond
+	resumeCost  = 25 * time.Microsecond
+	// wearThreshold is the max-vs-min erase-count spread that triggers a
+	// WearThresholdSwap static swap.
+	wearThreshold = 8
+)
+
+// wearWindow is how many invalid-count buckets below the greedy top
+// WearAware may reach for a less-worn victim: an eighth of a block, at
+// least one.
+func wearWindow(cfg *nand.Config) int { return max(cfg.PagesPerBlock/8, 1) }
+
 func (o Options) withDefaults(cfg nand.Config) Options {
 	if o.OverProvision == 0 {
 		o.OverProvision = 0.10
@@ -210,28 +206,8 @@ func (o Options) withDefaults(cfg nand.Config) Options {
 	if o.GCHighWater == 0 {
 		o.GCHighWater = o.GCLowWater + 2
 	}
-	if o.DeferErases && o.EraseDeferWindow == 0 {
-		o.EraseDeferWindow = 8 * cfg.EraseLatency
-	}
-	if o.Suspend != nand.SuspendOff {
-		if o.SuspendCost == 0 {
-			o.SuspendCost = 25 * time.Microsecond
-		}
-		if o.ResumeCost == 0 {
-			o.ResumeCost = 25 * time.Microsecond
-		}
-	}
 	if cfg.PlaneCount() > 1 && o.ReorderWindow == 0 {
 		o.ReorderWindow = 4 * cfg.EraseLatency
-	}
-	if o.Wear == WearAware && o.WearWindow == 0 {
-		o.WearWindow = cfg.PagesPerBlock / 8
-		if o.WearWindow < 1 {
-			o.WearWindow = 1
-		}
-	}
-	if o.Wear == WearThresholdSwap && o.WearThreshold == 0 {
-		o.WearThreshold = 8
 	}
 	return o
 }
@@ -250,23 +226,14 @@ func (o Options) Validate(cfg nand.Config) error {
 	if o.Dependency > DepLegacy {
 		return fmt.Errorf("ftl: unknown dependency model %d", o.Dependency)
 	}
-	if o.EraseDeferWindow < 0 {
-		return fmt.Errorf("ftl: negative erase-deferral window %v", o.EraseDeferWindow)
-	}
 	if o.Suspend > nand.SuspendFull {
 		return fmt.Errorf("ftl: unknown suspend policy %d", o.Suspend)
-	}
-	if o.SuspendCost < 0 || o.ResumeCost < 0 {
-		return fmt.Errorf("ftl: negative suspend/resume cost (%v, %v)", o.SuspendCost, o.ResumeCost)
 	}
 	if o.ReorderWindow < 0 {
 		return fmt.Errorf("ftl: negative reorder window %v", o.ReorderWindow)
 	}
 	if o.Wear > WearThresholdSwap {
 		return fmt.Errorf("ftl: unknown wear policy %d", o.Wear)
-	}
-	if o.WearWindow < 0 {
-		return fmt.Errorf("ftl: negative wear window %d", o.WearWindow)
 	}
 	if o.Reliability != nil {
 		if err := o.Reliability.Validate(); err != nil {

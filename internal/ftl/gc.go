@@ -18,27 +18,18 @@ type ReprogramFunc func(oob nand.OOB) (time.Duration, nand.PPN, error)
 //
 // Victims come from the manager's incrementally maintained invalid-count
 // index, so each pick costs O(candidates at the top count) instead of a
-// scan over every block; Options.DebugScanVictims restores the legacy
-// full-scan policy for cross-checking.
+// scan over every block; the tests cross-check it against a full scan.
 func (b *Base) GCLoop(exclude func(nand.BlockID) bool, reprogram ReprogramFunc) error {
 	return b.GCLoopOrdered(exclude, reprogram, nil)
 }
 
 // pickVictim selects the next GC victim: full blocks only, then (when
 // fullOnly is cleared) any owned block as the desperation fallback.
-// Under Options.Wear == WearAware the greedy rule is relaxed through
-// the victim index (the debug full scan keeps the plain greedy policy —
-// it exists to cross-check the index, not the wear knob).
+// Under Options.Wear == WearAware the greedy rule is relaxed by
+// wearWindow invalid-count buckets.
 func (b *Base) pickVictim(fullOnly bool, exclude func(nand.BlockID) bool) (nand.BlockID, bool) {
-	if b.opts.DebugScanVictims {
-		iter := b.vbm.ForEachFull
-		if !fullOnly {
-			iter = b.vbm.ForEachOwned
-		}
-		return victimPolicy{dev: b.dev}.pick(iter, exclude)
-	}
 	if b.opts.Wear == WearAware {
-		return b.vbm.PickVictimWearAware(fullOnly, exclude, b.dev.EraseCount, b.opts.WearWindow)
+		return b.vbm.PickVictimWearAware(fullOnly, exclude, b.dev.EraseCount, wearWindow(&b.cfg))
 	}
 	return b.vbm.PickVictim(fullOnly, exclude, b.dev.EraseCount)
 }
@@ -119,7 +110,7 @@ func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram 
 // maybeWearSwap runs one static wear-leveling swap per GC invocation
 // under Options.Wear == WearThresholdSwap: when the spread between the
 // device's highest erase count and the least-worn full block reaches
-// Options.WearThreshold, that cold block is collected even though it
+// wearThreshold, that cold block is collected even though it
 // may be fully valid, so its under-worn cells rejoin circulation. The
 // max erase count is O(1) (the device maintains it incrementally); only
 // the min scan pays a ForEachFull walk, and only while the policy is
@@ -132,7 +123,7 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 		return nil
 	}
 	max := b.dev.MaxEraseCount()
-	if max < b.opts.WearThreshold {
+	if max < wearThreshold {
 		return nil
 	}
 	var cand nand.BlockID
@@ -147,7 +138,7 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 		}
 		return true
 	})
-	if !found || max-candWear < b.opts.WearThreshold {
+	if !found || max-candWear < wearThreshold {
 		return nil
 	}
 	return b.collectBlock(cand, reprogram, fastFirst)

@@ -16,15 +16,15 @@ const (
 	// behavior — bit-identical to builds before the knob existed).
 	WearNone WearPolicy = iota
 	// WearAware relaxes greedy victim selection: any block within
-	// Options.WearWindow invalid-count buckets of the top is eligible
-	// and the least-worn one wins (dynamic wear leveling). It only acts
-	// on blocks that already have invalid pages, so write-once cold
-	// blocks are never disturbed.
+	// wearWindow invalid-count buckets of the top (an eighth of a block)
+	// is eligible and the least-worn one wins (dynamic wear leveling). It
+	// only acts on blocks that already have invalid pages, so write-once
+	// cold blocks are never disturbed.
 	WearAware
 	// WearThresholdSwap adds static wear leveling: when the spread
 	// between the device's highest erase count and the least-worn full
-	// block exceeds Options.WearThreshold, GC additionally collects that
-	// cold block (even if fully valid), moving its data so the
+	// block reaches wearThreshold (8 erases), GC additionally collects
+	// that cold block (even if fully valid), moving its data so the
 	// under-worn block rejoins circulation.
 	WearThresholdSwap
 )

@@ -29,21 +29,21 @@ func TestWearByNameRoundtrip(t *testing.T) {
 
 func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 	cfg := testConfig() // 8 pages/block
-	o := Options{Wear: WearAware}.withDefaults(cfg)
-	if o.WearWindow != 1 {
-		t.Errorf("WearAware default window = %d, want max(1, pages/8) = 1", o.WearWindow)
+	if got := wearWindow(&cfg); got != 1 {
+		t.Errorf("wear window on %d pages/block = %d, want 1", cfg.PagesPerBlock, got)
 	}
-	o = Options{Wear: WearThresholdSwap}.withDefaults(cfg)
-	if o.WearThreshold != 8 {
-		t.Errorf("WearThresholdSwap default threshold = %d, want 8", o.WearThreshold)
+	small := cfg
+	small.PagesPerBlock = 4
+	if got := wearWindow(&small); got != 1 {
+		t.Errorf("wear window on %d pages/block = %d, want the minimum 1", small.PagesPerBlock, got)
 	}
-	if o := (Options{Wear: WearNone, WearWindow: 5}).withDefaults(cfg); o.WearWindow != 5 {
-		t.Error("withDefaults clobbered an explicit window")
+	table := nand.TableOneConfig() // 384 pages/block
+	if got := wearWindow(&table); got != 48 {
+		t.Errorf("wear window on %d pages/block = %d, want 48", table.PagesPerBlock, got)
 	}
 
 	bad := []Options{
 		{OverProvision: 0.1, Wear: WearThresholdSwap + 1},
-		{OverProvision: 0.1, WearWindow: -1},
 		{OverProvision: 0.1, Reliability: &nand.ReliabilityConfig{Enabled: true}},
 	}
 	for i, o := range bad {
@@ -51,8 +51,7 @@ func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 			t.Errorf("bad options %d accepted: %+v", i, o)
 		}
 	}
-	good := Options{OverProvision: 0.1, Wear: WearThresholdSwap, WearThreshold: 4,
-		Reliability: &nand.ReliabilityConfig{}}
+	good := Options{OverProvision: 0.1, Wear: WearThresholdSwap, Reliability: &nand.ReliabilityConfig{}}
 	if err := good.Validate(cfg); err != nil {
 		t.Errorf("valid wear options rejected: %v", err)
 	}
@@ -122,9 +121,7 @@ func TestReliabilityRetirementThroughGC(t *testing.T) {
 func TestWearLevelingFlattensWear(t *testing.T) {
 	spread := func(wear WearPolicy) uint32 {
 		cfg := testConfig()
-		f := newFTL(t, "conventional", cfg, Options{
-			OverProvision: 0.2, Wear: wear, WearThreshold: 4, WearWindow: 2,
-		})
+		f := newFTL(t, "conventional", cfg, Options{OverProvision: 0.2, Wear: wear})
 		span := f.LogicalPages()
 		for lpn := uint64(0); lpn < span; lpn++ {
 			if err := f.Write(lpn, cfg.PageSize); err != nil {

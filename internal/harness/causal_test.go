@@ -1,7 +1,13 @@
 package harness
 
 import (
+	"sort"
 	"testing"
+	"time"
+
+	"ppbflash/internal/ftl"
+	"ppbflash/internal/nand"
+	"ppbflash/internal/trace"
 )
 
 // TestCausalSweepShape asserts the headline claims of experiment a7 on
@@ -154,5 +160,108 @@ func TestRunSpecDependencyNames(t *testing.T) {
 	bad.Dependency = "clairvoyant"
 	if _, err := Run(bad); err == nil {
 		t.Error("unknown dependency name accepted")
+	}
+}
+
+// deadlineReplay is ReplayQueued's closed loop at queue depth 1 with the
+// deferred-erase deadline events spelled out: before each request
+// issues, the erases parked with a deadline at or before the issue time
+// commit in deadline order, the way the event heap pops their deadline
+// events ahead of the issue event. With commitDue false the loop never
+// commits at a deadline, leaving each parked erase to the device's
+// op-time scan — the replay as it would run without deadline events.
+func deadlineReplay(f ftl.FTL, src trace.Stream, m *ReplayMetrics, commitDue bool) error {
+	dev := f.Device()
+	pageSize := dev.Config().PageSize
+	type deadline struct {
+		chip int
+		at   time.Duration
+	}
+	var parked []deadline
+	if commitDue {
+		dev.SetDeferralNotify(func(chip int, at time.Duration) {
+			parked = append(parked, deadline{chip, at})
+		})
+		defer dev.SetDeferralNotify(nil)
+	}
+	for {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
+		issue := dev.Now()
+		sort.SliceStable(parked, func(i, j int) bool { return parked[i].at < parked[j].at })
+		due := 0
+		for due < len(parked) && parked[due].at <= issue {
+			dev.CommitDeferredDeadline(parked[due].chip, parked[due].at)
+			due++
+		}
+		parked = parked[due:]
+		dev.BeginBurst()
+		if err := issueRequest(f, r, pageSize); err != nil {
+			return err
+		}
+		if dev.BurstOps() > 0 {
+			fin := dev.BurstFinish()
+			m.observe(r.Op, r.Tenant, fin-issue, dev.BurstStart()-issue)
+			dev.AdvanceTo(fin)
+		}
+	}
+	dev.FlushDeferredErases()
+	return nil
+}
+
+// TestDeadlineCommitsReachClockAwareDispatch pins ReplayQueued's
+// deferred-erase deadline events. A deadline commit books a parked erase
+// on its chip once the deadline passes, which moves the chip clock that
+// least-loaded dispatch reads when it places the next fresh block.
+// Without the event the erase stays parked until the device's op-time
+// scan finds it, at the next operation on that chip, and allocations in
+// between see the chip as idle. The two commit paths book an erase
+// identically only for a fixed op sequence; once the chip clocks feed
+// back into placement, they produce different runs. ReplayQueued must
+// match the loop that commits at each deadline exactly, and the loop
+// that does not must differ — otherwise this scenario would not reach
+// the feedback at all.
+func TestDeadlineCommitsReachClockAwareDispatch(t *testing.T) {
+	cfg := trimToChipMultiple(testScale.DeviceConfig(16<<10, 2), 4).WithChips(4)
+	spec := RunSpec{Kind: KindConventional, Dispatch: "least-loaded", Dependency: "legacy", DeferErases: true}
+	replay := func(name string, run func(ftl.FTL, trace.Stream, *ReplayMetrics) error) (*nand.Device, *ReplayMetrics) {
+		t.Helper()
+		dev := nand.MustNewDevice(cfg)
+		f, err := buildFTL(spec, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prefill(f); err != nil {
+			t.Fatal(err)
+		}
+		dev.ResetClocks()
+		m := NewReplayMetrics()
+		if err := run(f, testScale.WebSQLWorkload()(f.LogicalPages()*uint64(cfg.PageSize)), m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return dev, m
+	}
+	queued, qm := replay("ReplayQueued", func(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
+		return ReplayQueued(f, src, m, ReplayOptions{})
+	})
+	ref, rm := replay("deadline commits", func(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
+		return deadlineReplay(f, src, m, true)
+	})
+	scan, _ := replay("op-time scan only", func(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
+		return deadlineReplay(f, src, m, false)
+	})
+
+	if queued.Makespan() != ref.Makespan() || queued.TotalErases() != ref.TotalErases() {
+		t.Errorf("ReplayQueued makespan %v with %d erases, deadline-commit loop %v with %d",
+			queued.Makespan(), queued.TotalErases(), ref.Makespan(), ref.TotalErases())
+	}
+	histogramsEqual(t, "read", qm.ReadLatency, rm.ReadLatency)
+	histogramsEqual(t, "write", qm.WriteLatency, rm.WriteLatency)
+	histogramsEqual(t, "queue delay", qm.QueueDelay, rm.QueueDelay)
+	if scan.Makespan() == ref.Makespan() && scan.TotalErases() == ref.TotalErases() {
+		t.Errorf("skipping deadline commits changed nothing (makespan %v, %d erases): the scenario no longer exercises clock-aware placement",
+			scan.Makespan(), scan.TotalErases())
 	}
 }

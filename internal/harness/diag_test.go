@@ -165,5 +165,5 @@ func replayWithPrefill(f ftl.FTL, wl WorkloadBuilder) error {
 		}
 	}
 	*f.Stats() = ftl.Stats{}
-	return Replay(f, wl(logicalBytes))
+	return ReplayQueued(f, wl(logicalBytes), NewReplayMetrics(), ReplayOptions{})
 }

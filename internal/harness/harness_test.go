@@ -166,7 +166,7 @@ func TestReplayRequestSplitsPages(t *testing.T) {
 	}
 	// A 3.5-page write touches 4 pages.
 	req := trace.Request{Op: trace.OpWrite, Offset: 16384, Size: 3*16384 + 8192}
-	if err := ReplayRequest(f, req, 16384); err != nil {
+	if err := ReplayQueued(f, trace.NewSliceStream([]trace.Request{req}), NewReplayMetrics(), ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().HostWrites.Value(); got != 4 {

@@ -92,19 +92,20 @@ func TestErasesExcludePrePlayWork(t *testing.T) {
 	eraseBase := dev.TotalErases()
 
 	// Measured window: a handful of reads that erase nothing.
-	rm := NewReplayMetrics()
 	gen := testScale.WebSQLWorkload()(f.LogicalPages() * uint64(spec.Device.PageSize))
+	var reads []trace.Request
 	for i := 0; i < 100; i++ {
 		r, ok := gen.Next()
 		if !ok {
 			break
 		}
-		if r.Op != trace.OpRead { // writes could legitimately erase; replay reads only
-			continue
+		if r.Op == trace.OpRead { // writes could legitimately erase; replay reads only
+			reads = append(reads, r)
 		}
-		if err := replayRequest(f, r, spec.Device.PageSize, rm); err != nil {
-			t.Fatal(err)
-		}
+	}
+	rm := NewReplayMetrics()
+	if err := ReplayQueued(f, trace.NewSliceStream(reads), rm, ReplayOptions{}); err != nil {
+		t.Fatal(err)
 	}
 	res := collect(spec, f, eraseBase, nand.ReliabilityStats{}, 0, 0, 0, rm)
 	if res.Erases != 0 {
@@ -130,21 +131,20 @@ func TestUnmappedReadsNotObservedAsLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := NewReplayMetrics()
-	read := trace.Request{Op: trace.OpRead, Offset: 0, Size: 16384}
-	if err := replayRequest(f, read, spec.Device.PageSize, rm); err != nil {
-		t.Fatal(err)
+	replay := func(reqs ...trace.Request) {
+		t.Helper()
+		if err := ReplayQueued(f, trace.NewSliceStream(reqs), rm, ReplayOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	read := trace.Request{Op: trace.OpRead, Offset: 0, Size: 16384}
+	replay(read)
 	if got := rm.ReadLatency.Count(); got != 0 {
 		t.Errorf("unmapped read recorded %d latency samples", got)
 	}
 	// Once the page is written, both the write and the re-read count.
 	write := trace.Request{Op: trace.OpWrite, Offset: 0, Size: 16384}
-	if err := replayRequest(f, write, spec.Device.PageSize, rm); err != nil {
-		t.Fatal(err)
-	}
-	if err := replayRequest(f, read, spec.Device.PageSize, rm); err != nil {
-		t.Fatal(err)
-	}
+	replay(write, read)
 	if rm.WriteLatency.Count() != 1 || rm.ReadLatency.Count() != 1 {
 		t.Errorf("mapped ops not observed: reads=%d writes=%d",
 			rm.ReadLatency.Count(), rm.WriteLatency.Count())

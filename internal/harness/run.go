@@ -366,7 +366,7 @@ func Run(spec RunSpec) (Result, error) {
 	if spec.Tenants > 1 {
 		rm.EnableTenants(spec.Tenants)
 	}
-	opts := ReplayOptions{QueueDepth: spec.QueueDepth, OpenLoop: spec.OpenLoop, Tenants: spec.Tenants}
+	opts := ReplayOptions{QueueDepth: spec.QueueDepth, OpenLoop: spec.OpenLoop}
 	if err := ReplayQueued(f, gen, rm, opts); err != nil {
 		return Result{}, fmt.Errorf("harness: %s: %w", spec.Name, err)
 	}
@@ -589,7 +589,7 @@ func prefill(f ftl.FTL) error {
 type ReplayMetrics struct {
 	ReadLatency  *metrics.Histogram
 	WriteLatency *metrics.Histogram
-	QueueDelay   *metrics.Histogram // nil skips queue-delay recording
+	QueueDelay   *metrics.Histogram
 
 	// Events counts the discrete events the replay's event loop popped
 	// (arrivals, issues, completions, erase commits, suspend/resume
@@ -621,7 +621,8 @@ type tenantMetrics struct {
 // n tenants (clamped to [2, trace.MaxTenants]), using the same default
 // bounds as the global histograms. Call before the replay; observe then
 // attributes every completed request to its tenant's set as well as the
-// global ones.
+// global ones, and ReplayQueued announces each request's tenant to the
+// FTL before issuing it.
 func (m *ReplayMetrics) EnableTenants(n int) {
 	if n < 2 {
 		n = 2
@@ -685,9 +686,7 @@ func (m *ReplayMetrics) observe(op trace.Op, tenant uint8, latency, delay time.D
 	} else {
 		m.ReadLatency.Observe(latency)
 	}
-	if m.QueueDelay != nil {
-		m.QueueDelay.Observe(delay)
-	}
+	m.QueueDelay.Observe(delay)
 	if m.tenants == nil {
 		return
 	}
@@ -713,26 +712,6 @@ type ReplayOptions struct {
 	// OpenLoop issues requests at their trace arrival times instead of
 	// generating the next request when a queue slot frees.
 	OpenLoop bool
-	// Tenants is the replay's tenant population. Above 1, the replay
-	// announces each request's tenant to the FTL right before issuing it
-	// (through the optional SetTenant method ftl.Base provides), so
-	// tenant-aware dispatch sees the owner of every allocation the
-	// request triggers. 0 and 1 skip the announcement entirely.
-	Tenants int
-}
-
-// Replay feeds every request of the stream through the FTL, splitting
-// byte ranges into page operations. Latency is not recorded; use
-// ReplayMeasured or ReplayQueued for per-request percentiles.
-func Replay(f ftl.FTL, src trace.Stream) error {
-	return ReplayQueued(f, src, nil, ReplayOptions{})
-}
-
-// ReplayMeasured is Replay recording per-request completion latency into
-// m under the classic closed loop at queue depth 1 (nil m skips
-// measurement and leaves the device issue clock alone).
-func ReplayMeasured(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
-	return ReplayQueued(f, src, m, ReplayOptions{})
 }
 
 // ReplayQueued replays the stream under a host queueing model, as one
@@ -768,27 +747,23 @@ func ReplayMeasured(f ftl.FTL, src trace.Stream, m *ReplayMetrics) error {
 //
 // Erases parked by the device's deferral policy register a deadline
 // event through nand.Device.SetDeferralNotify and commit when it pops
-// (an erase the op-time scan already committed makes the event a no-op),
-// so the drain needs no side-channel flush: popping the heap dry IS the
-// drain, and the host clock ends at the last completion — the same
-// instant the classic loop always ended on.
+// (an erase the op-time scan already committed makes the event a no-op).
+// The commit lands on the chip clock as soon as the deadline passes, so
+// clock-aware dispatch placing a later block sees it even when no
+// operation has reached that chip since. The drain needs no side-channel
+// flush: popping the heap dry IS the drain, and the host clock ends at
+// the last completion — the same instant the classic loop always ended
+// on.
 //
-// nil m skips measurement and the host model entirely (plain Replay).
+// m is required: it receives every completed request's latency and
+// queueing delay, plus the replay's event count and wall time. When
+// m.EnableTenants is active, every issue first announces the request's
+// tenant to the FTL (through the optional SetTenant method ftl.Base
+// provides), so tenant-aware dispatch sees the owner of every allocation
+// the request triggers.
 func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOptions) error {
 	dev := f.Device()
 	pageSize := dev.Config().PageSize
-	if m == nil {
-		for {
-			r, ok := src.Next()
-			if !ok {
-				dev.FlushDeferredErases()
-				return nil
-			}
-			if err := issueRequest(f, r, pageSize); err != nil {
-				return err
-			}
-		}
-	}
 	qd := opts.QueueDepth
 	if qd < 1 {
 		qd = 1
@@ -799,7 +774,7 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 	// they cascade into) to that tenant's chips. Single-tenant runs leave
 	// setTenant nil and take the pre-tenant path byte for byte.
 	var setTenant interface{ SetTenant(int) }
-	if opts.Tenants > 1 {
+	if m.TenantCount() > 0 {
 		setTenant, _ = f.(interface{ SetTenant(int) })
 	}
 	wallStart := time.Now() //flashvet:wallclock — host-speed metric only; Canonical() masks Wall out of determinism comparisons
@@ -914,34 +889,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 	return nil
 }
 
-// ReplayRequest issues one trace request as page-level FTL operations.
-func ReplayRequest(f ftl.FTL, r trace.Request, pageSize int) error {
-	return replayRequest(f, r, pageSize, nil)
-}
-
-// replayRequest issues one request and, when m is given, measures it as a
-// single-request closed loop: issue at the device clock, observe the
-// burst completion, advance the clock there. ReplayQueued is the
-// multi-request generalization; this helper remains for callers that
-// drive requests one at a time.
-func replayRequest(f ftl.FTL, r trace.Request, pageSize int, m *ReplayMetrics) error {
-	dev := f.Device()
-	if m == nil {
-		return issueRequest(f, r, pageSize)
-	}
-	issue := dev.Now()
-	dev.BeginBurst()
-	if err := issueRequest(f, r, pageSize); err != nil {
-		return err
-	}
-	if dev.BurstOps() > 0 {
-		fin := dev.BurstFinish()
-		m.observe(r.Op, r.Tenant, fin-issue, dev.BurstStart()-issue)
-		dev.AdvanceTo(fin)
-	}
-	return nil
-}
-
 // issueRequest splits one trace request into page-level FTL operations.
 //
 //flashvet:hotpath
@@ -975,35 +922,31 @@ func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.Reliability
 		GCCopies:      st.GCCopies.Value(),
 		WAF:           st.WAF(),
 	}
-	if rm != nil {
-		res.ReadP50 = rm.ReadLatency.Quantile(0.50)
-		res.ReadP95 = rm.ReadLatency.Quantile(0.95)
-		res.ReadP99 = rm.ReadLatency.Quantile(0.99)
-		res.WriteP50 = rm.WriteLatency.Quantile(0.50)
-		res.WriteP95 = rm.WriteLatency.Quantile(0.95)
-		res.WriteP99 = rm.WriteLatency.Quantile(0.99)
-		if rm.QueueDelay != nil {
-			res.QueueDelayP50 = rm.QueueDelay.Quantile(0.50)
-			res.QueueDelayP95 = rm.QueueDelay.Quantile(0.95)
-			res.QueueDelayP99 = rm.QueueDelay.Quantile(0.99)
-		}
-		res.Makespan = f.Device().Makespan()
-		res.Suspends = f.Device().Suspends() - suspendsBase
-		ds := f.Device().Stats()
-		res.DeviceOps = ds.Reads.Value() + ds.Programs.Value() + f.Device().TotalErases() - opsBase
-		if s := res.Makespan.Seconds(); s > 0 {
-			res.SimOpsPerSec = float64(res.DeviceOps) / s
-		}
-		res.ReplayEvents = rm.Events
-		res.ReplayWall = rm.Wall
-		if s := rm.Wall.Seconds(); s > 0 {
-			res.WallEventsPerSec = float64(rm.Events) / s
-		}
-		if n := rm.TenantCount(); n > 0 {
-			res.TenantCount = n
-			for t := 0; t < n; t++ {
-				res.Tenants[t] = rm.TenantResult(t)
-			}
+	res.ReadP50 = rm.ReadLatency.Quantile(0.50)
+	res.ReadP95 = rm.ReadLatency.Quantile(0.95)
+	res.ReadP99 = rm.ReadLatency.Quantile(0.99)
+	res.WriteP50 = rm.WriteLatency.Quantile(0.50)
+	res.WriteP95 = rm.WriteLatency.Quantile(0.95)
+	res.WriteP99 = rm.WriteLatency.Quantile(0.99)
+	res.QueueDelayP50 = rm.QueueDelay.Quantile(0.50)
+	res.QueueDelayP95 = rm.QueueDelay.Quantile(0.95)
+	res.QueueDelayP99 = rm.QueueDelay.Quantile(0.99)
+	res.Makespan = f.Device().Makespan()
+	res.Suspends = f.Device().Suspends() - suspendsBase
+	ds := f.Device().Stats()
+	res.DeviceOps = ds.Reads.Value() + ds.Programs.Value() + f.Device().TotalErases() - opsBase
+	if s := res.Makespan.Seconds(); s > 0 {
+		res.SimOpsPerSec = float64(res.DeviceOps) / s
+	}
+	res.ReplayEvents = rm.Events
+	res.ReplayWall = rm.Wall
+	if s := rm.Wall.Seconds(); s > 0 {
+		res.WallEventsPerSec = float64(rm.Events) / s
+	}
+	if n := rm.TenantCount(); n > 0 {
+		res.TenantCount = n
+		for t := 0; t < n; t++ {
+			res.Tenants[t] = rm.TenantResult(t)
 		}
 	}
 	if reads := st.FastReads.Value() + st.SlowReads.Value(); reads > 0 {

@@ -91,7 +91,7 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 		}
 	}
 	comp := trace.NewCompositor(children...)
-	if m != nil && m.TenantCount() == 0 {
+	if m.TenantCount() == 0 {
 		m.EnableTenants(compositorEventLoopTenants)
 	}
 	gen := &workload.Func{
@@ -99,10 +99,7 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 		Bytes:        span * uint64(pageSize),
 		NextFunc:     comp.Next,
 	}
-	return ReplayQueued(f, gen, m, ReplayOptions{
-		QueueDepth: EventLoopQueueDepth,
-		Tenants:    compositorEventLoopTenants,
-	})
+	return ReplayQueued(f, gen, m, ReplayOptions{QueueDepth: EventLoopQueueDepth})
 }
 
 // TenantSweep (experiment a10) measures multi-tenant fairness and

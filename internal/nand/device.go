@@ -113,8 +113,8 @@ type DeviceStats struct {
 // operation targets the (already reallocated) block, whichever comes
 // first. Block contents, stats and the returned cost are unaffected;
 // only the time booking moves. FlushDeferredErases commits everything
-// still pending (the harness calls it before reading the makespan), and
-// Makespan folds still-parked erases in so it never understates.
+// still pending, and Makespan folds still-parked erases in so it never
+// understates.
 //
 // # Intra-chip parallelism
 //
@@ -438,10 +438,10 @@ func (d *Device) bookDeferred(chip int, e deferredErase) {
 }
 
 // FlushDeferredErases commits every pending deferred erase at its chip's
-// current free time. The harness calls it when an unmeasured replay
-// drains, so the makespan accounts for erase work that never found an
-// idle gap; the measured event loop instead commits per-deadline events
-// (CommitDeferredDeadline) and needs no drain-time flush.
+// current free time. The replay commits the erases it parks through
+// per-deadline events (CommitDeferredDeadline) and needs no drain-time
+// flush; it calls this only for erases parked before the replay began,
+// which predate its deferral notify hook and so have no deadline events.
 func (d *Device) FlushDeferredErases() {
 	for chip := range d.deferred {
 		for _, e := range d.deferred[chip] {

@@ -354,6 +354,14 @@ func TestBurstZeroTimeValid(t *testing.T) {
 // (commitEligible) and a device that additionally fires its deadline
 // events through CommitDeferredDeadline — the way the event-driven
 // replay does — must produce identical per-chip timelines.
+//
+// The equivalence holds only because both devices receive the same
+// fixed op sequence. A deadline commit moves its chip clock before the
+// next op on that chip arrives, so a caller that reads the clocks to
+// choose where ops go (clock-aware dispatch) can steer a different
+// sequence onto the two devices; the harness test
+// TestDeadlineCommitsReachClockAwareDispatch pins that the replay keeps
+// the deadline path for exactly this reason.
 func TestDeferredCommitPathEquivalence(t *testing.T) {
 	type deadline struct {
 		chip int

@@ -5,12 +5,18 @@
 //
 // Before this package existed the replay loop interleaved three ad-hoc
 // mechanisms: a private completion min-heap in the harness, arrival
-// handling spliced into the loop body, and a deferred-erase commit scan
-// buried in the device that only ran when the harness remembered to
-// flush at drain. The single heap replaces all three with one total
-// order: events pop in non-decreasing Time, and events at equal Time
-// pop in push (FIFO) order, so a replay is a deterministic fold over the
-// event sequence at any host parallelism.
+// handling spliced into the loop body, and a drain-time flush of the
+// erases still parked in the device's deferred queues. The single heap
+// replaces the first two and the flush with one total order: events pop
+// in non-decreasing Time, and events at equal Time pop in push (FIFO)
+// order, so a replay is a deterministic fold over the event sequence at
+// any host parallelism.
+//
+// The device keeps its own op-time commit scan: an operation arriving
+// on a chip still books the parked erases it must not overtake. The
+// deadline events add what that scan cannot see: an erase whose
+// deadline passes while no operation reaches its chip is booked at
+// once, so the chip clocks that clock-aware dispatch reads include it.
 //
 // The heap is a plain slice of small value records — no interface
 // boxing, no per-event allocation. Once the backing array has grown to

@@ -68,7 +68,7 @@ func TestFacadeWorkloadsAndReplay(t *testing.T) {
 	}
 	logical := f.LogicalPages() * uint64(dev.Config().PageSize)
 	gen := NewWebSQL(WebSQLConfig{LogicalBytes: logical, Requests: 2000, Seed: 3})
-	if err := Replay(f, gen); err != nil {
+	if err := ReplayQueued(f, gen, NewReplayMetrics(), ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if f.Stats().HostWrites.Value() == 0 {
