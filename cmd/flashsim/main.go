@@ -9,7 +9,7 @@
 //	         [-ratio 2] [-pagesize 16384] [-chips N] [-qd N] [-openloop] \
 //	         [-planes N] [-suspend off|erase|full] [-reorder-window D] \
 //	         [-dispatch striped|least-loaded|hotcold-affinity|tenant-partition] \
-//	         [-dependency causal|legacy] [-defer-erases] \
+//	         [-defer-erases] \
 //	         [-reliability off|low|high] [-wear none|wear-aware|threshold-swap] \
 //	         [-seed N] [-prefill] [-parallel N] [-tenants N]
 //
@@ -42,9 +42,8 @@
 // ("erase") or also an in-flight program ("full") at a suspend/resume
 // cost, resuming the remainder afterward.
 //
-// -dependency picks the GC scheduling model: "causal" (default — each
-// relocation's program waits for its source read, the victim erase for
-// the last relocation) or "legacy" (the unchained booking).
+// GC relocations are causal: each relocation's program waits for its
+// source read, the victim erase for the last relocation.
 // -defer-erases parks GC erases on busy chips in a per-chip deferred
 // queue, committed when the chip idles, instead of head-of-line blocking
 // host reads.
@@ -55,10 +54,10 @@
 // retire. -wear picks the GC wear-leveling policy; -seed drives the
 // fault-injection PRNG (equal seeds inject identical faults).
 //
-// Unknown -ftl, -dispatch, -dependency, -reliability, -wear or
-// -suspend names are rejected before the trace is loaded, with the
-// list of valid names, and so are -gb outside (0, 64], -qd below 1 and
-// -tenants outside [1, 8].
+// Unknown -ftl, -dispatch, -reliability, -wear or -suspend names are
+// rejected before the trace is loaded, with the list of valid names, and
+// so are -gb outside (0, 64], -tenants outside [1, 8], and -qd,
+// -pagesize, -chips or -planes below 1.
 //
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
@@ -89,7 +88,6 @@ func main() {
 		suspend  = flag.String("suspend", "off", "read preemption of in-flight ops: off, erase or full")
 		reorder  = flag.Duration("reorder-window", 0, "cross-plane reordering window (0 = 4x erase latency when -planes > 1)")
 		dispatch = flag.String("dispatch", "striped", "chip-dispatch policy: striped, least-loaded, hotcold-affinity or tenant-partition")
-		depModel = flag.String("dependency", "causal", "GC dependency model: causal or legacy")
 		deferE   = flag.Bool("defer-erases", false, "defer GC erases on busy chips to their next idle gap")
 		relProf  = flag.String("reliability", "off", "reliability preset: off, low or high")
 		wear     = flag.String("wear", "none", "wear-leveling policy: none, wear-aware or threshold-swap")
@@ -107,13 +105,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := validateRanges(*gb, *qd, *tenants); err != nil {
+	if err := validateRanges(*gb, *qd, *tenants, *pageSize, *chips, *planes); err != nil {
 		fmt.Fprintln(os.Stderr, "flashsim:", err)
 		os.Exit(2)
 	}
 	// Reject bad policy names before the (possibly long) trace load, with
 	// the valid spellings, instead of failing deep inside the run.
-	if err := validateNames(*ftlNames, *dispatch, *depModel, *relProf, *wear, *suspend); err != nil {
+	if err := validateNames(*ftlNames, *dispatch, *relProf, *wear, *suspend); err != nil {
 		fmt.Fprintln(os.Stderr, "flashsim:", err)
 		os.Exit(2)
 	}
@@ -162,7 +160,6 @@ func main() {
 			QueueDepth:  *qd,
 			OpenLoop:    *openloop,
 			Dispatch:    *dispatch,
-			Dependency:  *depModel,
 			DeferErases: *deferE,
 			Suspend:     *suspend,
 			FTLOptions:  ppbflash.FTLOptions{ReorderWindow: *reorder},
@@ -235,7 +232,7 @@ func main() {
 		if *openloop {
 			mode = fmt.Sprintf("open loop, QD cap %d", *qd)
 		}
-		sched := *depModel + " deps"
+		sched := "causal deps"
 		if *deferE {
 			sched += ", deferred erases"
 		}
@@ -281,16 +278,22 @@ func main() {
 // validateRanges rejects out-of-range numeric flags up front, naming the
 // valid range: -gb scales the 64 GiB Table 1 device down, so it must lie
 // in (0, 64]; -qd must allow at least one outstanding request; -tenants
-// is bounded by the compositor's tenant slots.
-func validateRanges(gb float64, qd, tenants int) error {
+// is bounded by the compositor's tenant slots; a page, a chip and a
+// plane per chip are the least a device can have.
+func validateRanges(gb float64, qd, tenants, pageSize, chips, planes int) error {
 	if !(gb > 0 && gb <= 64) {
 		return fmt.Errorf("-gb %g out of range (0, 64]", gb)
 	}
-	if qd < 1 {
-		return fmt.Errorf("-qd %d out of range: want at least 1", qd)
-	}
 	if tenants < 1 || tenants > ppbflash.MaxTenants {
 		return fmt.Errorf("-tenants %d out of range [1, %d]", tenants, ppbflash.MaxTenants)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"qd", qd}, {"pagesize", pageSize}, {"chips", chips}, {"planes", planes}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d out of range: want at least 1", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -300,7 +303,7 @@ func validateRanges(gb float64, qd, tenants int) error {
 // carries the registry's own list of valid spellings. The -ftl flag is
 // a comma-separated list; empty elements are skipped like the spec loop
 // does.
-func validateNames(ftlNames, dispatch, dependency, reliability, wear, suspend string) error {
+func validateNames(ftlNames, dispatch, reliability, wear, suspend string) error {
 	for _, name := range strings.Split(ftlNames, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -318,9 +321,6 @@ func validateNames(ftlNames, dispatch, dependency, reliability, wear, suspend st
 		}
 	}
 	if _, err := ppbflash.DispatchByName(dispatch); err != nil {
-		return err
-	}
-	if _, err := ppbflash.DependencyByName(dependency); err != nil {
 		return err
 	}
 	if _, err := ppbflash.ReliabilityProfileByName(reliability); err != nil {

@@ -14,14 +14,13 @@ import (
 )
 
 // TestValidateNames pins the up-front policy-name validation: unknown
-// -ftl/-dispatch/-dependency/-reliability/-wear/-suspend values must be rejected
-// before any trace is loaded, and the error must list the valid
+// -ftl/-dispatch/-reliability/-wear/-suspend values must be rejected before
+// any trace is loaded, and the error must list the valid
 // spellings so the exit-2 message is actionable.
 func TestValidateNames(t *testing.T) {
 	const (
 		okFTL  = "ppb"
 		okDisp = "striped"
-		okDep  = "causal"
 		okRel  = "off"
 		okWear = "none"
 	)
@@ -29,41 +28,37 @@ func TestValidateNames(t *testing.T) {
 		name        string
 		ftl         string
 		dispatch    string
-		dependency  string
 		reliability string
 		wear        string
 		suspend     string
 		wantErr     string // substring of the error ("" = valid)
 	}{
-		{name: "defaults", ftl: okFTL, dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear},
+		{name: "defaults", ftl: okFTL, dispatch: okDisp, reliability: okRel, wear: okWear},
 		{name: "every ftl", ftl: "conventional,ppb,greedy-speed,hotcold-split",
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear},
+			dispatch: okDisp, reliability: okRel, wear: okWear},
 		{name: "ftl list with spaces and trailing comma", ftl: " conventional , ppb ,",
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear},
+			dispatch: okDisp, reliability: okRel, wear: okWear},
 		{name: "reliability and wear enabled", ftl: okFTL,
-			dispatch: okDisp, dependency: okDep, reliability: "high", wear: "threshold-swap"},
+			dispatch: okDisp, reliability: "high", wear: "threshold-swap"},
 		{name: "unknown ftl", ftl: "pbb",
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear,
+			dispatch: okDisp, reliability: okRel, wear: okWear,
 			wantErr: "conventional, ppb, greedy-speed, hotcold-split"},
 		{name: "unknown ftl in list", ftl: "conventional,bogus",
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear,
+			dispatch: okDisp, reliability: okRel, wear: okWear,
 			wantErr: `unknown FTL "bogus"`},
 		{name: "unknown dispatch", ftl: okFTL,
-			dispatch: "round-robin", dependency: okDep, reliability: okRel, wear: okWear,
+			dispatch: "round-robin", reliability: okRel, wear: okWear,
 			wantErr: "striped, least-loaded, hotcold-affinity or tenant-partition"},
-		{name: "unknown dependency", ftl: okFTL,
-			dispatch: okDisp, dependency: "acausal", reliability: okRel, wear: okWear,
-			wantErr: "causal or legacy"},
 		{name: "unknown reliability", ftl: okFTL,
-			dispatch: okDisp, dependency: okDep, reliability: "medium", wear: okWear,
+			dispatch: okDisp, reliability: "medium", wear: okWear,
 			wantErr: "off, low or high"},
 		{name: "unknown wear", ftl: okFTL,
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: "static",
+			dispatch: okDisp, reliability: okRel, wear: "static",
 			wantErr: "none, wear-aware or threshold-swap"},
 		{name: "suspend enabled", ftl: okFTL,
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear, suspend: "erase"},
+			dispatch: okDisp, reliability: okRel, wear: okWear, suspend: "erase"},
 		{name: "unknown suspend", ftl: okFTL,
-			dispatch: okDisp, dependency: okDep, reliability: okRel, wear: okWear, suspend: "preemptive",
+			dispatch: okDisp, reliability: okRel, wear: okWear, suspend: "preemptive",
 			wantErr: "off, erase or full"},
 	}
 	for _, tc := range cases {
@@ -72,7 +67,7 @@ func TestValidateNames(t *testing.T) {
 			if suspend == "" {
 				suspend = "off"
 			}
-			err := validateNames(tc.ftl, tc.dispatch, tc.dependency, tc.reliability, tc.wear, suspend)
+			err := validateNames(tc.ftl, tc.dispatch, tc.reliability, tc.wear, suspend)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateNames() = %v, want nil", err)
@@ -90,33 +85,42 @@ func TestValidateNames(t *testing.T) {
 }
 
 // TestValidateRanges pins the up-front numeric flag checks: -gb outside
-// (0, 64], -qd below 1 and -tenants outside [1, 8] must be rejected with
-// the valid range in the message instead of being silently replaced
-// (-gb 0 and -gb 100 used to replay on the full 64 GiB device, -qd -5
-// at depth 1 while the report printed QD -5).
+// (0, 64], -tenants outside [1, 8], and -qd, -pagesize, -chips or
+// -planes below 1 must be rejected with the valid range in the message
+// instead of being silently replaced (-gb 0 and -gb 100 used to replay
+// on the full 64 GiB device, -qd -5 at depth 1 while the report printed
+// QD -5, -chips 0 and -planes 0 on one chip and one plane, and
+// -pagesize 0 panicked).
 func TestValidateRanges(t *testing.T) {
+	const page = 16 << 10
 	cases := []struct {
-		name    string
-		gb      float64
-		qd      int
-		tenants int
-		wantErr string // substring of the error ("" = valid)
+		name                    string
+		gb                      float64
+		qd, tenants             int
+		pageSize, chips, planes int
+		wantErr                 string // substring of the error ("" = valid)
 	}{
-		{name: "defaults", gb: 4, qd: 1, tenants: 1},
-		{name: "full device", gb: 64, qd: 1, tenants: 1},
-		{name: "fraction of a GiB", gb: 0.125, qd: 64, tenants: ppbflash.MaxTenants},
-		{name: "zero gb", gb: 0, qd: 1, tenants: 1, wantErr: "-gb 0 out of range (0, 64]"},
-		{name: "negative gb", gb: -1, qd: 1, tenants: 1, wantErr: "(0, 64]"},
-		{name: "gb above device", gb: 65, qd: 1, tenants: 1, wantErr: "-gb 65 out of range (0, 64]"},
-		{name: "gb NaN", gb: math.NaN(), qd: 1, tenants: 1, wantErr: "(0, 64]"},
-		{name: "zero qd", gb: 4, qd: 0, tenants: 1, wantErr: "-qd 0 out of range: want at least 1"},
-		{name: "negative qd", gb: 4, qd: -5, tenants: 1, wantErr: "-qd -5 out of range"},
-		{name: "zero tenants", gb: 4, qd: 1, tenants: 0, wantErr: "-tenants 0 out of range [1, 8]"},
-		{name: "too many tenants", gb: 4, qd: 1, tenants: ppbflash.MaxTenants + 1, wantErr: "[1, 8]"},
+		{name: "defaults", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1},
+		{name: "full device", gb: 64, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1},
+		{name: "fraction of a GiB", gb: 0.125, qd: 64, tenants: ppbflash.MaxTenants, pageSize: page, chips: 8, planes: 4},
+		{name: "zero gb", gb: 0, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-gb 0 out of range (0, 64]"},
+		{name: "negative gb", gb: -1, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "(0, 64]"},
+		{name: "gb above device", gb: 65, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-gb 65 out of range (0, 64]"},
+		{name: "gb NaN", gb: math.NaN(), qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "(0, 64]"},
+		{name: "zero qd", gb: 4, qd: 0, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-qd 0 out of range: want at least 1"},
+		{name: "negative qd", gb: 4, qd: -5, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-qd -5 out of range"},
+		{name: "zero tenants", gb: 4, qd: 1, tenants: 0, pageSize: page, chips: 1, planes: 1, wantErr: "-tenants 0 out of range [1, 8]"},
+		{name: "too many tenants", gb: 4, qd: 1, tenants: ppbflash.MaxTenants + 1, pageSize: page, chips: 1, planes: 1, wantErr: "[1, 8]"},
+		{name: "zero pagesize", gb: 4, qd: 1, tenants: 1, pageSize: 0, chips: 1, planes: 1, wantErr: "-pagesize 0 out of range: want at least 1"},
+		{name: "negative pagesize", gb: 4, qd: 1, tenants: 1, pageSize: -4096, chips: 1, planes: 1, wantErr: "-pagesize -4096 out of range"},
+		{name: "zero chips", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 0, planes: 1, wantErr: "-chips 0 out of range: want at least 1"},
+		{name: "negative chips", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: -3, planes: 1, wantErr: "-chips -3 out of range"},
+		{name: "zero planes", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 0, wantErr: "-planes 0 out of range: want at least 1"},
+		{name: "negative planes", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: -2, wantErr: "-planes -2 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateRanges(tc.gb, tc.qd, tc.tenants)
+			err := validateRanges(tc.gb, tc.qd, tc.tenants, tc.pageSize, tc.chips, tc.planes)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateRanges() = %v, want nil", err)

@@ -16,14 +16,21 @@
 //	ppbench -parallel 8           # run each figure's sims on 8 workers
 //	ppbench -json                 # also write BENCH_1.json with per-figure
 //	                              # wall times and hot-path microbenchmarks
+//
+// An unknown -scale or -fig, a negative -divisor, -turnover or
+// -parallel, or a NaN or infinite -turnover exits 2 before any output;
+// 0 keeps the preset for -divisor and -turnover, and means GOMAXPROCS
+// for -parallel.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,6 +83,9 @@ func main() {
 	flag.Parse()
 
 	scale, err := pickScale(*scaleFlag)
+	if err == nil {
+		err = checkFlags(*figFlag, *divisorFlag, *turnoverFlag, *parallelFlag)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -145,6 +155,25 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *outFlag)
 	}
+}
+
+// checkFlags rejects an unknown -fig and out-of-range overrides before
+// anything is printed: the scale overrides apply only when positive, so
+// a negative value would otherwise run the preset silently.
+func checkFlags(fig string, divisor int, turnover float64, parallel int) error {
+	if fig != "all" && !slices.Contains(ppbflash.ExperimentIDs(), fig) {
+		return fmt.Errorf("ppbench: unknown -fig %q (want all or one of %v)", fig, ppbflash.ExperimentIDs())
+	}
+	if divisor < 0 {
+		return fmt.Errorf("ppbench: -divisor %d out of range: want at least 1, or 0 for the preset", divisor)
+	}
+	if turnover < 0 || math.IsNaN(turnover) || math.IsInf(turnover, 0) {
+		return fmt.Errorf("ppbench: -turnover %g out of range: want a finite value above 0, or 0 for the preset", turnover)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("ppbench: -parallel %d out of range: want at least 1, or 0 for GOMAXPROCS", parallel)
+	}
+	return nil
 }
 
 func effectiveParallelism(p int) int {

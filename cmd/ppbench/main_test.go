@@ -1,0 +1,49 @@
+package main
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestCheckFlags pins the up-front flag checks: an unknown -fig and
+// negative or non-finite overrides are rejected with the valid range,
+// while 0 keeps meaning "preset" (-divisor, -turnover) and GOMAXPROCS
+// (-parallel). Each rejected value used to run the preset silently, and
+// -fig nope failed only after Table 1 was printed.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		fig      string
+		divisor  int
+		turnover float64
+		parallel int
+		wantErr  string // substring of the error ("" = valid)
+	}{
+		{name: "defaults", fig: "all"},
+		{name: "paper figure", fig: "12", divisor: 64, turnover: 2.5, parallel: 4},
+		{name: "motivation figure", fig: "3"},
+		{name: "last ablation", fig: "a10", divisor: 1, parallel: 1},
+		{name: "unknown fig", fig: "nope", wantErr: `unknown -fig "nope" (want all or one of [12 13`},
+		{name: "empty fig", fig: "", wantErr: "unknown -fig"},
+		{name: "negative divisor", fig: "all", divisor: -4, wantErr: "-divisor -4 out of range"},
+		{name: "negative turnover", fig: "all", turnover: -1, wantErr: "-turnover -1 out of range"},
+		{name: "NaN turnover", fig: "all", turnover: math.NaN(), wantErr: "-turnover NaN out of range"},
+		{name: "infinite turnover", fig: "all", turnover: math.Inf(1), wantErr: "-turnover +Inf out of range"},
+		{name: "negative parallel", fig: "all", parallel: -3, wantErr: "-parallel -3 out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkFlags(tc.fig, tc.divisor, tc.turnover, tc.parallel)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("checkFlags() = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("checkFlags() = %v, want error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -25,8 +25,6 @@ type Base struct {
 	// instead of clobbering the slice the outer pass still ranges.
 	gcDeferred   []int
 	gcCollecting bool
-	// causal mirrors opts.Dependency == DepCausal for the GC hot path.
-	causal bool
 }
 
 // NewBase validates the options and builds the shared state for an FTL
@@ -69,8 +67,7 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) 
 		return Base{}, fmt.Errorf("ftl: no logical space (over-provision %g on %d pages)",
 			opts.OverProvision, cfg.TotalPages())
 	}
-	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm,
-		causal: opts.Dependency == DepCausal}, nil
+	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm}, nil
 }
 
 // Stats implements FTL.

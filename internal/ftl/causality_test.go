@@ -24,10 +24,9 @@ func causalTestConfig() nand.Config {
 	}
 }
 
-// causalBase builds a Base over a fresh two-chip device with the given
-// dependency model and a victim block on chip 0 filled with valid,
-// mapped pages.
-func causalBase(t *testing.T, dep DependencyModel) (*Base, *nand.Device, nand.BlockID) {
+// causalBase builds a Base over a fresh two-chip device with a victim
+// block on chip 0 filled with valid, mapped pages.
+func causalBase(t *testing.T) (*Base, *nand.Device, nand.BlockID) {
 	t.Helper()
 	cfg := causalTestConfig()
 	dev := nand.MustNewDevice(cfg)
@@ -35,7 +34,7 @@ func causalBase(t *testing.T, dep DependencyModel) (*Base, *nand.Device, nand.Bl
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, Dependency: dep})
+	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,53 +60,47 @@ func causalBase(t *testing.T, dep DependencyModel) (*Base, *nand.Device, nand.Bl
 	return &base, dev, victim
 }
 
-// TestCausalRelocationChain: under the causal dependency model a GC
-// relocation's program on an idle chip must start no earlier than its
-// source read completes on the busy victim chip, and the victim erase no
-// earlier than the last relocation lands — the op-level causality the
-// legacy model violates (asserted below, so this test demonstrably fails
-// on the old booking).
+// TestCausalRelocationChain: a GC relocation's program on an idle chip
+// must start no earlier than its source read completes on the busy
+// victim chip, and the victim erase no earlier than the last relocation
+// lands. Without either After call in collectBlock the chain books the
+// op early and this test fails.
 func TestCausalRelocationChain(t *testing.T) {
-	run := func(dep DependencyModel) (violations int) {
-		base, dev, victim := causalBase(t, dep)
-		cfg := dev.Config()
-		// Relocation target: the first block of idle chip 1, programmed
-		// directly so the copies land cross-chip.
-		destBlock := nand.BlockID(cfg.BlocksPerChip)
-		destPage := 0
-		var lastProgFin time.Duration
-		reprogram := func(oob nand.OOB) (time.Duration, nand.PPN, error) {
-			readFin := dev.LastFinish() // the source read scheduled just before
-			ppn := cfg.PPNForBlockPage(destBlock, destPage)
-			destPage++
-			cost, err := dev.Program(ppn, oob)
-			if err != nil {
-				return 0, 0, err
-			}
-			if dev.LastStart() < readFin {
-				violations++
-			}
-			if fin := dev.LastFinish(); fin > lastProgFin {
-				lastProgFin = fin
-			}
-			return cost, ppn, nil
+	base, dev, victim := causalBase(t)
+	cfg := dev.Config()
+	// Relocation target: the first block of idle chip 1, programmed
+	// directly so the copies land cross-chip.
+	destBlock := nand.BlockID(cfg.BlocksPerChip)
+	destPage := 0
+	var lastProgFin time.Duration
+	violations := 0
+	reprogram := func(oob nand.OOB) (time.Duration, nand.PPN, error) {
+		readFin := dev.LastFinish() // the source read scheduled just before
+		ppn := cfg.PPNForBlockPage(destBlock, destPage)
+		destPage++
+		cost, err := dev.Program(ppn, oob)
+		if err != nil {
+			return 0, 0, err
 		}
-		if err := base.collectBlock(victim, reprogram, nil); err != nil {
-			t.Fatal(err)
+		if dev.LastStart() < readFin {
+			violations++
 		}
-		// The erase is the last scheduled op; its start must not precede
-		// the final relocation under the causal model.
-		if dep == DepCausal && dev.LastStart() < lastProgFin {
-			t.Errorf("erase started at %v before last relocation finished at %v",
-				dev.LastStart(), lastProgFin)
+		if fin := dev.LastFinish(); fin > lastProgFin {
+			lastProgFin = fin
 		}
-		return violations
+		return cost, ppn, nil
 	}
-	if v := run(DepCausal); v != 0 {
-		t.Errorf("causal model: %d relocation programs started before their source read completed", v)
+	if err := base.collectBlock(victim, reprogram, nil); err != nil {
+		t.Fatal(err)
 	}
-	if v := run(DepLegacy); v == 0 {
-		t.Error("legacy model scheduled no causality violation — the causal assertion above would be vacuous")
+	if violations != 0 {
+		t.Errorf("%d relocation programs started before their source read completed", violations)
+	}
+	// The erase is the last scheduled op; its start must not precede the
+	// final relocation.
+	if dev.LastStart() < lastProgFin {
+		t.Errorf("erase started at %v before last relocation finished at %v",
+			dev.LastStart(), lastProgFin)
 	}
 }
 

@@ -59,51 +59,6 @@ type FTL interface {
 // garbage collection; it means the logical space overcommits the device.
 var ErrNoSpace = errors.New("ftl: out of flash space")
 
-// DependencyModel selects how garbage-collection relocation chains are
-// scheduled on the device's per-chip service clocks.
-type DependencyModel uint8
-
-const (
-	// DepCausal (the default) chains each GC relocation: the copy's
-	// program starts no earlier than its source read completes, and the
-	// victim erase no earlier than the last relocation lands — the
-	// ordering real hardware is forced into. On a single chip every op
-	// serializes anyway, so causal and legacy timelines are identical.
-	DepCausal DependencyModel = iota
-	// DepLegacy books every op at max(host clock, chip free) with no
-	// intra-chain ordering, as the PR 2–4 service model did: a
-	// relocation's program on an idle chip could start before its source
-	// read finished. Kept for comparison (experiment a7) and for
-	// reproducing pre-causality measurements.
-	DepLegacy
-)
-
-// String returns the name DependencyByName accepts.
-func (m DependencyModel) String() string {
-	if m == DepLegacy {
-		return "legacy"
-	}
-	return "causal"
-}
-
-// DependencyModelNames lists the dependency models in presentation
-// order (the a7 sweep's model axis).
-var DependencyModelNames = []string{DepCausal.String(), DepLegacy.String()}
-
-// DependencyByName resolves a dependency model from its name — the
-// spelling RunSpec.Dependency and flashsim -dependency accept. The empty
-// string means the default (causal).
-func DependencyByName(name string) (DependencyModel, error) {
-	switch name {
-	case "", "causal":
-		return DepCausal, nil
-	case "legacy":
-		return DepLegacy, nil
-	default:
-		return DepCausal, fmt.Errorf("ftl: unknown dependency model %q (want causal or legacy)", name)
-	}
-}
-
 // Options tunes the shared FTL machinery.
 type Options struct {
 	// OverProvision is the fraction of raw capacity hidden from the
@@ -123,19 +78,12 @@ type Options struct {
 	// to a chip subset. Single-chip devices behave identically under
 	// every built-in policy.
 	Dispatch vblock.DispatchPolicy
-	// Dependency selects how GC relocation chains are scheduled on the
-	// device clocks: DepCausal (the zero value) holds each copy's
-	// program behind its source read and the victim erase behind the
-	// last relocation; DepLegacy restores the unchained PR 2–4 booking.
-	// Chips=1 runs are bit-identical under both.
-	Dependency DependencyModel
 	// DeferErases routes GC erases through the device's per-chip
 	// deferred queue (nand.Device.SetEraseDeferral): an erase issued
 	// against a busy chip lets later host operations go first and
 	// commits at the chip's next idle gap, at the latest 8 erase
-	// latencies after issue (eraseDeferFactor). Off by default —
-	// deferral reorders the timeline even on a single chip, so it is an
-	// explicit knob rather than part of DepCausal.
+	// latencies after issue (eraseDeferFactor). Off by default:
+	// deferral reorders the timeline even on a single chip.
 	DeferErases bool
 	// Suspend selects the program/erase suspend-resume policy installed
 	// on the device (nand.Device.SetSuspend): SuspendOff (the zero value,
@@ -222,9 +170,6 @@ func (o Options) Validate(cfg nand.Config) error {
 	}
 	if o.GCHighWater >= cfg.TotalBlocks() {
 		return fmt.Errorf("ftl: GC high water %d not below %d blocks", o.GCHighWater, cfg.TotalBlocks())
-	}
-	if o.Dependency > DepLegacy {
-		return fmt.Errorf("ftl: unknown dependency model %d", o.Dependency)
 	}
 	if o.Suspend > nand.SuspendFull {
 		return fmt.Errorf("ftl: unknown suspend policy %d", o.Suspend)

@@ -148,14 +148,12 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 // passes ordered by fastFirst), erases it and returns it to the free
 // pool, charging all device time to GC.
 //
-// Under the causal dependency model (Options.Dependency) each
-// relocation is a read -> program chain: the copy's program is armed
-// (nand.Device.After) behind its source read's completion, and the
+// Each relocation is a read -> program chain: the copy's program is
+// armed (nand.Device.After) behind its source read's completion, and the
 // victim erase behind the last relocation's program — so a cross-chip
-// copy can no longer program data before that data was read, and the
-// block is not erased before its contents are safe elsewhere. On a
-// single chip every op serializes on one clock and the floors are
-// inert, keeping Chips=1 timelines bit-identical.
+// copy never programs data before that data was read, and the block is
+// not erased before its contents are safe elsewhere. On a single chip
+// every op serializes on one clock and the floors are inert.
 func (b *Base) collectBlock(victim nand.BlockID,
 	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
 	vbm := b.vbm
@@ -169,24 +167,20 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			poolIdx = len(b.stats.GCPoolErases) - 1
 		}
 	}
-	var lastReloc time.Duration // latest relocation finish (causal erase floor)
+	var lastReloc time.Duration // latest relocation finish (the erase floor)
 	relocate := func(page int) error {
 		ppn := b.cfg.PPNForBlockPage(victim, page)
 		oob, readCost, err := b.dev.Read(ppn)
 		if err != nil {
 			return err
 		}
-		if b.causal {
-			b.dev.After(b.dev.LastFinish()) // program waits for its source read
-		}
+		b.dev.After(b.dev.LastFinish()) // program waits for its source read
 		progCost, newPPN, err := reprogram(oob)
 		if err != nil {
 			return err
 		}
-		if b.causal {
-			if fin := b.dev.LastFinish(); fin > lastReloc {
-				lastReloc = fin
-			}
+		if fin := b.dev.LastFinish(); fin > lastReloc {
+			lastReloc = fin
 		}
 		b.table.Set(oob.LPN, newPPN)
 		if err := b.Invalidate(ppn); err != nil {
@@ -234,7 +228,7 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			return err
 		}
 	}
-	if b.causal && lastReloc > 0 {
+	if lastReloc > 0 {
 		b.dev.After(lastReloc) // erase waits for the last relocation
 	}
 	eraseCost, err := b.dev.Erase(victim)

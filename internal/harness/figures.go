@@ -571,11 +571,6 @@ func DispatchSweep(s Scale) (*FigureResult, error) {
 	return fig, nil
 }
 
-// CausalDependencyModels is the dependency axis of experiment a7 (the
-// names RunSpec.Dependency accepts, legacy first so the sweep reads as
-// before/after).
-var CausalDependencyModels = []string{"legacy", "causal"}
-
 // CausalDeferModes is the erase-deferral axis of experiment a7, rendered
 // in series keys as "defer-off"/"defer-on".
 var CausalDeferModes = []bool{false, true}
@@ -598,62 +593,54 @@ func causalDeferName(on bool) string {
 	return "defer-off"
 }
 
-// CausalSweep (experiment a7) measures the scheduling-model axes this PR
-// added: dependency model (legacy unchained booking vs causal GC
-// read -> program -> erase chains) x erase deferral (head-of-line erases
-// vs per-chip deferred queues committed on idle) x dispatch policy, on
-// the 4-chip device at queue depth 8, websql, conventional vs PPB. The
-// causal model lengthens GC chains (cross-chip copies can no longer
-// start early), raising the write tail it used to understate; erase
-// deferral moves multi-millisecond erases out of the read path, cutting
-// read p99 — without changing a single erase, which is asserted under
-// the timing-independent striped placement.
+// CausalSweep (experiment a7) measures erase deferral (head-of-line
+// erases vs per-chip deferred queues committed on idle) x dispatch
+// policy under causal GC read -> program -> erase chains, on the 4-chip
+// device at queue depth 8, websql, conventional vs PPB. Erase deferral
+// moves multi-millisecond erases out of the read path, cutting read
+// p99 — without changing a single erase, which is asserted under the
+// timing-independent striped placement.
 func CausalSweep(s Scale) (*FigureResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	dev := trimToChipMultiple(s.DeviceConfig(16<<10, 2.0), causalSweepChips).WithChips(causalSweepChips)
 	wl := s.WebSQLWorkload()
-	specs := make([]RunSpec, 0, len(CausalDependencyModels)*len(CausalDeferModes)*len(DispatchPolicies)*2)
-	for _, dep := range CausalDependencyModels {
-		for _, deferOn := range CausalDeferModes {
-			for _, policy := range DispatchPolicies {
-				p := pairSpecs(fmt.Sprintf("causal-sweep/%s/%s/%s", dep, causalDeferName(deferOn), policy),
-					s, 16<<10, 2.0, wl)
-				p[0].Device, p[1].Device = dev, dev
-				p[0].QueueDepth, p[1].QueueDepth = causalSweepQD, causalSweepQD
-				p[0].Dispatch, p[1].Dispatch = policy, policy
-				p[0].Dependency, p[1].Dependency = dep, dep
-				p[0].DeferErases, p[1].DeferErases = deferOn, deferOn
-				specs = append(specs, p[0], p[1])
-			}
+	specs := make([]RunSpec, 0, len(CausalDeferModes)*len(DispatchPolicies)*2)
+	for _, deferOn := range CausalDeferModes {
+		for _, policy := range DispatchPolicies {
+			p := pairSpecs(fmt.Sprintf("causal-sweep/%s/%s", causalDeferName(deferOn), policy),
+				s, 16<<10, 2.0, wl)
+			p[0].Device, p[1].Device = dev, dev
+			p[0].QueueDepth, p[1].QueueDepth = causalSweepQD, causalSweepQD
+			p[0].Dispatch, p[1].Dispatch = policy, policy
+			p[0].DeferErases, p[1].DeferErases = deferOn, deferOn
+			specs = append(specs, p[0], p[1])
 		}
 	}
 	results, err := RunAll(specs, s.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable("Experiment a7: dependency model x erase deferral x dispatch (websql, 4 chips, QD 8)",
-		"dependency", "deferral", "dispatch", "conv makespan (s)", "ppb makespan (s)", "conv read p99", "ppb read p99", "conv erases", "ppb erases")
+	tbl := metrics.NewTable("Experiment a7: erase deferral x dispatch under causal GC (websql, 4 chips, QD 8)",
+		"deferral", "dispatch", "conv makespan (s)", "ppb makespan (s)", "conv read p99", "ppb read p99", "conv erases", "ppb erases")
 	fig := newFigure("a7-causal-sweep", tbl)
 	fig.recordThroughput(specs, results)
 	i := 0
-	for _, dep := range CausalDependencyModels {
-		for _, deferOn := range CausalDeferModes {
-			for _, policy := range DispatchPolicies {
-				conv, ppb := results[i], results[i+1]
-				i += 2
-				key := dep + "/" + causalDeferName(deferOn)
-				fig.add(key+"/makespan/conv", conv.Makespan.Seconds())
-				fig.add(key+"/makespan/ppb", ppb.Makespan.Seconds())
-				fig.add(key+"/readp99/conv", conv.ReadP99.Seconds())
-				fig.add(key+"/readp99/ppb", ppb.ReadP99.Seconds())
-				fig.add(key+"/writep99/ppb", ppb.WriteP99.Seconds())
-				fig.add(key+"/erases/conv", float64(conv.Erases))
-				fig.add(key+"/erases/ppb", float64(ppb.Erases))
-				tbl.AddRow(dep, causalDeferName(deferOn), policy, conv.Makespan.Seconds(), ppb.Makespan.Seconds(),
-					conv.ReadP99, ppb.ReadP99, conv.Erases, ppb.Erases)
-			}
+	for _, deferOn := range CausalDeferModes {
+		for _, policy := range DispatchPolicies {
+			conv, ppb := results[i], results[i+1]
+			i += 2
+			key := causalDeferName(deferOn)
+			fig.add(key+"/makespan/conv", conv.Makespan.Seconds())
+			fig.add(key+"/makespan/ppb", ppb.Makespan.Seconds())
+			fig.add(key+"/readp99/conv", conv.ReadP99.Seconds())
+			fig.add(key+"/readp99/ppb", ppb.ReadP99.Seconds())
+			fig.add(key+"/writep99/ppb", ppb.WriteP99.Seconds())
+			fig.add(key+"/erases/conv", float64(conv.Erases))
+			fig.add(key+"/erases/ppb", float64(ppb.Erases))
+			tbl.AddRow(causalDeferName(deferOn), policy, conv.Makespan.Seconds(), ppb.Makespan.Seconds(),
+				conv.ReadP99, ppb.ReadP99, conv.Erases, ppb.Erases)
 		}
 	}
 	return fig, nil

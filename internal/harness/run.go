@@ -76,12 +76,6 @@ type RunSpec struct {
 	// Empty leaves FTLOptions.Dispatch in charge (nil there = striped);
 	// a non-empty name overrides it. See vblock.DispatchByName.
 	Dispatch string
-	// Dependency names the GC dependency model: "causal" (the default —
-	// each relocation's program waits for its source read, the victim
-	// erase for the last relocation) or "legacy" (the unchained PR 2–4
-	// booking). Empty leaves FTLOptions.Dependency in charge (zero
-	// there = causal). See ftl.DependencyByName.
-	Dependency string
 	// DeferErases enables policy-aware erase scheduling: GC erases on a
 	// busy chip wait in the device's deferred queue (later host ops go
 	// first) and commit at the next idle gap, bounded by the FTL's
@@ -267,13 +261,6 @@ func buildFTL(spec RunSpec, dev *nand.Device) (ftl.FTL, error) {
 			return nil, err
 		}
 		spec.FTLOptions.Dispatch = policy
-	}
-	if spec.Dependency != "" {
-		dep, err := ftl.DependencyByName(spec.Dependency)
-		if err != nil {
-			return nil, err
-		}
-		spec.FTLOptions.Dependency = dep
 	}
 	if spec.DeferErases {
 		spec.FTLOptions.DeferErases = true

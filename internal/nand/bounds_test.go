@@ -27,36 +27,22 @@ func TestAccessorsOutOfRange(t *testing.T) {
 	if got := d.PeekOOB(badPPN); got != (OOB{}) {
 		t.Errorf("PeekOOB(out of range) = %+v, want zero", got)
 	}
-	if got := d.NextPage(badBlock); got != 0 {
-		t.Errorf("NextPage(out of range) = %d, want 0", got)
-	}
 	if got := d.ValidPages(badBlock); got != 0 {
 		t.Errorf("ValidPages(out of range) = %d, want 0", got)
 	}
 	if got := d.InvalidPages(badBlock); got != 0 {
 		t.Errorf("InvalidPages(out of range) = %d, want 0", got)
 	}
-	if got := d.FreePages(badBlock); got != 0 {
-		t.Errorf("FreePages(out of range) = %d, want 0 (no space on a nonexistent block)", got)
-	}
 	if got := d.EraseCount(badBlock); got != 0 {
 		t.Errorf("EraseCount(out of range) = %d, want 0", got)
-	}
-	// A never-programmed in-range block and an out-of-range block report
-	// the same (maximum) age.
-	if got, want := d.BlockAge(badBlock), d.BlockAge(1); got != want {
-		t.Errorf("BlockAge(out of range) = %d, want %d (maximum age)", got, want)
 	}
 
 	// In-range values still come through.
 	if got := d.PeekOOB(goodPPN); got.LPN != 42 || got.Stamp != 7 {
 		t.Errorf("PeekOOB(in range) = %+v", got)
 	}
-	if got := d.NextPage(0); got != 1 {
-		t.Errorf("NextPage(0) = %d, want 1", got)
-	}
-	if got := d.FreePages(0); got != d.Config().PagesPerBlock-1 {
-		t.Errorf("FreePages(0) = %d", got)
+	if got := d.ValidPages(0); got != 1 {
+		t.Errorf("ValidPages(0) = %d, want 1", got)
 	}
 
 	// Mutating operations keep reporting ErrOutOfRange.
@@ -71,40 +57,6 @@ func TestAccessorsOutOfRange(t *testing.T) {
 	}
 	if _, err := d.Erase(badBlock); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("Erase(out of range) = %v, want ErrOutOfRange", err)
-	}
-}
-
-// TestEarliestChipFree: the probe tracks the least-loaded chip's clock,
-// and — like every other read-only introspection accessor — degrades to
-// zero on a device with no chip clocks instead of indexing chipFree[0]
-// unguarded.
-func TestEarliestChipFree(t *testing.T) {
-	if got := (&Device{}).EarliestChipFree(); got != 0 {
-		t.Errorf("zero-value device earliest free = %v, want 0", got)
-	}
-	cfg := twoChipConfig()
-	d := MustNewDevice(cfg)
-	if got := d.EarliestChipFree(); got != 0 {
-		t.Fatalf("idle device earliest free = %v", got)
-	}
-	c0, err := d.Program(cfg.PPNForBlockPage(0, 0), OOB{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.EarliestChipFree(); got != 0 {
-		t.Errorf("earliest free = %v, want 0 (chip 1 idle)", got)
-	}
-	chip1Block := BlockID(cfg.BlocksPerChip)
-	c1, err := d.Program(cfg.PPNForBlockPage(chip1Block, 0), OOB{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c0
-	if c1 < want {
-		want = c1
-	}
-	if got := d.EarliestChipFree(); got != want {
-		t.Errorf("earliest free = %v, want min(%v, %v)", got, c0, c1)
 	}
 }
 

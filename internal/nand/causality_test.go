@@ -359,7 +359,7 @@ func TestCommitDeferredDeadlineNoDoubleBooking(t *testing.T) {
 func TestEraseDeferralDisabledUnchanged(t *testing.T) {
 	cfg := twoChipConfig()
 	d := MustNewDevice(cfg)
-	if got := d.EraseDeferral(); got != 0 {
+	if got := d.deferWindow; got != 0 {
 		t.Fatalf("deferral window = %v by default, want 0", got)
 	}
 	if _, err := d.EraseForce(0); err != nil {

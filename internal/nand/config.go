@@ -110,7 +110,14 @@ func (c Config) Scaled(n int) Config {
 // chip whenever the capacity did not divide evenly, so the paper's
 // 8 KB-vs-16 KB comparison could run on a slightly smaller device than
 // the 16 KB baseline.
+//
+// A non-positive page size has no block count to rescale to; the copy
+// keeps the old geometry with the new PageSize, which Validate rejects.
 func (c Config) WithPageSize(pageSize int) Config {
+	if pageSize <= 0 {
+		c.PageSize = pageSize
+		return c
+	}
 	perChip := c.TotalBytes() / uint64(c.Chips)
 	c.PageSize = pageSize
 	blockBytes := uint64(pageSize * c.PagesPerBlock)

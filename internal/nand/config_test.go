@@ -102,6 +102,17 @@ func TestWithPageSizeKeepsCapacity(t *testing.T) {
 	}
 }
 
+// TestWithPageSizeRejectsNonPositive: a zero or negative page size must
+// not panic (zero used to divide by zero) and must fail Validate.
+func TestWithPageSizeRejectsNonPositive(t *testing.T) {
+	for _, size := range []int{0, -4096} {
+		cfg := TableOneConfig().WithPageSize(size)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "PageSize must be positive") {
+			t.Errorf("WithPageSize(%d).Validate() = %v, want the PageSize error", size, err)
+		}
+	}
+}
+
 func TestScaledFloorsAtSixteenBlocks(t *testing.T) {
 	cfg := testConfig().Scaled(1000)
 	if cfg.BlocksPerChip != 16 {

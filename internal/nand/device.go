@@ -59,7 +59,6 @@ type blockState struct {
 	eraseCount uint32
 	validPages int
 	invalid    int
-	lastProg   uint64 // global program sequence of the last program
 }
 
 // DeviceStats aggregates raw device-level activity.
@@ -99,7 +98,8 @@ type DeviceStats struct {
 // explicit dependency chaining: After(t) arms a ready-time floor for the
 // next scheduled operation, so a GC relocation's program on chip B can
 // be held until its source read on chip A completes, and the victim
-// erase until the last relocation lands (see ftl.Options.Dependency).
+// erase until the last relocation lands (the FTL's GC chains every
+// relocation this way).
 // Without a floor an op starts at max(Now, chip free) exactly as before;
 // on a single chip the floor is always dominated by the chip clock, so
 // Chips=1 timelines are bit-identical with or without chaining.
@@ -135,10 +135,9 @@ type DeviceStats struct {
 //
 //flashvet:boundsafe
 type Device struct {
-	cfg     Config
-	blocks  []blockState
-	stats   DeviceStats
-	progSeq uint64 // global program counter (drives block age)
+	cfg    Config
+	blocks []blockState
+	stats  DeviceStats
 
 	// Per-page operation costs, precomputed at construction: the speed
 	// ramp is pure arithmetic but runs on every simulated page op, and
@@ -378,9 +377,6 @@ func (d *Device) SetEraseDeferral(window time.Duration) {
 	}
 }
 
-// EraseDeferral returns the deferral window (zero when disabled).
-func (d *Device) EraseDeferral() time.Duration { return d.deferWindow }
-
 // DeferredErases returns how many erases are waiting in the per-chip
 // deferred queues (zero when deferral is disabled or all committed).
 func (d *Device) DeferredErases() int {
@@ -510,22 +506,6 @@ func (d *Device) ChipFree(chip int) time.Duration {
 		return 0
 	}
 	return d.chipFree[chip]
-}
-
-// EarliestChipFree returns the smallest per-chip next-free clock — the
-// moment the least-loaded chip can start new work. The host queueing
-// model advances its clock from request completions alone; dispatch
-// policies that follow the chip clocks consume them through ClockView
-// instead. A device with no chips (the zero value) reports zero, like
-// the other read-only introspection accessors.
-func (d *Device) EarliestChipFree() time.Duration {
-	var min time.Duration
-	for i, f := range d.chipFree {
-		if i == 0 || f < min {
-			min = f
-		}
-	}
-	return min
 }
 
 // ClockView is a read-only handle over the device's per-chip service
@@ -688,8 +668,6 @@ func (d *Device) Program(p PPN, oob OOB) (time.Duration, error) {
 	blk.oob[page] = oob
 	blk.nextPage++
 	blk.validPages++
-	d.progSeq++
-	blk.lastProg = d.progSeq
 	cost := d.progCost[page]
 	d.schedule(b, cost, opProgram)
 	d.stats.Programs.Inc()
@@ -718,8 +696,7 @@ func (d *Device) Invalidate(p PPN) error {
 
 // Erase resets every page of the block to free and returns the erase time.
 // Erasing a block that still holds valid pages is legal NAND-wise but
-// almost always an FTL bug, so it is reported as an error unless force is
-// used via EraseForce.
+// almost always an FTL bug, so it is reported as an error.
 //
 //flashvet:hotpath
 func (d *Device) Erase(b BlockID) (time.Duration, error) {
@@ -730,20 +707,7 @@ func (d *Device) Erase(b BlockID) (time.Duration, error) {
 	if blk.validPages != 0 {
 		return 0, fmt.Errorf("nand: erasing block %d with %d valid pages", b, blk.validPages)
 	}
-	if d.BlockRetired(b) {
-		return 0, fmt.Errorf("%w: erasing block %d", ErrBlockRetired, b)
-	}
-	return d.eraseBlock(b, blk), nil
-}
-
-// EraseForce erases the block regardless of valid data; used by tests and
-// by formatting tools. Retired blocks still reject it.
-func (d *Device) EraseForce(b BlockID) (time.Duration, error) {
-	blk, err := d.block(b)
-	if err != nil {
-		return 0, err
-	}
-	if d.BlockRetired(b) {
+	if d.blockRetired(b) {
 		return 0, fmt.Errorf("%w: erasing block %d", ErrBlockRetired, b)
 	}
 	return d.eraseBlock(b, blk), nil
@@ -827,16 +791,6 @@ func (d *Device) PeekOOB(p PPN) OOB {
 	return blk.oob[page]
 }
 
-// NextPage returns the in-order programming cursor of a block (zero when
-// b is out of range).
-func (d *Device) NextPage(b BlockID) int {
-	blk := d.blockAt(b)
-	if blk == nil {
-		return 0
-	}
-	return blk.nextPage
-}
-
 // ValidPages returns how many pages of the block are valid (zero when b
 // is out of range).
 func (d *Device) ValidPages(b BlockID) int {
@@ -857,16 +811,6 @@ func (d *Device) InvalidPages(b BlockID) int {
 	return blk.invalid
 }
 
-// FreePages returns how many pages of the block are still programmable
-// (zero when b is out of range — a nonexistent block offers no space).
-func (d *Device) FreePages(b BlockID) int {
-	blk := d.blockAt(b)
-	if blk == nil {
-		return 0
-	}
-	return d.cfg.PagesPerBlock - blk.nextPage
-}
-
 // EraseCount returns the block's program/erase cycle count (zero when b
 // is out of range).
 func (d *Device) EraseCount(b BlockID) uint32 {
@@ -875,17 +819,6 @@ func (d *Device) EraseCount(b BlockID) uint32 {
 		return 0
 	}
 	return blk.eraseCount
-}
-
-// BlockAge returns how many device-wide page programs have happened since
-// the block was last programmed — the "age" term of cost-benefit garbage
-// collection victim selection. Out-of-range blocks report the maximum age.
-func (d *Device) BlockAge(b BlockID) uint64 {
-	blk := d.blockAt(b)
-	if blk == nil {
-		return d.progSeq
-	}
-	return d.progSeq - blk.lastProg
 }
 
 // TotalErases returns the device-wide erase count.

@@ -2,10 +2,26 @@ package nand
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// EraseForce erases the block regardless of valid data, for tests that
+// reset a block without relocating its contents first. Retired blocks
+// still reject it.
+func (d *Device) EraseForce(b BlockID) (time.Duration, error) {
+	blk, err := d.block(b)
+	if err != nil {
+		return 0, err
+	}
+	if d.blockRetired(b) {
+		return 0, fmt.Errorf("%w: erasing block %d", ErrBlockRetired, b)
+	}
+	return d.eraseBlock(b, blk), nil
+}
 
 func newTestDevice(t *testing.T) *Device {
 	t.Helper()
@@ -148,8 +164,8 @@ func TestEraseSemantics(t *testing.T) {
 	if d.EraseCount(0) != 1 {
 		t.Errorf("erase count = %d, want 1", d.EraseCount(0))
 	}
-	if d.NextPage(0) != 0 {
-		t.Errorf("next page after erase = %d, want 0", d.NextPage(0))
+	if d.blocks[0].nextPage != 0 {
+		t.Errorf("next page after erase = %d, want 0", d.blocks[0].nextPage)
 	}
 	// Block is reusable after erase.
 	if _, err := d.Program(0, OOB{LPN: 9}); err != nil {
@@ -169,7 +185,7 @@ func TestEraseForceDropsValidData(t *testing.T) {
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.ValidPages(0) != 0 || d.NextPage(0) != 0 {
+	if d.ValidPages(0) != 0 || d.blocks[0].nextPage != 0 {
 		t.Error("EraseForce should reset the block")
 	}
 }
@@ -194,8 +210,8 @@ func TestCountsAndCursors(t *testing.T) {
 	if got := d.InvalidPages(0); got != 2 {
 		t.Errorf("invalid = %d, want 2", got)
 	}
-	if got := d.FreePages(0); got != d.cfg.PagesPerBlock-n {
-		t.Errorf("free = %d, want %d", got, d.cfg.PagesPerBlock-n)
+	if got := d.blocks[0].nextPage; got != n {
+		t.Errorf("cursor = %d, want %d", got, n)
 	}
 	if err := d.CheckAccounting(); err != nil {
 		t.Errorf("accounting: %v", err)

@@ -100,10 +100,6 @@ const SuspendRetireThreshold = 8
 // effect on single-plane chips.
 func (d *Device) SetReorderWindow(w time.Duration) { d.window = w }
 
-// ReorderWindow returns the plane reordering window (zero when planes
-// are serialized).
-func (d *Device) ReorderWindow() time.Duration { return d.window }
-
 // SetSuspend configures program/erase suspend-resume: under a policy
 // other than SuspendOff, an incoming read may preempt the in-flight
 // operation on its plane, paying suspendCost before the read senses and
@@ -128,17 +124,6 @@ func (d *Device) SetSuspend(policy SuspendPolicy, suspendCost, resumeCost time.D
 // operation. Monotone like the device stats; the harness diffs it
 // around the measured window.
 func (d *Device) Suspends() uint64 { return d.suspends }
-
-// SuspendsOf returns how many times block b's in-flight operations have
-// been suspended (zero with SuspendOff, for out-of-range blocks, and
-// for blocks never preempted). Monotone like Suspends; ResetClocks
-// leaves it alone.
-func (d *Device) SuspendsOf(b BlockID) uint32 {
-	if d.suspendCnt == nil || int(b) >= len(d.suspendCnt) {
-		return 0
-	}
-	return d.suspendCnt[b]
-}
 
 // SetSuspendNotify registers fn to be called whenever a read suspends an
 // in-flight operation, with the chip, the suspension time and the time
@@ -257,7 +242,7 @@ func (d *Device) trySuspend(chip, plane int, issue, cost, normalStart time.Durat
 		d.suspendCnt[rec.block]++
 		// An erase that keeps getting preempted marks its block as a
 		// retire candidate once the reliability model is there to retire
-		// it; without the model the count stays diagnostic (SuspendsOf).
+		// it; without the model the count has no effect.
 		if d.rel != nil && rec.kind == opErase && d.suspendCnt[rec.block] >= SuspendRetireThreshold {
 			d.rel.flagRetire(rec.block)
 		}

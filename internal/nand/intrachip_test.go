@@ -297,7 +297,7 @@ func TestSetEraseDeferralDisableFlushes(t *testing.T) {
 	if got, want := d.ChipFree(0), busy+cfg.EraseLatency; got != want {
 		t.Errorf("chip free %v after disable, want flushed erase end %v", got, want)
 	}
-	if got := d.EraseDeferral(); got != 0 {
+	if got := d.deferWindow; got != 0 {
 		t.Errorf("deferral window = %v after disable, want 0", got)
 	}
 	// Disabled means head-of-line again: the next erase books directly.
@@ -471,11 +471,11 @@ func TestDeferredCommitPathEquivalence(t *testing.T) {
 }
 
 // TestSuspendsOfCountsAndFlagsRetire: every suspension is charged to
-// the preempted block (SuspendsOf), and once a block's erases have been
+// the preempted block (suspendCnt), and once a block's erases have been
 // preempted SuspendRetireThreshold times under an active reliability
-// model it lands in the retire queue — the ROADMAP's "suspended erases
-// on nearly-dead blocks" follow-up. Without the reliability model the
-// count is purely diagnostic and nothing is flagged.
+// model it lands in the retire queue: suspended erases on nearly-dead
+// blocks retire early. Without the reliability model the count has no
+// effect and nothing is flagged.
 func TestSuspendsOfCountsAndFlagsRetire(t *testing.T) {
 	const sc, rc = 25 * time.Microsecond, 25 * time.Microsecond
 	run := func(withModel bool) *Device {
@@ -517,14 +517,11 @@ func TestSuspendsOfCountsAndFlagsRetire(t *testing.T) {
 	if got := d.Suspends(); got != SuspendRetireThreshold {
 		t.Fatalf("suspends = %d, want %d", got, SuspendRetireThreshold)
 	}
-	if got := d.SuspendsOf(1); got != SuspendRetireThreshold {
-		t.Errorf("SuspendsOf(1) = %d, want %d", got, SuspendRetireThreshold)
+	if got := d.suspendCnt[1]; got != SuspendRetireThreshold {
+		t.Errorf("suspensions of block 1 = %d, want %d", got, SuspendRetireThreshold)
 	}
-	if got := d.SuspendsOf(0); got != 0 {
-		t.Errorf("SuspendsOf(0) = %d, want 0 (block 0 was never preempted)", got)
-	}
-	if got := d.SuspendsOf(BlockID(1 << 20)); got != 0 {
-		t.Errorf("SuspendsOf(out of range) = %d, want 0", got)
+	if got := d.suspendCnt[0]; got != 0 {
+		t.Errorf("suspensions of block 0 = %d, want 0 (block 0 was never preempted)", got)
 	}
 	if !d.RetireRecommended(1) {
 		t.Error("block 1 not flagged for retirement after repeated erase suspensions")
@@ -534,8 +531,8 @@ func TestSuspendsOfCountsAndFlagsRetire(t *testing.T) {
 	}
 
 	diag := run(false)
-	if got := diag.SuspendsOf(1); got != SuspendRetireThreshold {
-		t.Errorf("model off: SuspendsOf(1) = %d, want %d (count stays diagnostic)", got, SuspendRetireThreshold)
+	if got := diag.suspendCnt[1]; got != SuspendRetireThreshold {
+		t.Errorf("model off: suspensions of block 1 = %d, want %d", got, SuspendRetireThreshold)
 	}
 	if diag.RetireRecommended(1) {
 		t.Error("model off: nothing should be flagged for retirement")

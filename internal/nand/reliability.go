@@ -360,9 +360,9 @@ func (d *Device) RetireRecommended(b BlockID) bool {
 	return d.rel.flags[b]&relFlagPending != 0 && d.rel.flags[b]&relFlagRetired == 0
 }
 
-// BlockRetired reports whether block b has been retired. Retired blocks
+// blockRetired reports whether block b has been retired. Retired blocks
 // reject programs and erases; the FTL must stop allocating from them.
-func (d *Device) BlockRetired(b BlockID) bool {
+func (d *Device) blockRetired(b BlockID) bool {
 	if d.rel == nil || int(b) >= len(d.rel.flags) {
 		return false
 	}

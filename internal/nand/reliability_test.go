@@ -278,8 +278,8 @@ func TestReliabilityUncorrectableRetirement(t *testing.T) {
 	}
 
 	d.MarkRetired(3)
-	if !d.BlockRetired(3) || d.RetiredBlocks() != 1 {
-		t.Fatalf("retired = %v/%d, want true/1", d.BlockRetired(3), d.RetiredBlocks())
+	if !d.blockRetired(3) || d.RetiredBlocks() != 1 {
+		t.Fatalf("retired = %v/%d, want true/1", d.blockRetired(3), d.RetiredBlocks())
 	}
 	if d.RetireRecommended(3) {
 		t.Error("retired block still recommended")

@@ -12,6 +12,9 @@
 // (internal/ftl), the PPB strategy (internal/core), hot/cold
 // identification (internal/hotness), synthetic MSR-style workloads
 // (internal/workload), and the experiment harness (internal/harness).
+// It exports what the commands, examples and benchmarks use: PPB has a
+// constructor, and every strategy, the baselines included, runs by kind
+// through RunSpec (FTLKindNames lists them).
 //
 // # Quick start
 //
@@ -30,7 +33,6 @@ import (
 	"ppbflash/internal/ftl"
 	"ppbflash/internal/harness"
 	"ppbflash/internal/hotness"
-	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
 	"ppbflash/internal/trace"
 	"ppbflash/internal/vblock"
@@ -44,12 +46,6 @@ type (
 	DeviceConfig = nand.Config
 	// Device is a simulated 3D charge-trap NAND device.
 	Device = nand.Device
-	// PPN is a flat physical page number.
-	PPN = nand.PPN
-	// BlockID is a flat physical block number.
-	BlockID = nand.BlockID
-	// OOB is the per-page out-of-band metadata.
-	OOB = nand.OOB
 )
 
 // NewDevice builds a device from a validated config.
@@ -64,68 +60,14 @@ type (
 	// FTL is the host-visible flash-translation-layer interface.
 	FTL = ftl.FTL
 	// FTLOptions tunes over-provisioning, garbage collection, chip
-	// dispatch and the GC scheduling model (dependency chains, erase
-	// deferral).
+	// dispatch and erase deferral.
 	FTLOptions = ftl.Options
-	// DependencyModel selects how GC relocation chains are scheduled on
-	// the device's per-chip clocks (DepCausal or DepLegacy).
-	DependencyModel = ftl.DependencyModel
-	// FTLStats are the shared cost and activity counters of an FTL.
-	FTLStats = ftl.Stats
-	// Conventional is the speed-oblivious baseline FTL.
-	Conventional = ftl.Conventional
-	// GreedySpeed is the paper's Figure 3 strawman (naive speed placement).
-	GreedySpeed = ftl.GreedySpeed
-	// HotColdSplit is hot/cold block separation without speed awareness.
-	HotColdSplit = ftl.HotColdSplit
 )
 
-// GC dependency models (FTLOptions.Dependency): causal chains each GC
-// relocation's program behind its source read and the victim erase
-// behind the last relocation; legacy books every op unchained.
-const (
-	DepCausal = ftl.DepCausal
-	DepLegacy = ftl.DepLegacy
-)
-
-// DependencyByName resolves a dependency model from its name ("causal",
-// "legacy") — the spelling RunSpec.Dependency and flashsim -dependency
-// accept.
-func DependencyByName(name string) (DependencyModel, error) { return ftl.DependencyByName(name) }
-
-// NewConventional builds the paper's baseline FTL.
-func NewConventional(dev *Device, opts FTLOptions) (*Conventional, error) {
-	return ftl.NewConventional(dev, opts)
-}
-
-// NewGreedySpeed builds the naive speed-placement strawman.
-func NewGreedySpeed(dev *Device, opts FTLOptions, ident Identifier) (*GreedySpeed, error) {
-	return ftl.NewGreedySpeed(dev, opts, ident)
-}
-
-// NewHotColdSplit builds the separation-only ablation FTL.
-func NewHotColdSplit(dev *Device, opts FTLOptions, ident Identifier) (*HotColdSplit, error) {
-	return ftl.NewHotColdSplit(dev, opts, ident)
-}
-
-// Chip-dispatch policies (internal/vblock): where fresh blocks — and
-// with them every write stream — land on a multi-chip device.
-type (
-	// DispatchPolicy selects the chip of every fresh block allocation.
-	DispatchPolicy = vblock.DispatchPolicy
-	// Striped is the default round-robin channel striping.
-	Striped = vblock.Striped
-	// LeastLoaded opens fresh blocks on the chip whose service clock
-	// frees earliest.
-	LeastLoaded = vblock.LeastLoaded
-	// HotColdAffinity pins hot-stream pools to a chip subset so cold GC
-	// traffic does not queue behind hot host writes.
-	HotColdAffinity = vblock.HotColdAffinity
-	// TenantPartition carves the chips into contiguous per-tenant ranges
-	// and confines each tenant's allocations — and the GC they cascade
-	// into — to its own range (multi-tenant QoS isolation).
-	TenantPartition = vblock.TenantPartition
-)
+// DispatchPolicy selects the chip of every fresh block allocation
+// (internal/vblock): where fresh blocks — and with them every write
+// stream — land on a multi-chip device.
+type DispatchPolicy = vblock.DispatchPolicy
 
 // DispatchByName resolves a built-in dispatch policy from its name
 // ("striped", "least-loaded", "hotcold-affinity", "tenant-partition") —
@@ -136,42 +78,24 @@ func DispatchByName(name string) (DispatchPolicy, error) { return vblock.Dispatc
 // presentation order (the a6 sweep's policy axis).
 var DispatchPolicyNames = vblock.DispatchPolicyNames
 
-// DependencyModelNames lists the GC dependency models in presentation
-// order — the spellings DependencyByName accepts.
-var DependencyModelNames = ftl.DependencyModelNames
-
 // Reliability model (internal/nand) and wear leveling (internal/ftl).
 type (
 	// ReliabilityConfig parameterizes the layer-aware reliability model:
 	// per-page RBER from layer skew, P/E cycling and retention age, read
 	// retry with ECC-decode latency, and bad-block retirement thresholds.
 	ReliabilityConfig = nand.ReliabilityConfig
-	// ReliabilityStats counts retried, uncorrectable and retired
-	// outcomes under an enabled reliability model.
-	ReliabilityStats = nand.ReliabilityStats
-	// WearPolicy selects the GC wear-leveling policy.
+	// WearPolicy selects the GC wear-leveling policy: none keeps the
+	// historic wear tie-break only; wear-aware relaxes greedy victim
+	// selection toward the least-worn block among the most-invalid
+	// candidates; threshold-swap additionally recycles cold, fully-valid
+	// blocks once the wear spread reaches 8 erases.
 	WearPolicy = ftl.WearPolicy
-)
-
-// Wear-leveling policies (FTLOptions.Wear): none keeps the historic
-// wear tie-break only; wear-aware relaxes greedy victim selection
-// toward the least-worn block among the most-invalid candidates;
-// threshold-swap additionally recycles cold, fully-valid blocks once
-// the wear spread reaches 8 erases.
-const (
-	WearNone          = ftl.WearNone
-	WearAware         = ftl.WearAware
-	WearThresholdSwap = ftl.WearThresholdSwap
 )
 
 // WearByName resolves a wear policy from its name ("none",
 // "wear-aware", "threshold-swap") — the spelling RunSpec.Wear and
 // flashsim -wear accept.
 func WearByName(name string) (WearPolicy, error) { return ftl.WearByName(name) }
-
-// WearPolicyNames lists the wear policies in presentation order (the a9
-// sweep's wear axis).
-var WearPolicyNames = ftl.WearPolicyNames
 
 // ReliabilityProfileByName resolves a built-in reliability preset from
 // its name ("off", "low", "high") — the spelling RunSpec.Reliability
@@ -180,34 +104,19 @@ func ReliabilityProfileByName(name string) (ReliabilityConfig, error) {
 	return nand.ReliabilityProfileByName(name)
 }
 
-// ReliabilityProfileNames lists the built-in reliability presets in
-// presentation order (the a9 sweep's profile axis).
-var ReliabilityProfileNames = nand.ReliabilityProfileNames
-
 // Intra-chip parallelism (internal/nand): multi-plane overlap and
 // program/erase suspend-resume.
 
 // SuspendPolicy selects which in-flight operation kinds an incoming
-// read may preempt (Device.SetSuspend, FTLOptions.Suspend).
+// read may preempt (Device.SetSuspend, FTLOptions.Suspend): off never
+// preempts, erase suspends in-flight erases only (the common hardware
+// capability), full suspends programs too.
 type SuspendPolicy = nand.SuspendPolicy
-
-// Suspend policies: off never preempts, erase suspends in-flight
-// erases only (the common hardware capability), full suspends programs
-// too.
-const (
-	SuspendOff   = nand.SuspendOff
-	SuspendErase = nand.SuspendErase
-	SuspendFull  = nand.SuspendFull
-)
 
 // SuspendByName resolves a suspend policy from its name ("off",
 // "erase", "full"; empty means off) — the spelling RunSpec.Suspend and
 // flashsim -suspend accept.
 func SuspendByName(name string) (SuspendPolicy, error) { return nand.SuspendByName(name) }
-
-// SuspendPolicyNames lists the suspend policies in presentation order
-// (the a8 sweep's policy axis).
-var SuspendPolicyNames = nand.SuspendPolicyNames
 
 // The PPB strategy (internal/core).
 type (
@@ -216,8 +125,6 @@ type (
 	PPB = core.PPB
 	// PPBOptions tunes the PPB strategy.
 	PPBOptions = core.Options
-	// PPBStats are PPB-specific activity counters.
-	PPBStats = core.Stats
 )
 
 // NewPPB builds a PPB FTL over the device.
@@ -250,15 +157,11 @@ const (
 type (
 	// Request is one block-level I/O.
 	Request = trace.Request
-	// Op is a request direction.
-	Op = trace.Op
-	// Stream is the pull-based request source every replay consumes:
-	// Next returns the next request, or ok=false at end of stream. Trace
-	// readers and workload generators implement it, so traces replay
+	// Generator streams a deterministic synthetic workload, or any other
+	// request source a RunSpec replays: Next returns the next request, or
+	// ok=false at end of stream, and Name/LogicalBytes carry labeling and
+	// sizing metadata. Requests are pulled one at a time, so traces replay
 	// without in-memory materialization.
-	Stream = trace.Stream
-	// Generator streams a deterministic synthetic workload (a Stream
-	// plus sizing/labeling metadata).
 	Generator = workload.Generator
 	// MediaServerConfig parameterizes the media-server stand-in trace.
 	MediaServerConfig = workload.MediaConfig
@@ -283,12 +186,6 @@ func NewCompositor(children ...CompositorChild) *Compositor {
 	return trace.NewCompositor(children...)
 }
 
-// Request directions.
-const (
-	OpRead  = trace.OpRead
-	OpWrite = trace.OpWrite
-)
-
 // NewMediaServer builds the media-server stand-in generator.
 func NewMediaServer(cfg MediaServerConfig) Generator { return workload.NewMediaServer(cfg) }
 
@@ -301,34 +198,21 @@ type (
 	RunSpec = harness.RunSpec
 	// RunResult carries the measurements of one run.
 	RunResult = harness.Result
-	// TenantResult is one tenant's share of a multi-tenant run's
-	// measurements (RunResult.Tenants on runs with RunSpec.Tenants >= 2).
-	TenantResult = harness.TenantResult
 	// Scale controls experiment size (QuickScale/BenchScale/PaperScale).
 	Scale = harness.Scale
 	// FigureResult is a regenerated paper artifact.
 	FigureResult = harness.FigureResult
 	// FTLKind selects the strategy a run uses.
 	FTLKind = harness.FTLKind
-	// Table renders aligned experiment tables.
-	Table = metrics.Table
-	// Histogram is a fixed-bucket latency histogram with nearest-rank
-	// quantiles (P50/P95/P99 in RunResult come from these).
-	Histogram = metrics.Histogram
 	// ReplayMetrics accumulates per-request completion latency during a
-	// replay (see ReplayQueued).
+	// replay (see RunEventLoop).
 	ReplayMetrics = harness.ReplayMetrics
-	// ReplayOptions selects the host queueing model of a measured replay:
-	// queue depth (outstanding request cap) and closed- vs open-loop.
-	ReplayOptions = harness.ReplayOptions
 )
 
-// Strategy kinds for RunSpec.
+// Strategy kinds for RunSpec; FTLKindNames lists every kind.
 const (
 	KindConventional = harness.KindConventional
 	KindPPB          = harness.KindPPB
-	KindGreedySpeed  = harness.KindGreedySpeed
-	KindHotColdSplit = harness.KindHotColdSplit
 )
 
 // Experiment scales.
@@ -378,19 +262,6 @@ var FTLKindNames = harness.FTLKindNames
 // RunPageOps executes n iterations of the standard page-op loop.
 func RunPageOps(f FTL, n int) error { return harness.RunPageOps(f, n) }
 
-// ReplayQueued feeds a request stream through an FTL, splitting
-// requests into pages, under a host queueing model: a discrete-event
-// loop over one time-ordered event heap, either a closed loop keeping
-// ReplayOptions.QueueDepth requests outstanding (the zero options are
-// the classic closed loop at queue depth 1) or — with
-// ReplayOptions.OpenLoop — an open loop issuing requests at their trace
-// arrival times. m is required (build it with NewReplayMetrics): it
-// records every request's completion latency and queueing delay under
-// the device's chip-parallel service model.
-func ReplayQueued(f FTL, src Stream, m *ReplayMetrics, opts ReplayOptions) error {
-	return harness.ReplayQueued(f, src, m, opts)
-}
-
 // RunEventLoop replays n synthetic requests through the measured
 // discrete-event replay loop — the shared body of BenchmarkEventLoop and
 // ppbench -json's EventLoop microbenchmark.
@@ -405,7 +276,8 @@ func RunCompositorEventLoop(f FTL, m *ReplayMetrics, n int) error {
 	return harness.RunCompositorEventLoop(f, m, n)
 }
 
-// NewReplayMetrics builds request-latency histograms for ReplayQueued.
+// NewReplayMetrics builds the request-latency histograms RunEventLoop
+// and RunCompositorEventLoop record into.
 func NewReplayMetrics() *ReplayMetrics { return harness.NewReplayMetrics() }
 
 // Experiment runs one of the paper's experiments by ID ("12".."18" for
