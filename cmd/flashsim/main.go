@@ -56,8 +56,9 @@
 //
 // Unknown -ftl, -dispatch, -reliability, -wear or -suspend names are
 // rejected before the trace is loaded, with the list of valid names, and
-// so are -gb outside (0, 64], -tenants outside [1, 8], and -qd,
-// -pagesize, -chips or -planes below 1.
+// so are -gb outside (0, 64], -tenants outside [1, 8], -qd, -chips or
+// -planes below 1, -pagesize below 4096, and -chips above the block
+// count of the requested device.
 //
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
@@ -67,6 +68,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -76,68 +78,82 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams passed in, returning the
+// exit status: 2 for bad flags, 1 for trace and replay errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flashsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ftlNames = flag.String("ftl", "ppb", "comma-separated: conventional, ppb, greedy-speed, hotcold-split")
-		path     = flag.String("trace", "", "trace file to replay (required)")
-		format   = flag.String("format", "msr", "trace format: msr or simple")
-		gb       = flag.Float64("gb", 4, "device capacity in GiB (Table 1 geometry, scaled)")
-		ratio    = flag.Float64("ratio", 2, "bottom/top page speed ratio (paper: 2-5)")
-		pageSize = flag.Int("pagesize", 16<<10, "page size in bytes")
-		chips    = flag.Int("chips", 1, "flash chips sharing the capacity (chip-parallel service)")
-		planes   = flag.Int("planes", 1, "planes per chip (intra-chip operation overlap)")
-		suspend  = flag.String("suspend", "off", "read preemption of in-flight ops: off, erase or full")
-		reorder  = flag.Duration("reorder-window", 0, "cross-plane reordering window (0 = 4x erase latency when -planes > 1)")
-		dispatch = flag.String("dispatch", "striped", "chip-dispatch policy: striped, least-loaded, hotcold-affinity or tenant-partition")
-		deferE   = flag.Bool("defer-erases", false, "defer GC erases on busy chips to their next idle gap")
-		relProf  = flag.String("reliability", "off", "reliability preset: off, low or high")
-		wear     = flag.String("wear", "none", "wear-leveling policy: none, wear-aware or threshold-swap")
-		seed     = flag.Int64("seed", 1, "fault-injection PRNG seed for -reliability")
-		qd       = flag.Int("qd", 1, "host queue depth: outstanding requests during replay")
-		openloop = flag.Bool("openloop", false, "issue requests at their trace arrival times (open loop)")
-		prefill  = flag.Bool("prefill", true, "write the whole logical space before replay")
-		disk     = flag.Int("disk", -1, "replay only this MSR disk number (-1 = all)")
-		parallel = flag.Int("parallel", 0, "concurrent runs when several FTLs are given (0 = GOMAXPROCS)")
-		tenants  = flag.Int("tenants", 1, "replay the trace as N tenants, each in its own logical-space slice (1 = classic single-stream)")
+		ftlNames = fs.String("ftl", "ppb", "comma-separated: conventional, ppb, greedy-speed, hotcold-split")
+		path     = fs.String("trace", "", "trace file to replay (required)")
+		format   = fs.String("format", "msr", "trace format: msr or simple")
+		gb       = fs.Float64("gb", 4, "device capacity in GiB (Table 1 geometry, scaled)")
+		ratio    = fs.Float64("ratio", 2, "bottom/top page speed ratio (paper: 2-5)")
+		pageSize = fs.Int("pagesize", 16<<10, "page size in bytes")
+		chips    = fs.Int("chips", 1, "flash chips sharing the capacity (chip-parallel service)")
+		planes   = fs.Int("planes", 1, "planes per chip (intra-chip operation overlap)")
+		suspend  = fs.String("suspend", "off", "read preemption of in-flight ops: off, erase or full")
+		reorder  = fs.Duration("reorder-window", 0, "cross-plane reordering window (0 = 4x erase latency when -planes > 1)")
+		dispatch = fs.String("dispatch", "striped", "chip-dispatch policy: striped, least-loaded, hotcold-affinity or tenant-partition")
+		deferE   = fs.Bool("defer-erases", false, "defer GC erases on busy chips to their next idle gap")
+		relProf  = fs.String("reliability", "off", "reliability preset: off, low or high")
+		wear     = fs.String("wear", "none", "wear-leveling policy: none, wear-aware or threshold-swap")
+		seed     = fs.Int64("seed", 1, "fault-injection PRNG seed for -reliability")
+		qd       = fs.Int("qd", 1, "host queue depth: outstanding requests during replay")
+		openloop = fs.Bool("openloop", false, "issue requests at their trace arrival times (open loop)")
+		prefill  = fs.Bool("prefill", true, "write the whole logical space before replay")
+		disk     = fs.Int("disk", -1, "replay only this MSR disk number (-1 = all)")
+		parallel = fs.Int("parallel", 0, "concurrent runs when several FTLs are given (0 = GOMAXPROCS)")
+		tenants  = fs.Int("tenants", 1, "replay the trace as N tenants, each in its own logical-space slice (1 = classic single-stream)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *path == "" {
-		fmt.Fprintln(os.Stderr, "flashsim: -trace is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "flashsim: -trace is required")
+		fs.Usage()
+		return 2
 	}
 	if err := validateRanges(*gb, *qd, *tenants, *pageSize, *chips, *planes); err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 2
 	}
 	// Reject bad policy names before the (possibly long) trace load, with
 	// the valid spellings, instead of failing deep inside the run.
-	if err := validateNames(*ftlNames, *dispatch, *relProf, *wear, *suspend); err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(2)
+	opts, err := resolveNames(*ftlNames, *dispatch, *relProf, *wear, *suspend)
+	if err != nil {
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 2
 	}
+	opts.DeferErases = *deferE
+	opts.ReorderWindow = *reorder
+	opts.ReliabilitySeed = *seed
+	opts.Tenants = *tenants
 
 	nreq, hasTimes, err := scanTrace(*path, *format, *disk)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if nreq == 0 {
-		fmt.Fprintln(os.Stderr, "flashsim: trace is empty")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "flashsim: trace is empty")
+		return 1
 	}
 	if *openloop && !hasTimes {
 		// The simple format (and synthetic traces) carry no timestamps:
 		// every request "arrives" at t=0, so open-loop latency from
 		// arrival degenerates to the running makespan. Surface it rather
 		// than printing meaningless percentiles without comment.
-		fmt.Fprintln(os.Stderr, "flashsim: warning: -openloop but the trace has no arrival timestamps; "+
+		fmt.Fprintln(stderr, "flashsim: warning: -openloop but the trace has no arrival timestamps; "+
 			"all requests arrive at t=0 and latency percentiles measure the backlog, not per-request service")
 	}
 
-	cfg := ppbflash.TableOneConfig().Scaled(int(64.0 / *gb)).WithSpeedRatio(*ratio)
-	if *pageSize != cfg.PageSize {
-		cfg = cfg.WithPageSize(*pageSize)
-	}
+	cfg := deviceConfig(*gb, *pageSize).WithSpeedRatio(*ratio)
 	if *chips > 1 {
 		cfg = cfg.WithChips(*chips)
 	}
@@ -153,20 +169,13 @@ func main() {
 			continue
 		}
 		spec := ppbflash.RunSpec{
-			Name:        *path + "/" + name,
-			Device:      cfg,
-			Kind:        ppbflash.FTLKind(name),
-			Prefill:     *prefill,
-			QueueDepth:  *qd,
-			OpenLoop:    *openloop,
-			Dispatch:    *dispatch,
-			DeferErases: *deferE,
-			Suspend:     *suspend,
-			FTLOptions:  ppbflash.FTLOptions{ReorderWindow: *reorder},
-			Reliability: *relProf,
-			Wear:        *wear,
-			Seed:        *seed,
-			Tenants:     *tenants,
+			Name:       *path + "/" + name,
+			Device:     cfg,
+			Kind:       ppbflash.FTLKind(name),
+			FTLOptions: opts,
+			Prefill:    *prefill,
+			QueueDepth: *qd,
+			OpenLoop:   *openloop,
 		}
 		if *tenants > 1 {
 			// One stream per tenant per strategy: each tenant replays its
@@ -205,28 +214,28 @@ func main() {
 		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
-		fmt.Fprintln(os.Stderr, "flashsim: -ftl names no strategy")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "flashsim: -ftl names no strategy")
+		return 2
 	}
 
 	results, err := ppbflash.RunAll(specs, *parallel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	// A parse error mid-trace ends the stream early instead of aborting
 	// the run; surface it here rather than reporting a silently truncated
 	// replay as a clean result.
 	for _, st := range streams {
 		if err := st.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "flashsim:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "flashsim:", err)
+			return 1
 		}
 	}
 
 	for i, res := range results {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		mode := fmt.Sprintf("closed loop QD %d", *qd)
 		if *openloop {
@@ -243,43 +252,60 @@ func main() {
 		if cfg.PlaneCount() > 1 {
 			chipDesc = fmt.Sprintf("%d chip(s) x %d planes", cfg.Chips, cfg.PlaneCount())
 		}
-		fmt.Printf("device: %.1f GiB, %d KB pages, ratio %.0fx, %s, %s dispatch, %s, %s FTL, %s\n",
+		fmt.Fprintf(stdout, "device: %.1f GiB, %d KB pages, ratio %.0fx, %s, %s dispatch, %s, %s FTL, %s\n",
 			float64(cfg.TotalBytes())/(1<<30), cfg.PageSize>>10, cfg.SpeedRatio, chipDesc, *dispatch, sched, specs[i].Kind, mode)
-		fmt.Printf("host:   %d page reads (%d unmapped), %d page writes\n",
+		fmt.Fprintf(stdout, "host:   %d page reads (%d unmapped), %d page writes\n",
 			res.HostReadPages, res.UnmappedReads, res.HostWritePage)
-		fmt.Printf("time:   read total %v, write total %v, makespan %v\n", res.ReadTotal, res.WriteTotal, res.Makespan)
-		fmt.Printf("speed:  %.0f device-ops/s simulated (%d ops over the makespan); %d events replayed in %v (%.0f events/s wall)\n",
+		fmt.Fprintf(stdout, "time:   read total %v, write total %v, makespan %v\n", res.ReadTotal, res.WriteTotal, res.Makespan)
+		fmt.Fprintf(stdout, "speed:  %.0f device-ops/s simulated (%d ops over the makespan); %d events replayed in %v (%.0f events/s wall)\n",
 			res.SimOpsPerSec, res.DeviceOps, res.ReplayEvents, res.ReplayWall.Round(time.Millisecond), res.WallEventsPerSec)
-		fmt.Printf("lat:    read p50/p95/p99 %v/%v/%v, write p50/p95/p99 %v/%v/%v\n",
+		fmt.Fprintf(stdout, "lat:    read p50/p95/p99 %v/%v/%v, write p50/p95/p99 %v/%v/%v\n",
 			res.ReadP50, res.ReadP95, res.ReadP99, res.WriteP50, res.WriteP95, res.WriteP99)
-		fmt.Printf("queue:  delay p50/p95/p99 %v/%v/%v\n",
+		fmt.Fprintf(stdout, "queue:  delay p50/p95/p99 %v/%v/%v\n",
 			res.QueueDelayP50, res.QueueDelayP95, res.QueueDelayP99)
-		fmt.Printf("gc:     %d erases, %d copies, WAF %.2f\n", res.Erases, res.GCCopies, res.WAF)
+		fmt.Fprintf(stdout, "gc:     %d erases, %d copies, WAF %.2f\n", res.Erases, res.GCCopies, res.WAF)
 		if *suspend != "off" {
-			fmt.Printf("susp:   %d erase/program suspensions by reads\n", res.Suspends)
+			fmt.Fprintf(stdout, "susp:   %d erase/program suspensions by reads\n", res.Suspends)
 		}
 		if *relProf != "off" {
-			fmt.Printf("rel:    %s profile, %s wear: retry rate %.4f%% (mean %.2f steps), %d uncorrectable, %d blocks retired\n",
+			fmt.Fprintf(stdout, "rel:    %s profile, %s wear: retry rate %.4f%% (mean %.2f steps), %d uncorrectable, %d blocks retired\n",
 				*relProf, *wear, res.RetryRate*100, res.MeanRetrySteps, res.UncorrectableReads, res.RetiredBlocks)
 		}
 		for t := 0; t < res.TenantCount; t++ {
 			tr := res.Tenants[t]
-			fmt.Printf("tenant: #%d %d reqs, read p50/p95/p99 %v/%v/%v, qdelay p99 %v\n",
+			fmt.Fprintf(stdout, "tenant: #%d %d reqs, read p50/p95/p99 %v/%v/%v, qdelay p99 %v\n",
 				tr.Tenant, tr.Ops, tr.ReadP50, tr.ReadP95, tr.ReadP99, tr.QueueDelayP99)
 		}
-		fmt.Printf("layout: %.1f%% of host reads served from fast pages\n", res.FastReadShare*100)
+		fmt.Fprintf(stdout, "layout: %.1f%% of host reads served from fast pages\n", res.FastReadShare*100)
 		if res.Kind == ppbflash.KindPPB {
-			fmt.Printf("ppb:    %d migrations, %d diversions, %d demotions\n",
+			fmt.Fprintf(stdout, "ppb:    %d migrations, %d diversions, %d demotions\n",
 				res.Migrations, res.Diversions, res.Demotions)
 		}
 	}
+	return 0
+}
+
+// minPageSize is the smallest -pagesize flashsim models: with it the
+// largest device (-gb 64) has 16,777,216 pages, four times the paper's
+// 16 KiB Table 1 device, and per-page state stays bounded.
+const minPageSize = 4096
+
+// deviceConfig returns the single-chip Table 1 geometry scaled to gb
+// GiB with the given page size.
+func deviceConfig(gb float64, pageSize int) ppbflash.DeviceConfig {
+	cfg := ppbflash.TableOneConfig().Scaled(int(64.0 / gb))
+	if pageSize != cfg.PageSize {
+		cfg = cfg.WithPageSize(pageSize)
+	}
+	return cfg
 }
 
 // validateRanges rejects out-of-range numeric flags up front, naming the
 // valid range: -gb scales the 64 GiB Table 1 device down, so it must lie
 // in (0, 64]; -qd must allow at least one outstanding request; -tenants
-// is bounded by the compositor's tenant slots; a page, a chip and a
-// plane per chip are the least a device can have.
+// is bounded by the compositor's tenant slots; -pagesize has the
+// minPageSize floor; a chip and a plane per chip are the least a device
+// can have, and a chip needs at least one block of the device.
 func validateRanges(gb float64, qd, tenants, pageSize, chips, planes int) error {
 	if !(gb > 0 && gb <= 64) {
 		return fmt.Errorf("-gb %g out of range (0, 64]", gb)
@@ -288,22 +314,27 @@ func validateRanges(gb float64, qd, tenants, pageSize, chips, planes int) error 
 		return fmt.Errorf("-tenants %d out of range [1, %d]", tenants, ppbflash.MaxTenants)
 	}
 	for _, f := range []struct {
-		name string
-		v    int
-	}{{"qd", qd}, {"pagesize", pageSize}, {"chips", chips}, {"planes", planes}} {
-		if f.v < 1 {
-			return fmt.Errorf("-%s %d out of range: want at least 1", f.name, f.v)
+		name   string
+		v, min int
+	}{{"qd", qd, 1}, {"pagesize", pageSize, minPageSize}, {"chips", chips, 1}, {"planes", planes, 1}} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d out of range: want at least %d", f.name, f.v, f.min)
 		}
+	}
+	if blocks := deviceConfig(gb, pageSize).TotalBlocks(); chips > blocks {
+		return fmt.Errorf("-chips %d out of range [1, %d]: the device has %d blocks", chips, blocks, blocks)
 	}
 	return nil
 }
 
-// validateNames rejects unknown policy names up front: every named knob
-// is resolved through the same registry the run would use, so the error
-// carries the registry's own list of valid spellings. The -ftl flag is
-// a comma-separated list; empty elements are skipped like the spec loop
-// does.
-func validateNames(ftlNames, dispatch, reliability, wear, suspend string) error {
+// resolveNames resolves the named policy knobs into the FTL options the
+// run uses, rejecting unknown names up front: every name goes through
+// the registry the knob belongs to, so the error carries that registry's
+// own list of valid spellings. The reliability profile "off" resolves to
+// no reliability model. The -ftl flag is a comma-separated list; empty
+// elements are skipped like the spec loop does.
+func resolveNames(ftlNames, dispatch, reliability, wear, suspend string) (ppbflash.FTLOptions, error) {
+	var opts ppbflash.FTLOptions
 	for _, name := range strings.Split(ftlNames, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -317,22 +348,27 @@ func validateNames(ftlNames, dispatch, reliability, wear, suspend string) error 
 			}
 		}
 		if !known {
-			return fmt.Errorf("unknown FTL %q (want %s)", name, strings.Join(ppbflash.FTLKindNames, ", "))
+			return opts, fmt.Errorf("unknown FTL %q (want %s)", name, strings.Join(ppbflash.FTLKindNames, ", "))
 		}
 	}
-	if _, err := ppbflash.DispatchByName(dispatch); err != nil {
-		return err
+	var err error
+	if opts.Dispatch, err = ppbflash.DispatchByName(dispatch); err != nil {
+		return opts, err
 	}
-	if _, err := ppbflash.ReliabilityProfileByName(reliability); err != nil {
-		return err
+	prof, err := ppbflash.ReliabilityProfileByName(reliability)
+	if err != nil {
+		return opts, err
 	}
-	if _, err := ppbflash.WearByName(wear); err != nil {
-		return err
+	if prof.Enabled {
+		opts.Reliability = &prof
 	}
-	if _, err := ppbflash.SuspendByName(suspend); err != nil {
-		return err
+	if opts.Wear, err = ppbflash.WearByName(wear); err != nil {
+		return opts, err
 	}
-	return nil
+	if opts.Suspend, err = ppbflash.SuspendByName(suspend); err != nil {
+		return opts, err
+	}
+	return opts, nil
 }
 
 // openTraceStream opens the trace file and wraps it in the parser for

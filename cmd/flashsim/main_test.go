@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -13,10 +14,11 @@ import (
 	"ppbflash"
 )
 
-// TestValidateNames pins the up-front policy-name validation: unknown
+// TestValidateNames pins the up-front policy-name resolution: unknown
 // -ftl/-dispatch/-reliability/-wear/-suspend values must be rejected before
 // any trace is loaded, and the error must list the valid
-// spellings so the exit-2 message is actionable.
+// spellings so the exit-2 message is actionable. Valid names resolve to
+// the typed options the run uses.
 func TestValidateNames(t *testing.T) {
 	const (
 		okFTL  = "ppb"
@@ -67,30 +69,44 @@ func TestValidateNames(t *testing.T) {
 			if suspend == "" {
 				suspend = "off"
 			}
-			err := validateNames(tc.ftl, tc.dispatch, tc.reliability, tc.wear, suspend)
+			_, err := resolveNames(tc.ftl, tc.dispatch, tc.reliability, tc.wear, suspend)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateNames() = %v, want nil", err)
+					t.Fatalf("resolveNames() = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("validateNames() = nil, want error containing %q", tc.wantErr)
+				t.Fatalf("resolveNames() = nil, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validateNames() = %q, want it to contain %q", err, tc.wantErr)
+				t.Fatalf("resolveNames() = %q, want it to contain %q", err, tc.wantErr)
 			}
 		})
+	}
+
+	opts, err := resolveNames(okFTL, "tenant-partition", "high", "threshold-swap", "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Dispatch.String() != "tenant-partition" || opts.Wear.String() != "threshold-swap" ||
+		opts.Suspend.String() != "full" || opts.Reliability == nil || !opts.Reliability.Enabled {
+		t.Errorf("resolveNames resolved %+v, want every named policy set", opts)
+	}
+	if opts, err := resolveNames(okFTL, okDisp, okRel, okWear, "off"); err != nil || opts.Reliability != nil {
+		t.Errorf("reliability %q resolved to %v (err %v), want no model", okRel, opts.Reliability, err)
 	}
 }
 
 // TestValidateRanges pins the up-front numeric flag checks: -gb outside
-// (0, 64], -tenants outside [1, 8], and -qd, -pagesize, -chips or
-// -planes below 1 must be rejected with the valid range in the message
-// instead of being silently replaced (-gb 0 and -gb 100 used to replay
-// on the full 64 GiB device, -qd -5 at depth 1 while the report printed
-// QD -5, -chips 0 and -planes 0 on one chip and one plane, and
-// -pagesize 0 panicked).
+// (0, 64], -tenants outside [1, 8], -qd, -chips or -planes below 1,
+// -pagesize below 4096 and -chips above the device's block count must
+// be rejected with the valid range in the message instead of being
+// silently replaced (-gb 0 and -gb 100 used to replay on the full
+// 64 GiB device, -qd -5 at depth 1 while the report printed QD -5,
+// -chips 0 and -planes 0 on one chip and one plane, -chips 1000 at
+// -gb 1 on the device's 170 blocks as 170 chips, -pagesize 64 printed
+// "0 KB pages", and -pagesize 0 panicked).
 func TestValidateRanges(t *testing.T) {
 	const page = 16 << 10
 	cases := []struct {
@@ -111,7 +127,11 @@ func TestValidateRanges(t *testing.T) {
 		{name: "negative qd", gb: 4, qd: -5, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-qd -5 out of range"},
 		{name: "zero tenants", gb: 4, qd: 1, tenants: 0, pageSize: page, chips: 1, planes: 1, wantErr: "-tenants 0 out of range [1, 8]"},
 		{name: "too many tenants", gb: 4, qd: 1, tenants: ppbflash.MaxTenants + 1, pageSize: page, chips: 1, planes: 1, wantErr: "[1, 8]"},
-		{name: "zero pagesize", gb: 4, qd: 1, tenants: 1, pageSize: 0, chips: 1, planes: 1, wantErr: "-pagesize 0 out of range: want at least 1"},
+		{name: "zero pagesize", gb: 4, qd: 1, tenants: 1, pageSize: 0, chips: 1, planes: 1, wantErr: "-pagesize 0 out of range: want at least 4096"},
+		{name: "pagesize below floor", gb: 0.125, qd: 1, tenants: 1, pageSize: 64, chips: 1, planes: 1, wantErr: "-pagesize 64 out of range: want at least 4096"},
+		{name: "pagesize at floor", gb: 64, qd: 1, tenants: 1, pageSize: 4096, chips: 1, planes: 1},
+		{name: "chips above blocks", gb: 1, qd: 1, tenants: 1, pageSize: page, chips: 1000, planes: 1, wantErr: "-chips 1000 out of range [1, 170]"},
+		{name: "one block per chip", gb: 1, qd: 1, tenants: 1, pageSize: page, chips: 170, planes: 1},
 		{name: "negative pagesize", gb: 4, qd: 1, tenants: 1, pageSize: -4096, chips: 1, planes: 1, wantErr: "-pagesize -4096 out of range"},
 		{name: "zero chips", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 0, planes: 1, wantErr: "-chips 0 out of range: want at least 1"},
 		{name: "negative chips", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: -3, planes: 1, wantErr: "-chips -3 out of range"},
@@ -131,6 +151,26 @@ func TestValidateRanges(t *testing.T) {
 				t.Fatalf("validateRanges() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRunRejectsBadGeometry: an out-of-range geometry exits 2 naming the
+// valid range before the trace is read — the trace path does not exist,
+// so a run that reached the trace scan would exit 1 instead.
+func TestRunRejectsBadGeometry(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.csv")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-gb", "0.125", "-pagesize", "64"}, "-pagesize 64 out of range: want at least 4096"},
+		{[]string{"-gb", "1", "-chips", "1000"}, "-chips 1000 out of range [1, 170]"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-trace", missing}, tc.args...), &stdout, &stderr); code != 2 ||
+			!strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 naming %q", tc.args, code, stderr.String(), tc.want)
+		}
 	}
 }
 

@@ -78,16 +78,21 @@ func main() {
 
 	fmt.Println("\nchip-dispatch policy (4 chips, queue depth 16):")
 	chipDev := dev.WithChips(4)
-	for _, policy := range ppbflash.DispatchPolicyNames {
+	for _, name := range ppbflash.DispatchPolicyNames {
+		policy, err := ppbflash.DispatchByName(name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := ppbflash.Run(ppbflash.RunSpec{
-			Name: "tuning/" + policy, Device: chipDev, Kind: ppbflash.KindPPB,
-			Workload: workload, Prefill: true, QueueDepth: 16, Dispatch: policy,
+			Name: "tuning/" + name, Device: chipDev, Kind: ppbflash.KindPPB,
+			FTLOptions: ppbflash.FTLOptions{Dispatch: policy},
+			Workload:   workload, Prefill: true, QueueDepth: 16,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-17s makespan %v, queue delay p99 %v, read p99 %v\n",
-			policy, res.Makespan, res.QueueDelayP99, res.ReadP99)
+			name, res.Makespan, res.QueueDelayP99, res.ReadP99)
 	}
 	fmt.Println("\nstriping is placement-blind; following the chip clocks (least-loaded)")
 	fmt.Println("opens fresh blocks where the device is idle, which pays off exactly")

@@ -688,8 +688,8 @@ func (p *PPB) readSinceWrite(lpn uint64) bool {
 	return p.cold.ReadCount(lpn) > 0
 }
 
-// CheckAreaPurity verifies DESIGN.md invariant 2: no physical block holds
-// both hot-area and cold-area data. Exposed for tests and examples.
+// CheckAreaPurity verifies the area-purity invariant: no physical block
+// holds both hot-area and cold-area data. Exposed for tests and examples.
 func (p *PPB) CheckAreaPurity() error {
 	dev := p.Device()
 	cfg := p.Config()

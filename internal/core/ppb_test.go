@@ -490,9 +490,9 @@ func TestPropertyPPBInvariants(t *testing.T) {
 	}
 }
 
-// TestWriteParityWithConventional encodes DESIGN.md invariant 6: PPB's
-// total write-path time stays within a percent of the conventional FTL,
-// because both fill every block's full fast/slow page spectrum.
+// TestWriteParityWithConventional encodes the write-parity invariant:
+// PPB's total write-path time stays within a percent of the conventional
+// FTL, because both fill every block's full fast/slow page spectrum.
 func TestWriteParityWithConventional(t *testing.T) {
 	cfg := testConfig()
 	cfg.BlocksPerChip = 256 // parity needs room for steady state

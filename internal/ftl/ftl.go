@@ -19,8 +19,9 @@
 // Every strategy allocates blocks through vblock.Manager, whose
 // dispatch policy (Options.Dispatch) decides which chip each newly
 // opened active block lands on: round-robin striping by default, the
-// idlest chip under vblock.LeastLoaded, or a hot/cold chip split under
-// vblock.HotColdAffinity. Strategies need no chip awareness of their
+// idlest chip under vblock.LeastLoaded, a hot/cold chip split under
+// vblock.HotColdAffinity, or per-tenant chips under
+// vblock.TenantPartition. Strategies need no chip awareness of their
 // own beyond declaring their hot-stream pools (Manager.MarkHotPools).
 package ftl
 
@@ -71,12 +72,12 @@ type Options struct {
 	GCHighWater int
 	// Dispatch is the chip-dispatch policy consulted whenever a fresh
 	// physical block is allocated — host writes, GC relocations and
-	// hot/cold stream pipelines alike. nil defaults to vblock.Striped
-	// (round-robin channel striping, the historical behavior);
+	// hot/cold stream pipelines alike. The zero value vblock.Striped is
+	// round-robin channel striping, the historical behavior;
 	// vblock.LeastLoaded follows the device's per-chip service clocks to
-	// the idlest chip, and vblock.HotColdAffinity pins hot-stream pools
-	// to a chip subset. Single-chip devices behave identically under
-	// every built-in policy.
+	// the idlest chip, vblock.HotColdAffinity pins hot-stream pools to a
+	// chip subset, and vblock.TenantPartition gives each tenant its own
+	// chips. Single-chip devices behave identically under every policy.
 	Dispatch vblock.DispatchPolicy
 	// DeferErases routes GC erases through the device's per-chip
 	// deferred queue (nand.Device.SetEraseDeferral): an erase issued
@@ -170,6 +171,9 @@ func (o Options) Validate(cfg nand.Config) error {
 	}
 	if o.GCHighWater >= cfg.TotalBlocks() {
 		return fmt.Errorf("ftl: GC high water %d not below %d blocks", o.GCHighWater, cfg.TotalBlocks())
+	}
+	if o.Dispatch > vblock.TenantPartition {
+		return fmt.Errorf("ftl: unknown dispatch policy %d", o.Dispatch)
 	}
 	if o.Suspend > nand.SuspendFull {
 		return fmt.Errorf("ftl: unknown suspend policy %d", o.Suspend)

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"ppbflash/internal/hotness"
 	"ppbflash/internal/nand"
 )
 
@@ -44,9 +43,9 @@ func newFTL(t *testing.T, kind string, cfg nand.Config, opts Options) mappingChe
 	case "conventional":
 		f, err = NewConventional(dev, opts)
 	case "greedy-speed":
-		f, err = NewGreedySpeed(dev, opts, nil)
+		f, err = NewGreedySpeed(dev, opts)
 	case "hotcold-split":
-		f, err = NewHotColdSplit(dev, opts, nil)
+		f, err = NewHotColdSplit(dev, opts)
 	default:
 		t.Fatalf("unknown kind %q", kind)
 	}
@@ -462,8 +461,10 @@ func TestNoSpaceErrorWhenOvercommitted(t *testing.T) {
 	}
 }
 
-// Property: random workloads keep mapping and device accounting intact on
-// every FTL (DESIGN.md invariant 4/5), and shadow-model reads agree.
+// Property: random workloads keep the mapping invariant (every mapped LPN
+// points at a valid page holding that LPN) and the device accounting
+// invariant (per-block counters agree with the page arrays) on every
+// FTL, and shadow-model reads agree.
 func TestPropertyFTLConsistency(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
@@ -514,10 +515,10 @@ func newFTLQuick(kind string) mappingChecker {
 		f, _ := NewConventional(dev, Options{})
 		return f
 	case "greedy-speed":
-		f, _ := NewGreedySpeed(dev, Options{}, nil)
+		f, _ := NewGreedySpeed(dev, Options{})
 		return f
 	default:
-		f, _ := NewHotColdSplit(dev, Options{}, hotness.SizeCheck{ThresholdBytes: 4096})
+		f, _ := NewHotColdSplit(dev, Options{})
 		return f
 	}
 }

@@ -16,14 +16,14 @@ const (
 )
 
 // GreedySpeed is the strawman the paper argues against in §2.2 and
-// Figure 3: it applies a conventional hot/cold identifier and places hot
+// Figure 3: it applies the paper's size-check identifier and places hot
 // data directly on fast pages and cold data on slow pages — of the *same*
 // physical blocks. Reads get faster, but every block ends up half
 // long-lived cold data and half quickly-invalidated hot data, so GC must
 // copy roughly half a block per erase.
 type GreedySpeed struct {
 	Base
-	ident hotness.Identifier
+	ident hotness.SizeCheck
 
 	slow, fast       vblock.VB
 	slowOpen, fastOk bool
@@ -32,9 +32,9 @@ type GreedySpeed struct {
 
 var _ FTL = (*GreedySpeed)(nil)
 
-// NewGreedySpeed builds the strawman FTL. A nil identifier defaults to
-// the paper's size-check at the device page size.
-func NewGreedySpeed(dev *nand.Device, opts Options, ident hotness.Identifier) (*GreedySpeed, error) {
+// NewGreedySpeed builds the strawman FTL, classifying writes with the
+// paper's size-check at the device page size.
+func NewGreedySpeed(dev *nand.Device, opts Options) (*GreedySpeed, error) {
 	vbm, err := vblock.NewManager(dev.Config(), 2, 2)
 	if err != nil {
 		return nil, err
@@ -46,10 +46,7 @@ func NewGreedySpeed(dev *nand.Device, opts Options, ident hotness.Identifier) (*
 	if err != nil {
 		return nil, err
 	}
-	if ident == nil {
-		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
-	}
-	return &GreedySpeed{Base: b, ident: ident}, nil
+	return &GreedySpeed{Base: b, ident: hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}}, nil
 }
 
 // Name implements FTL.

@@ -16,7 +16,7 @@ import (
 // brackets PPB: speed-aware-but-mixed vs separated-but-speed-blind.
 type HotColdSplit struct {
 	Base
-	ident hotness.Identifier
+	ident hotness.SizeCheck
 
 	active [2]nand.BlockID // per area
 	open   [2]bool
@@ -25,9 +25,9 @@ type HotColdSplit struct {
 
 var _ FTL = (*HotColdSplit)(nil)
 
-// NewHotColdSplit builds the separation-only FTL. A nil identifier
-// defaults to the paper's size-check at the device page size.
-func NewHotColdSplit(dev *nand.Device, opts Options, ident hotness.Identifier) (*HotColdSplit, error) {
+// NewHotColdSplit builds the separation-only FTL, classifying writes
+// with the paper's size-check at the device page size.
+func NewHotColdSplit(dev *nand.Device, opts Options) (*HotColdSplit, error) {
 	vbm, err := vblock.NewManager(dev.Config(), 1, 2)
 	if err != nil {
 		return nil, err
@@ -37,10 +37,7 @@ func NewHotColdSplit(dev *nand.Device, opts Options, ident hotness.Identifier) (
 	if err != nil {
 		return nil, err
 	}
-	if ident == nil {
-		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
-	}
-	return &HotColdSplit{Base: b, ident: ident}, nil
+	return &HotColdSplit{Base: b, ident: hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}}, nil
 }
 
 // Name implements FTL.

@@ -46,8 +46,7 @@ func (w WearPolicy) String() string {
 var WearPolicyNames = []string{WearNone.String(), WearAware.String(), WearThresholdSwap.String()}
 
 // WearByName resolves a wear policy from its name — the spelling
-// RunSpec.Wear and flashsim -wear accept. The empty string means the
-// default (none).
+// flashsim -wear accepts. The empty string means the default (none).
 func WearByName(name string) (WearPolicy, error) {
 	switch name {
 	case "", "none":

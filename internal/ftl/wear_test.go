@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppbflash/internal/nand"
+	"ppbflash/internal/vblock"
 )
 
 func TestWearByNameRoundtrip(t *testing.T) {
@@ -44,6 +45,7 @@ func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 
 	bad := []Options{
 		{OverProvision: 0.1, Wear: WearThresholdSwap + 1},
+		{OverProvision: 0.1, Dispatch: vblock.TenantPartition + 1},
 		{OverProvision: 0.1, Reliability: &nand.ReliabilityConfig{Enabled: true}},
 	}
 	for i, o := range bad {

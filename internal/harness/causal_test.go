@@ -8,6 +8,7 @@ import (
 	"ppbflash/internal/ftl"
 	"ppbflash/internal/nand"
 	"ppbflash/internal/trace"
+	"ppbflash/internal/vblock"
 )
 
 // TestCausalSweepShape asserts the headline claims of experiment a7 on
@@ -141,7 +142,7 @@ func deadlineReplay(f ftl.FTL, src trace.Stream, m *ReplayMetrics, commitDue boo
 func TestDeadlineCommitsReachClockAwareDispatch(t *testing.T) {
 	// 8 chips: at 4 the two loops happen to produce the same run.
 	cfg := trimToChipMultiple(testScale.DeviceConfig(16<<10, 2), 8).WithChips(8)
-	spec := RunSpec{Kind: KindConventional, Dispatch: "least-loaded", DeferErases: true}
+	spec := RunSpec{Kind: KindConventional, FTLOptions: ftl.Options{Dispatch: vblock.LeastLoaded, DeferErases: true}}
 	replay := func(name string, run func(ftl.FTL, trace.Stream, *ReplayMetrics) error) (*nand.Device, *ReplayMetrics) {
 		t.Helper()
 		dev := nand.MustNewDevice(cfg)

@@ -3,6 +3,8 @@ package harness
 import (
 	"encoding/json"
 	"testing"
+
+	"ppbflash/internal/ftl"
 )
 
 // determinismScale is deliberately small: determinism is a property of
@@ -75,9 +77,10 @@ func TestDispatchRunsDeterministicAcrossParallelism(t *testing.T) {
 	var specs []RunSpec
 	for _, policy := range DispatchPolicies {
 		specs = append(specs, RunSpec{
-			Name: "det/" + policy, Device: dev, Kind: KindPPB,
-			Workload: determinismScale.WebSQLWorkload(), Prefill: true,
-			QueueDepth: 16, Dispatch: policy,
+			Name: "det/" + policy.String(), Device: dev, Kind: KindPPB,
+			FTLOptions: ftl.Options{Dispatch: policy},
+			Workload:   determinismScale.WebSQLWorkload(), Prefill: true,
+			QueueDepth: 16,
 		})
 	}
 	serial, err := RunAll(specs, 1)

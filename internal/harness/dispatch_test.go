@@ -2,6 +2,9 @@ package harness
 
 import (
 	"testing"
+
+	"ppbflash/internal/ftl"
+	"ppbflash/internal/vblock"
 )
 
 // TestDispatchSweepShape asserts the headline claims of experiment a6 on
@@ -50,45 +53,12 @@ func TestDispatchSweepShape(t *testing.T) {
 	for _, tr := range paperTraces {
 		for _, policy := range DispatchPolicies {
 			for _, series := range []string{"/makespan/conv", "/makespan/ppb", "/qdelayp99/conv", "/qdelayp99/ppb"} {
-				key := tr + "/" + policy + series
+				key := tr + "/" + policy.String() + series
 				if got := len(fig.Series[key]); got != n {
 					t.Errorf("series %q has %d points, want %d", key, got, n)
 				}
 			}
 		}
-	}
-}
-
-// TestRunSpecDispatchNames: a named striped spec must be bit-identical
-// to the default (empty) dispatch on a multi-chip device, and an unknown
-// name must fail the run instead of silently striping.
-func TestRunSpecDispatchNames(t *testing.T) {
-	dev := testScale.DeviceConfig(16<<10, 2).WithChips(4)
-	base := RunSpec{
-		Name: "d/base", Device: dev, Kind: KindPPB,
-		Workload: testScale.WebSQLWorkload(), Prefill: true, QueueDepth: 4,
-	}
-	def, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := base
-	named.Dispatch = "striped"
-	res, err := Run(named)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Name aside, every deterministic measurement must match the default
-	// run exactly (Canonical masks the wall-clock-only fields).
-	res.Name = def.Name
-	if res.Canonical() != def.Canonical() {
-		t.Errorf("striped-by-name result differs from default:\n got %+v\nwant %+v", res, def)
-	}
-
-	bad := base
-	bad.Dispatch = "fastest-chip"
-	if _, err := Run(bad); err == nil {
-		t.Error("unknown dispatch name accepted")
 	}
 }
 
@@ -101,10 +71,10 @@ func TestRunSpecDispatchNames(t *testing.T) {
 func TestDispatchPoliciesPreserveFigureShape(t *testing.T) {
 	dev := testScale.DeviceConfig(16<<10, 2).WithChips(4)
 	specs := []RunSpec{
-		{Name: "dp/affinity/greedy", Kind: KindGreedySpeed, Dispatch: "hotcold-affinity"},
-		{Name: "dp/affinity/split", Kind: KindHotColdSplit, Dispatch: "hotcold-affinity"},
-		{Name: "dp/ll/greedy", Kind: KindGreedySpeed, Dispatch: "least-loaded"},
-		{Name: "dp/ll/split", Kind: KindHotColdSplit, Dispatch: "least-loaded"},
+		{Name: "dp/affinity/greedy", Kind: KindGreedySpeed, FTLOptions: ftl.Options{Dispatch: vblock.HotColdAffinity}},
+		{Name: "dp/affinity/split", Kind: KindHotColdSplit, FTLOptions: ftl.Options{Dispatch: vblock.HotColdAffinity}},
+		{Name: "dp/ll/greedy", Kind: KindGreedySpeed, FTLOptions: ftl.Options{Dispatch: vblock.LeastLoaded}},
+		{Name: "dp/ll/split", Kind: KindHotColdSplit, FTLOptions: ftl.Options{Dispatch: vblock.LeastLoaded}},
 	}
 	for i := range specs {
 		specs[i].Device = dev

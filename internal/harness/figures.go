@@ -7,6 +7,7 @@ import (
 	"ppbflash/internal/hotness"
 	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
+	"ppbflash/internal/vblock"
 )
 
 // FigureResult bundles a rendered table with the raw numeric series so
@@ -498,13 +499,11 @@ func QDSweep(s Scale) (*FigureResult, error) {
 }
 
 // DispatchPolicies is the policy axis of experiments a6 and a7, frozen
-// to the single-tenant policies those goldens were recorded over. It
-// deliberately does NOT alias vblock.DispatchPolicyNames anymore:
-// tenant-partition joined the registry for the multi-tenant sweep (a10),
-// and on a single-tenant run it degenerates to least-loaded — sweeping
-// it in a6/a7 would double a column and shift the golden fixtures for
-// no information. TestDispatchByName still covers every registered name.
-var DispatchPolicies = []string{"striped", "least-loaded", "hotcold-affinity"}
+// to the single-tenant policies those goldens were recorded over.
+// TenantPartition is left out: on a single-tenant run it degenerates to
+// LeastLoaded, so sweeping it in a6/a7 would double a column and shift
+// the golden fixtures for no information (a10 sweeps it).
+var DispatchPolicies = []vblock.DispatchPolicy{vblock.Striped, vblock.LeastLoaded, vblock.HotColdAffinity}
 
 // DispatchSweepDepths is the queue-depth axis of experiment a6: deep
 // enough that block placement decides how much of the queue overlaps.
@@ -538,7 +537,7 @@ func DispatchSweep(s Scale) (*FigureResult, error) {
 				p := pairSpecs(fmt.Sprintf("dispatch-sweep/%s/%s/qd%d", tr, policy, qd), s, 16<<10, 2.0, wl)
 				p[0].Device, p[1].Device = dev, dev
 				p[0].QueueDepth, p[1].QueueDepth = qd, qd
-				p[0].Dispatch, p[1].Dispatch = policy, policy
+				p[0].FTLOptions.Dispatch, p[1].FTLOptions.Dispatch = policy, policy
 				specs = append(specs, p[0], p[1])
 			}
 		}
@@ -613,8 +612,8 @@ func CausalSweep(s Scale) (*FigureResult, error) {
 				s, 16<<10, 2.0, wl)
 			p[0].Device, p[1].Device = dev, dev
 			p[0].QueueDepth, p[1].QueueDepth = causalSweepQD, causalSweepQD
-			p[0].Dispatch, p[1].Dispatch = policy, policy
-			p[0].DeferErases, p[1].DeferErases = deferOn, deferOn
+			p[0].FTLOptions.Dispatch, p[1].FTLOptions.Dispatch = policy, policy
+			p[0].FTLOptions.DeferErases, p[1].FTLOptions.DeferErases = deferOn, deferOn
 			specs = append(specs, p[0], p[1])
 		}
 	}
@@ -651,8 +650,8 @@ func CausalSweep(s Scale) (*FigureResult, error) {
 var IntraChipPlaneCounts = []int{1, 2, 4}
 
 // IntraChipSuspendModes is the suspend-policy axis of experiment a8
-// (the names RunSpec.Suspend accepts; "off" is the a7 causal baseline).
-var IntraChipSuspendModes = []string{"off", "erase"}
+// (off is the a7 causal baseline).
+var IntraChipSuspendModes = []nand.SuspendPolicy{nand.SuspendOff, nand.SuspendErase}
 
 // intraChipChips matches the a5/a6/a7 device so a8's planes=1,
 // suspend-off corner is directly comparable to the a7 causal baseline.
@@ -685,8 +684,7 @@ func IntraChipSweep(s Scale) (*FigureResult, error) {
 			p := pairSpecs(fmt.Sprintf("intrachip-sweep/p%d/%s", planes, susp), s, 16<<10, 2.0, wl)
 			p[0].Device, p[1].Device = dev, dev
 			p[0].QueueDepth, p[1].QueueDepth = intraChipQD, intraChipQD
-			p[0].Dispatch, p[1].Dispatch = "striped", "striped"
-			p[0].Suspend, p[1].Suspend = susp, susp
+			p[0].FTLOptions.Suspend, p[1].FTLOptions.Suspend = susp, susp
 			specs = append(specs, p[0], p[1])
 		}
 	}
@@ -728,7 +726,7 @@ func TableOne() *FigureResult {
 	tbl.AddRow("Number of pages per block", fmt.Sprintf("%d", cfg.PagesPerBlock))
 	tbl.AddRow("Page write latency", fmt.Sprintf("%v", cfg.ProgramLatency))
 	tbl.AddRow("Page read latency", fmt.Sprintf("%v", cfg.ReadLatency))
-	tbl.AddRow("Data transfer rate", "533 M (listed per Table 1; not charged per op — DESIGN.md §5)")
+	tbl.AddRow("Data transfer rate", "533 M (listed per Table 1; not charged per op — see Scale.DeviceConfig)")
 	tbl.AddRow("Block erase time", fmt.Sprintf("%v", cfg.EraseLatency))
 	tbl.AddRow("Gate stack layers", fmt.Sprintf("%d", cfg.Layers))
 	fig := newFigure("table-1", tbl)

@@ -37,7 +37,7 @@ func TestScaleDeviceConfig(t *testing.T) {
 		t.Errorf("ratio = %g", cfg.SpeedRatio)
 	}
 	if cfg.TransferBytesPerSec != 0 {
-		t.Error("experiments must exclude per-op transfer (DESIGN.md §5)")
+		t.Error("experiments must exclude per-op transfer (see Scale.DeviceConfig)")
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

@@ -96,36 +96,6 @@ func TestIntraChipSweepShape(t *testing.T) {
 	}
 }
 
-// TestRunSpecSuspendNames: naming the default policy must be
-// bit-identical to leaving the field empty on a multi-chip device, and
-// an unknown name must fail the run instead of silently defaulting.
-func TestRunSpecSuspendNames(t *testing.T) {
-	base := RunSpec{
-		Name: "susp/base", Device: testScale.DeviceConfig(16<<10, 2).WithChips(4),
-		Kind: KindConventional, Workload: testScale.WebSQLWorkload(), Prefill: true, QueueDepth: 4,
-	}
-	def, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	named := base
-	named.Suspend = "off"
-	res, err := Run(named)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Name = def.Name
-	if res.Canonical() != def.Canonical() {
-		t.Errorf("off-by-name result differs from default:\n got %+v\nwant %+v", res, def)
-	}
-
-	bad := base
-	bad.Suspend = "preemptive"
-	if _, err := Run(bad); err == nil {
-		t.Error("unknown suspend name accepted")
-	}
-}
-
 // TestPlanesOffBitIdentity: a reorder window configured on a
 // single-plane device is inert — the ftl layer only installs it when
 // the geometry has planes, and the device only consults it on

@@ -14,10 +14,8 @@ import (
 // every other experiment).
 var ReliabilityProfiles = []string{"low", "high"}
 
-// ReliabilityWearPolicies is the wear-policy axis of experiment a9 —
-// aliased from the ftl registry so a new policy joins the sweep
-// automatically.
-var ReliabilityWearPolicies = ftl.WearPolicyNames
+// ReliabilityWearPolicies is the wear-policy axis of experiment a9.
+var ReliabilityWearPolicies = []ftl.WearPolicy{ftl.WearNone, ftl.WearAware, ftl.WearThresholdSwap}
 
 // ReliabilityCyclingTurnovers scales the scale's write turnover for the
 // P/E-cycling axis of experiment a9: the same device and trace shape at
@@ -43,27 +41,24 @@ const reliabilityLifetimePELimit = 24
 // logical space is written once (cold data that a wear-oblivious GC
 // never touches), then a hot eighth of it is rewritten round-robin
 // until the FTL reports ErrNoSpace — under the profile's P/E limit
-// blocks retire as they wear out, so the write count measures how well
-// the wear policy spreads erases before capacity collapses. The cap is
-// a safety net (2x the device's total program endowment) that a
-// functioning retirement path never reaches.
-func lifetimeProbe(cfg nand.Config, wear string, profile string, seed int64) (uint64, error) {
+// (replaced by reliabilityLifetimePELimit) blocks retire as they wear
+// out, so the write count measures how well the wear policy spreads
+// erases before capacity collapses. The cap is a safety net (2x the
+// device's total program endowment) that a functioning retirement path
+// never reaches.
+func lifetimeProbe(cfg nand.Config, wear ftl.WearPolicy, prof nand.ReliabilityConfig, seed int64) (uint64, error) {
 	dev, err := nand.NewDevice(cfg)
-	if err != nil {
-		return 0, err
-	}
-	prof, err := nand.ReliabilityProfileByName(profile)
 	if err != nil {
 		return 0, err
 	}
 	prof.PECycleLimit = reliabilityLifetimePELimit
 	f, err := buildFTL(RunSpec{
 		Kind: KindConventional,
-		Wear: wear,
-		Seed: seed,
 		FTLOptions: ftl.Options{
-			OverProvision: 0.2,
-			Reliability:   &prof,
+			OverProvision:   0.2,
+			Wear:            wear,
+			Reliability:     &prof,
+			ReliabilitySeed: seed,
 		},
 	}, dev)
 	if err != nil {
@@ -115,19 +110,29 @@ func ReliabilitySweep(s Scale) (*FigureResult, error) {
 	wl := s.WebSQLWorkload()
 	dev := s.DeviceConfig(16<<10, 2.0)
 	kinds := []FTLKind{KindConventional, KindPPB}
+	high, err := nand.ReliabilityProfileByName("high")
+	if err != nil {
+		return nil, err
+	}
 	specs := make([]RunSpec, 0, len(ReliabilityProfiles)*len(ReliabilityWearPolicies)*len(kinds)+len(ReliabilityCyclingTurnovers))
-	for _, prof := range ReliabilityProfiles {
+	for _, name := range ReliabilityProfiles {
+		prof, err := nand.ReliabilityProfileByName(name)
+		if err != nil {
+			return nil, err
+		}
 		for _, wear := range ReliabilityWearPolicies {
 			for _, kind := range kinds {
 				specs = append(specs, RunSpec{
-					Name:        fmt.Sprintf("reliability-sweep/%s/%s/%s", prof, wear, kind),
-					Device:      dev,
-					Kind:        kind,
-					Workload:    wl,
-					Prefill:     true,
-					Reliability: prof,
-					Wear:        wear,
-					Seed:        s.Seed,
+					Name:     fmt.Sprintf("reliability-sweep/%s/%s/%s", name, wear, kind),
+					Device:   dev,
+					Kind:     kind,
+					Workload: wl,
+					Prefill:  true,
+					FTLOptions: ftl.Options{
+						Wear:            wear,
+						Reliability:     &prof,
+						ReliabilitySeed: s.Seed,
+					},
 				})
 			}
 		}
@@ -139,13 +144,12 @@ func ReliabilitySweep(s Scale) (*FigureResult, error) {
 		cs := s
 		cs.WriteTurnover = s.WriteTurnover * mult
 		specs = append(specs, RunSpec{
-			Name:        fmt.Sprintf("reliability-sweep/cycling/%gx", mult),
-			Device:      dev,
-			Kind:        KindConventional,
-			Workload:    cs.WebSQLWorkload(),
-			Prefill:     true,
-			Reliability: "high",
-			Seed:        s.Seed,
+			Name:       fmt.Sprintf("reliability-sweep/cycling/%gx", mult),
+			Device:     dev,
+			Kind:       KindConventional,
+			Workload:   cs.WebSQLWorkload(),
+			Prefill:    true,
+			FTLOptions: ftl.Options{Reliability: &high, ReliabilitySeed: s.Seed},
 		})
 	}
 	results, err := RunAll(specs, s.Parallelism)
@@ -191,12 +195,12 @@ func ReliabilitySweep(s Scale) (*FigureResult, error) {
 		probeDev.BlocksPerChip = 16
 	}
 	for _, wear := range ReliabilityWearPolicies {
-		writes, err := lifetimeProbe(probeDev, wear, "high", s.Seed)
+		writes, err := lifetimeProbe(probeDev, wear, high, s.Seed)
 		if err != nil {
 			return nil, err
 		}
-		fig.add("lifetime/"+wear, float64(writes))
-		tbl.AddRow("lifetime/high/"+wear, "-", "-", "-", "-", writes)
+		fig.add("lifetime/"+wear.String(), float64(writes))
+		tbl.AddRow("lifetime/high/"+wear.String(), "-", "-", "-", "-", writes)
 	}
 	return fig, nil
 }

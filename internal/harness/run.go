@@ -1,6 +1,7 @@
 // Package harness builds devices and FTLs, replays workloads through
 // them, and regenerates every table and figure of the paper's evaluation
-// section (see the per-experiment index in DESIGN.md).
+// section (Experiments maps each experiment ID to the function that
+// runs it).
 package harness
 
 import (
@@ -16,7 +17,6 @@ import (
 	"ppbflash/internal/nand"
 	"ppbflash/internal/sched"
 	"ppbflash/internal/trace"
-	"ppbflash/internal/vblock"
 	"ppbflash/internal/workload"
 )
 
@@ -50,7 +50,13 @@ type RunSpec struct {
 	Device nand.Config
 	// Kind picks the FTL strategy.
 	Kind FTLKind
-	// FTLOptions tunes over-provisioning and GC (zero = defaults).
+	// FTLOptions holds every FTL knob: over-provisioning, GC, chip
+	// dispatch, erase deferral, suspend, reliability, wear and tenants
+	// (zero = defaults). FTLOptions.Tenants above 1 also switches on the
+	// harness side of a multi-tenant replay: per-tenant latency
+	// accounting (Result.Tenants) and the active-tenant announcement to
+	// the FTL before every issue. Build such a stream with a
+	// trace.Compositor (see Scale.TenantWorkloads).
 	FTLOptions ftl.Options
 	// PPBOptions tunes the PPB strategy when Kind is KindPPB.
 	PPBOptions core.Options
@@ -69,51 +75,6 @@ type RunSpec struct {
 	// and latency is measured from arrival, so queueing delay captures
 	// any backlog. QueueDepth still caps the outstanding requests.
 	OpenLoop bool
-	// Dispatch names the chip-dispatch policy deciding which chip every
-	// fresh block allocation lands on: "striped" (round-robin, the
-	// default), "least-loaded" (earliest-free chip by the device clocks)
-	// or "hotcold-affinity" (hot-stream pools pinned to a chip subset).
-	// Empty leaves FTLOptions.Dispatch in charge (nil there = striped);
-	// a non-empty name overrides it. See vblock.DispatchByName.
-	Dispatch string
-	// DeferErases enables policy-aware erase scheduling: GC erases on a
-	// busy chip wait in the device's deferred queue (later host ops go
-	// first) and commit at the next idle gap, bounded by the FTL's
-	// erase-deferral window. Mirrors FTLOptions.DeferErases.
-	DeferErases bool
-	// Reliability names the reliability preset installed on the device:
-	// "off" (the default), "low" or "high" — see
-	// nand.ReliabilityProfileByName. Empty leaves FTLOptions.Reliability
-	// in charge (nil there = off); a non-empty name overrides it.
-	Reliability string
-	// Suspend names the program/erase suspend-resume policy: "off" (the
-	// default — reads queue behind in-flight ops), "erase" (reads may
-	// preempt in-flight erases) or "full" (erases and programs). Empty
-	// leaves FTLOptions.Suspend in charge; a non-empty name overrides
-	// it. See nand.SuspendByName. Plane count and the reordering window
-	// live on the device config (nand.Config.Planes /
-	// FTLOptions.ReorderWindow).
-	Suspend string
-	// Wear names the wear-leveling policy: "none" (the default),
-	// "wear-aware" or "threshold-swap". Empty leaves FTLOptions.Wear in
-	// charge. See ftl.WearByName.
-	Wear string
-	// Seed drives the reliability model's fault-injection PRNG (zero
-	// leaves FTLOptions.ReliabilitySeed in charge). Runs with equal
-	// seeds inject identical faults at any RunAll parallelism.
-	Seed int64
-	// Tenants declares the tenant population of a multi-tenant replay:
-	// the number of distinct Request.Tenant IDs the workload emits
-	// (build the stream with a trace.Compositor — see
-	// Scale.TenantWorkloads). Values above 1 switch on the tenant
-	// machinery end to end: per-tenant latency accounting
-	// (Result.Tenants), the active-tenant announcement to the FTL before
-	// every issue, and tenant-aware dispatch when the policy consults it
-	// ("tenant-partition", "hotcold-affinity"). 0 and 1 both mean the
-	// classic single-stream replay, bit-identical to the pre-tenant
-	// harness. Capped at trace.MaxTenants (higher IDs fold into the last
-	// accounting slot).
-	Tenants int
 }
 
 // Result carries the measurements of one run.
@@ -162,7 +123,7 @@ type Result struct {
 
 	// Suspends counts how many times a read preempted an in-flight
 	// erase or program during the measured trace (zero with
-	// RunSpec.Suspend off — see nand.Device.SetSuspend).
+	// FTLOptions.Suspend off — see nand.Device.SetSuspend).
 	Suspends uint64
 
 	// Throughput of the measured replay. DeviceOps counts the device page
@@ -182,7 +143,7 @@ type Result struct {
 	WallEventsPerSec float64
 
 	// Reliability outcomes of the measured trace (all zero with the
-	// model off — see RunSpec.Reliability). RetiredBlocks is cumulative
+	// model off — see FTLOptions.Reliability). RetiredBlocks is cumulative
 	// (the capacity permanently lost, including prefill-era
 	// retirements); the read counters are trace-era deltas.
 	RetriedReads       uint64
@@ -193,7 +154,7 @@ type Result struct {
 	MeanRetrySteps     float64 // retry steps per retried read
 
 	// Tenants breaks the measured replay down per tenant on multi-tenant
-	// runs (RunSpec.Tenants >= 2): slots [0, TenantCount) carry each
+	// runs (FTLOptions.Tenants >= 2): slots [0, TenantCount) carry each
 	// tenant's completed requests and latency percentiles; the rest stay
 	// zero. Single-tenant runs leave TenantCount 0 and the whole array
 	// zero, so the field never perturbs existing Result comparisons. The
@@ -255,47 +216,6 @@ func (r Result) Canonical() Result {
 
 // buildFTL constructs the FTL for a spec.
 func buildFTL(spec RunSpec, dev *nand.Device) (ftl.FTL, error) {
-	if spec.Dispatch != "" {
-		policy, err := vblock.DispatchByName(spec.Dispatch)
-		if err != nil {
-			return nil, err
-		}
-		spec.FTLOptions.Dispatch = policy
-	}
-	if spec.DeferErases {
-		spec.FTLOptions.DeferErases = true
-	}
-	if spec.Reliability != "" {
-		prof, err := nand.ReliabilityProfileByName(spec.Reliability)
-		if err != nil {
-			return nil, err
-		}
-		if prof.Enabled {
-			spec.FTLOptions.Reliability = &prof
-		} else {
-			spec.FTLOptions.Reliability = nil
-		}
-	}
-	if spec.Wear != "" {
-		w, err := ftl.WearByName(spec.Wear)
-		if err != nil {
-			return nil, err
-		}
-		spec.FTLOptions.Wear = w
-	}
-	if spec.Suspend != "" {
-		pol, err := nand.SuspendByName(spec.Suspend)
-		if err != nil {
-			return nil, err
-		}
-		spec.FTLOptions.Suspend = pol
-	}
-	if spec.Seed != 0 {
-		spec.FTLOptions.ReliabilitySeed = spec.Seed
-	}
-	if spec.Tenants > 1 {
-		spec.FTLOptions.Tenants = spec.Tenants
-	}
 	switch spec.Kind {
 	case KindConventional:
 		return ftl.NewConventional(dev, spec.FTLOptions)
@@ -304,9 +224,9 @@ func buildFTL(spec RunSpec, dev *nand.Device) (ftl.FTL, error) {
 		opt.FTL = spec.FTLOptions
 		return core.New(dev, opt)
 	case KindGreedySpeed:
-		return ftl.NewGreedySpeed(dev, spec.FTLOptions, nil)
+		return ftl.NewGreedySpeed(dev, spec.FTLOptions)
 	case KindHotColdSplit:
-		return ftl.NewHotColdSplit(dev, spec.FTLOptions, nil)
+		return ftl.NewHotColdSplit(dev, spec.FTLOptions)
 	default:
 		return nil, fmt.Errorf("harness: unknown FTL kind %q (want %s)",
 			spec.Kind, strings.Join(FTLKindNames, ", "))
@@ -350,8 +270,8 @@ func Run(spec RunSpec) (Result, error) {
 	opsBase := readsBase + dev.Stats().Programs.Value() + dev.TotalErases()
 	suspendsBase := dev.Suspends()
 	rm := NewReplayMetrics()
-	if spec.Tenants > 1 {
-		rm.EnableTenants(spec.Tenants)
+	if n := spec.FTLOptions.Tenants; n > 1 {
+		rm.EnableTenants(n)
 	}
 	opts := ReplayOptions{QueueDepth: spec.QueueDepth, OpenLoop: spec.OpenLoop}
 	if err := ReplayQueued(f, gen, rm, opts); err != nil {
@@ -485,8 +405,8 @@ func NewIntraChipPageOpsFTL() (ftl.FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildFTL(RunSpec{Kind: KindConventional, Suspend: "erase",
-		FTLOptions: ftl.Options{OverProvision: 0.2}}, dev)
+	return buildFTL(RunSpec{Kind: KindConventional,
+		FTLOptions: ftl.Options{OverProvision: 0.2, Suspend: nand.SuspendErase}}, dev)
 }
 
 // RunPageOps executes n iterations of the standard page-op loop (write

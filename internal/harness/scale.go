@@ -58,8 +58,8 @@ func (s Scale) Validate() error {
 // paper's 18.56% read enhancement exceeds the theoretical ceiling when a
 // 533 MB/s transfer is added to every page op (≈14.8% at 2x/16 KB), so
 // its latency accounting evidently covers the asymmetric cell time alone.
-// The device model still supports transfer costing for other users; see
-// DESIGN.md §5.
+// The device model still supports transfer costing for other users
+// (nand.Config.TransferBytesPerSec).
 func (s Scale) DeviceConfig(pageSize int, speedRatio float64) nand.Config {
 	cfg := nand.TableOneConfig().Scaled(s.DeviceDivisor)
 	cfg.TransferBytesPerSec = 0
@@ -164,8 +164,8 @@ func (s Scale) tenantGenerator(i int, regionBytes uint64) workload.Generator {
 // replays its own generator (see tenantGenerator's roster) inside region
 // i, and a trace.Compositor merges the streams closed-loop with equal
 // shares — round-robin interleaving, each request stamped with its
-// tenant ID and shifted into its region. Pair it with RunSpec.Tenants =
-// n so the replay and FTL see the population.
+// tenant ID and shifted into its region. Pair it with
+// FTLOptions.Tenants = n so the replay and FTL see the population.
 //
 // n <= 1 wraps the plain websql trace (full space, the scale's seed) in
 // a compositor-of-one with no transforms: the emitted stream is

@@ -7,6 +7,7 @@ import (
 	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
 	"ppbflash/internal/trace"
+	"ppbflash/internal/vblock"
 	"ppbflash/internal/workload"
 )
 
@@ -19,7 +20,7 @@ var TenantCounts = []int{2, 4}
 // placement-blind striping (every tenant's allocations interleave on
 // every chip), hard per-tenant chip partitions, and hot/cold affinity
 // with its per-tenant slices — the isolation ladder from none to full.
-var TenantDispatchPolicies = []string{"striped", "tenant-partition", "hotcold-affinity"}
+var TenantDispatchPolicies = []vblock.DispatchPolicy{vblock.Striped, vblock.TenantPartition, vblock.HotColdAffinity}
 
 // TenantSweepDepths is the queue-depth axis of experiment a10: deep
 // enough that one tenant's GC bursts actually sit in front of another
@@ -41,8 +42,11 @@ func NewTenantPageOpsFTL() (ftl.FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildFTL(RunSpec{Kind: KindConventional, Dispatch: "tenant-partition", Tenants: 4,
-		FTLOptions: ftl.Options{OverProvision: 0.2}}, dev)
+	return buildFTL(RunSpec{Kind: KindConventional, FTLOptions: ftl.Options{
+		OverProvision: 0.2,
+		Dispatch:      vblock.TenantPartition,
+		Tenants:       4,
+	}}, dev)
 }
 
 // compositorEventLoopTenants is the tenant population of the compositor
@@ -129,8 +133,7 @@ func TenantSweep(s Scale) (*FigureResult, error) {
 					Workload:   wl,
 					Prefill:    true,
 					QueueDepth: qd,
-					Dispatch:   policy,
-					Tenants:    n,
+					FTLOptions: ftl.Options{Dispatch: policy, Tenants: n},
 				})
 			}
 		}

@@ -3,6 +3,9 @@ package harness
 import (
 	"fmt"
 	"testing"
+
+	"ppbflash/internal/ftl"
+	"ppbflash/internal/vblock"
 )
 
 // TestTenantLadderSingleTenantIdentity pins the bottom rung of the
@@ -24,7 +27,7 @@ func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 	single := base
 	single.Name = "tl/tenants1"
 	single.Workload = testScale.TenantWorkloads(1)
-	single.Tenants = 1
+	single.FTLOptions.Tenants = 1
 	res, err := Run(single)
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +45,10 @@ func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 	// observed through a whole replay).
 	part := single
 	part.Name = "tl/partition"
-	part.Dispatch = "tenant-partition"
+	part.FTLOptions.Dispatch = vblock.TenantPartition
 	ll := single
 	ll.Name = "tl/least-loaded"
-	ll.Dispatch = "least-loaded"
+	ll.FTLOptions.Dispatch = vblock.LeastLoaded
 	pres, err := Run(part)
 	if err != nil {
 		t.Fatal(err)
@@ -67,19 +70,20 @@ func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 // the same composite trace regardless of where blocks land).
 func TestMultiTenantResultShape(t *testing.T) {
 	dev := testScale.DeviceConfig(16<<10, 2).WithChips(4)
-	run := func(dispatch string) Result {
+	run := func(dispatch vblock.DispatchPolicy) Result {
 		t.Helper()
 		res, err := Run(RunSpec{
-			Name: "tshape/" + dispatch, Device: dev, Kind: KindPPB,
-			Workload: testScale.TenantWorkloads(2), Prefill: true,
-			QueueDepth: 8, Dispatch: dispatch, Tenants: 2,
+			Name: "tshape/" + dispatch.String(), Device: dev, Kind: KindPPB,
+			FTLOptions: ftl.Options{Dispatch: dispatch, Tenants: 2},
+			Workload:   testScale.TenantWorkloads(2), Prefill: true,
+			QueueDepth: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	striped := run("striped")
+	striped := run(vblock.Striped)
 	if striped.TenantCount != 2 {
 		t.Fatalf("TenantCount = %d, want 2", striped.TenantCount)
 	}
@@ -100,7 +104,7 @@ func TestMultiTenantResultShape(t *testing.T) {
 			t.Errorf("unused tenant slot %d is non-zero: %+v", i, striped.Tenants[i])
 		}
 	}
-	part := run("tenant-partition")
+	part := run(vblock.TenantPartition)
 	for i := 0; i < 2; i++ {
 		if striped.Tenants[i].Ops != part.Tenants[i].Ops {
 			t.Errorf("tenant %d ops differ across dispatch policies: striped %d, partition %d",
@@ -118,12 +122,13 @@ func TestMultiTenantDeterministicAcrossParallelism(t *testing.T) {
 	dev := testScale.DeviceConfig(16<<10, 2).WithChips(4)
 	var specs []RunSpec
 	for _, n := range []int{2, 4} {
-		for _, dispatch := range []string{"striped", "tenant-partition"} {
+		for _, dispatch := range []vblock.DispatchPolicy{vblock.Striped, vblock.TenantPartition} {
 			specs = append(specs, RunSpec{
 				Name:   fmt.Sprintf("tpar/t%d/%s", n, dispatch),
 				Device: dev, Kind: KindPPB,
-				Workload: testScale.TenantWorkloads(n), Prefill: true,
-				QueueDepth: 8, Dispatch: dispatch, Tenants: n,
+				FTLOptions: ftl.Options{Dispatch: dispatch, Tenants: n},
+				Workload:   testScale.TenantWorkloads(n), Prefill: true,
+				QueueDepth: 8,
 			})
 		}
 	}

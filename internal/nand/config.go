@@ -55,8 +55,9 @@ type Config struct {
 	EraseLatency time.Duration
 	// TransferBytesPerSec is the channel transfer rate used to move one
 	// page between controller and cell array, applied to both reads and
-	// programs. See DESIGN.md §5 for the 533 MB/s interpretation of the
-	// paper's "533Mbps".
+	// programs. TableOneConfig reads the paper's "533Mbps" as 533 MB/s;
+	// the experiments set it to zero (harness Scale.DeviceConfig says
+	// why).
 	TransferBytesPerSec float64
 }
 

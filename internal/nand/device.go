@@ -830,9 +830,9 @@ func (d *Device) TotalErases() uint64 { return d.stats.Erases.Value() }
 // leveling decisions (see ftl.WearThresholdSwap).
 func (d *Device) MaxEraseCount() uint32 { return d.maxWear }
 
-// CheckAccounting verifies that per-block page-state counters agree with
-// the page arrays. It returns the first inconsistency found and is used by
-// property tests (invariant 5 of DESIGN.md).
+// CheckAccounting verifies the device accounting invariant: per-block
+// page-state counters agree with the page arrays. It returns the first
+// inconsistency found and is used by property tests.
 func (d *Device) CheckAccounting() error {
 	for bi := range d.blocks {
 		blk := &d.blocks[bi]

@@ -299,8 +299,8 @@ func TestMaxEraseCount(t *testing.T) {
 }
 
 // TestPropertyRandomOpsKeepAccounting drives random legal op sequences and
-// checks that device accounting invariants hold throughout (DESIGN.md
-// invariant 5).
+// checks that the device accounting invariant (per-block page-state
+// counters agree with the page arrays) holds throughout.
 func TestPropertyRandomOpsKeepAccounting(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -55,8 +55,9 @@ func (p SuspendPolicy) String() string {
 // order (off first).
 var SuspendPolicyNames = []string{"off", "erase", "full"}
 
-// SuspendByName resolves a policy name from RunSpec/CLI wiring. The
-// empty string means SuspendOff, mirroring the other *ByName resolvers.
+// SuspendByName resolves a policy name — the spelling flashsim -suspend
+// accepts. The empty string means SuspendOff, mirroring the other
+// *ByName resolvers.
 func SuspendByName(name string) (SuspendPolicy, error) {
 	switch name {
 	case "", "off":

@@ -117,10 +117,10 @@ func (r ReliabilityConfig) Validate() error {
 var ReliabilityProfileNames = []string{"off", "low", "high"}
 
 // ReliabilityProfileByName resolves a built-in reliability preset from
-// its name — the spelling RunSpec.Reliability and flashsim -reliability
-// accept. "off" (or empty) disables the model; "low" models a healthy
-// early-life part; "high" models an aged, error-prone part with
-// aggressive retirement thresholds.
+// its name — the spelling flashsim -reliability accepts. "off" (or
+// empty) disables the model; "low" models a healthy early-life part;
+// "high" models an aged, error-prone part with aggressive retirement
+// thresholds.
 //
 // The retention factors are calibrated to the simulator's time scale:
 // replays of the scaled Table 1 device span minutes of simulated time,

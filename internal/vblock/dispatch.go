@@ -5,11 +5,12 @@ import (
 	"time"
 )
 
-// ChipClock is the read-only per-chip service-clock view a dispatch
-// policy may consult: ChipFree reports when the chip finishes its queued
-// device work. nand.Device and its nand.ClockView both satisfy it; a
-// manager without a clock (SetDispatch with nil) serves clock-aware
-// policies through their striped fallback.
+// ChipClock is the read-only per-chip service-clock view the
+// clock-aware dispatch policies consult: ChipFree reports when the chip
+// finishes its queued device work. nand.Device and its nand.ClockView
+// both satisfy it; a manager without a clock (SetDispatch with nil)
+// serves clock-aware policies through their striped or lowest-chip
+// fallbacks.
 type ChipClock interface {
 	ChipFree(chip int) time.Duration
 }
@@ -17,149 +18,108 @@ type ChipClock interface {
 // DispatchPolicy selects the chip a fresh physical block is allocated
 // from. The manager consults it on every AllocateFirst — host writes, GC
 // relocations and hot/cold stream pipelines alike — so the policy decides
-// where every write stream lands on a multi-chip device.
-//
-// PickChip runs with at least one free block somewhere and must return a
-// chip in [0, Manager.Chips()) whose free pool is non-empty (probe with
-// the bounds-safe Manager.FreeBlocksOnChip; clock-aware policies read
-// Manager.Clock); the manager treats any other return as "no preference"
-// and falls back to the striped rotation. Policies needing rotation
-// state keep it on the Manager (see Striped), so a policy value itself
-// is stateless and may be shared between concurrent simulation runs.
-type DispatchPolicy interface {
-	// Name identifies the policy in flags, specs and reports.
-	Name() string
-	// PickChip returns the chip serving the pool's next fresh block.
-	PickChip(m *Manager, pool int) int
+// where every write stream lands on a multi-chip device. With a single
+// chip every policy degenerates to plain lowest-numbered-first order.
+type DispatchPolicy uint8
+
+const (
+	// Striped is the default: consecutive allocations rotate round-robin
+	// across the chips (channel striping), lowest-numbered free block
+	// first within each chip, skipping drained chips. It is the exact
+	// allocation order the manager used before dispatch policies
+	// existed — bit-identical at any chip count.
+	Striped DispatchPolicy = iota
+	// LeastLoaded allocates each fresh block on the chip whose service
+	// clock frees earliest (ties to the lowest chip index), so a new
+	// write stream opens where the device is idle instead of rotating
+	// blindly onto a chip still draining a GC burst. Without a clock
+	// view it behaves exactly like Striped.
+	LeastLoaded
+	// HotColdAffinity pins hot-stream pools (marked by the FTL through
+	// MarkHotPools) to the first half of the chips (at least one) and
+	// routes every other pool to the rest, so cold and GC traffic does
+	// not queue behind hot host writes on the same chip. Within each
+	// subset the earliest-free chip wins (the lowest chip with free
+	// blocks without a clock view); on a multi-tenant manager the subset
+	// is further sliced per tenant. A drained slice or subset widens —
+	// to the subset, then to all chips — rather than stranding free
+	// space.
+	HotColdAffinity
+	// TenantPartition carves the chips into contiguous per-tenant ranges
+	// — tenant t of n owns [t*chips/n, (t+1)*chips/n) — and dispatches
+	// every allocation the active tenant triggers (host writes and the GC
+	// they cascade into) onto that tenant's own chips, the hard-isolation
+	// answer to "does tenant A's GC wreck tenant B's read p99?". Within
+	// the partition the earliest-free chip wins; a drained partition
+	// widens to all chips rather than failing. With fewer than two
+	// tenants declared (or one chip) it behaves exactly like LeastLoaded.
+	TenantPartition
+)
+
+// String returns the name DispatchByName accepts.
+func (p DispatchPolicy) String() string {
+	switch p {
+	case Striped:
+		return "striped"
+	case LeastLoaded:
+		return "least-loaded"
+	case HotColdAffinity:
+		return "hotcold-affinity"
+	case TenantPartition:
+		return "tenant-partition"
+	default:
+		return fmt.Sprintf("DispatchPolicy(%d)", uint8(p))
+	}
 }
 
-// Striped is the default dispatch policy: consecutive allocations rotate
-// round-robin across the chips (channel striping), lowest-numbered free
-// block first within each chip, skipping drained chips. It is the exact
-// allocation order the manager used before policies became pluggable —
-// bit-identical at any chip count — and degenerates to plain
-// lowest-numbered-first order at Chips=1.
-type Striped struct{}
-
-// Name implements DispatchPolicy.
-func (Striped) Name() string { return "striped" }
-
-// PickChip implements DispatchPolicy. The rotation is bounded to one
-// full lap: when every chip's free pool is drained (a contract
-// violation — PickChip runs with at least one free block somewhere) it
-// returns -1 ("no preference") instead of spinning forever, and the
-// manager turns that into a loud allocation error.
-func (Striped) PickChip(m *Manager, _ int) int {
-	for i := 0; i < len(m.free); i++ {
-		chip := (m.nextChip + i) % len(m.free)
+// pickChip returns the chip serving the pool's next fresh block under
+// the active policy, or -1 when every chip's free pool is drained.
+func (m *Manager) pickChip(pool int) int {
+	chips := len(m.free)
+	switch m.policy {
+	case HotColdAffinity:
+		hot := max(chips/2, 1)
+		lo, hi := 0, hot
+		if !m.hotPool[pool] {
+			lo, hi = hot, chips
+		}
+		if lo >= hi { // one chip: no cold subset
+			lo, hi = 0, chips
+		}
+		if m.tenants > 1 && hi-lo > 1 {
+			tlo, thi := tenantRange(lo, hi, m.activeTenant(), m.tenants)
+			if chip := m.leastLoadedIn(tlo, thi); chip >= 0 {
+				return chip
+			}
+		}
+		if chip := m.leastLoadedIn(lo, hi); chip >= 0 {
+			return chip
+		}
+		return m.leastLoadedIn(0, chips) // subset drained: widen
+	case TenantPartition:
+		if m.tenants > 1 && chips > 1 {
+			lo, hi := tenantRange(0, chips, m.activeTenant(), m.tenants)
+			if chip := m.leastLoadedIn(lo, hi); chip >= 0 {
+				return chip
+			}
+			return m.leastLoadedIn(0, chips) // partition drained: widen
+		}
+		fallthrough // single tenant or single chip: least-loaded
+	case LeastLoaded:
+		if m.clock != nil {
+			return m.leastLoadedIn(0, chips)
+		}
+	}
+	// Striped, and LeastLoaded without a clock. The rotation is bounded
+	// to one full lap, so drained pools yield -1 instead of a spin.
+	for i := 0; i < chips; i++ {
+		chip := (m.nextChip + i) % chips
 		if m.free[chip].Len() > 0 {
-			m.nextChip = (chip + 1) % len(m.free)
+			m.nextChip = (chip + 1) % chips
 			return chip
 		}
 	}
 	return -1
-}
-
-// LeastLoaded allocates each fresh block on the chip whose service clock
-// frees earliest (ties to the lowest chip index), so a new write stream
-// opens where the device is idle instead of rotating blindly onto a chip
-// still draining a GC burst. It needs the per-chip clock view threaded by
-// Manager.SetDispatch; without one it behaves exactly like Striped. At
-// Chips=1 both reduce to chip 0, keeping single-chip runs bit-identical.
-type LeastLoaded struct{}
-
-// Name implements DispatchPolicy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// PickChip implements DispatchPolicy.
-func (LeastLoaded) PickChip(m *Manager, pool int) int {
-	if m.Clock() == nil {
-		return Striped{}.PickChip(m, pool)
-	}
-	return leastLoadedIn(m, 0, m.Chips())
-}
-
-// HotColdAffinity pins hot-stream pools (marked by the FTL through
-// Manager.MarkHotPools) to a prefix subset of the chips and routes every
-// other pool to the remaining chips, so cold and GC traffic does not
-// queue behind hot host writes on the same chip. Within each subset the
-// earliest-free chip wins (lowest index without a clock view); a drained
-// or empty subset widens to all chips rather than failing, so the policy
-// never strands free space. At Chips=1 every subset is chip 0 and the
-// policy is bit-identical to Striped.
-type HotColdAffinity struct {
-	// HotChips is how many chips (the prefix [0, HotChips)) serve the
-	// hot-stream pools; the rest serve cold pools. Zero defaults to half
-	// the device's chips, minimum one; values beyond the chip count
-	// clamp, leaving no cold subset (cold pools then use all chips).
-	HotChips int
-}
-
-// Name implements DispatchPolicy.
-func (HotColdAffinity) Name() string { return "hotcold-affinity" }
-
-// PickChip implements DispatchPolicy. On a multi-tenant manager
-// (Manager.SetTenants >= 2) the chosen hot or cold subset is further
-// sliced per tenant — tenant affinity within the temperature affinity —
-// falling back to the whole subset and then to all chips as slices
-// drain; single-tenant managers take the pre-tenant path untouched.
-func (h HotColdAffinity) PickChip(m *Manager, pool int) int {
-	chips := m.Chips()
-	hot := h.HotChips
-	if hot <= 0 {
-		hot = chips / 2
-		if hot < 1 {
-			hot = 1
-		}
-	}
-	if hot > chips {
-		hot = chips
-	}
-	lo, hi := 0, hot
-	if !m.PoolHot(pool) {
-		lo, hi = hot, chips
-	}
-	if lo >= hi { // no cold chips left (HotChips covers the device)
-		lo, hi = 0, chips
-	}
-	if n := m.Tenants(); n > 1 && hi-lo > 1 {
-		tlo, thi := tenantRange(lo, hi, m.ActiveTenant(), n)
-		if chip := leastLoadedIn(m, tlo, thi); chip >= 0 {
-			return chip
-		}
-	}
-	if chip := leastLoadedIn(m, lo, hi); chip >= 0 {
-		return chip
-	}
-	return leastLoadedIn(m, 0, chips) // subset drained: widen
-}
-
-// TenantPartition carves the chips into contiguous per-tenant ranges —
-// tenant t of n owns [t*chips/n, (t+1)*chips/n) — and dispatches every
-// allocation the manager's active tenant triggers (host writes and the
-// GC they cascade into) onto that tenant's own chips, the hard-isolation
-// answer to "does tenant A's GC wreck tenant B's read p99?". Within the
-// partition the earliest-free chip wins; a drained partition widens to
-// all chips rather than failing, trading isolation for not stranding
-// free space. With fewer than two tenants declared (or one chip) it
-// behaves exactly like LeastLoaded.
-type TenantPartition struct{}
-
-// Name implements DispatchPolicy.
-func (TenantPartition) Name() string { return "tenant-partition" }
-
-// PickChip implements DispatchPolicy.
-func (TenantPartition) PickChip(m *Manager, pool int) int {
-	n := m.Tenants()
-	chips := m.Chips()
-	if n <= 1 || chips <= 1 {
-		return LeastLoaded{}.PickChip(m, pool)
-	}
-	lo, hi := tenantRange(0, chips, m.ActiveTenant(), n)
-	if chip := leastLoadedIn(m, lo, hi); chip >= 0 {
-		return chip
-	}
-	return leastLoadedIn(m, 0, chips) // partition drained: widen
 }
 
 // tenantRange slices [lo, hi) into n contiguous tenant shares and
@@ -184,20 +144,18 @@ func tenantRange(lo, hi, t, n int) (int, int) {
 // leastLoadedIn returns the chip in [lo, hi) with free blocks whose
 // service clock frees earliest, ties to the lowest index; without a
 // clock view the lowest-indexed chip with free blocks wins. Returns -1
-// when every chip of the range is drained. It consumes only the
-// exported Manager surface, so out-of-package policies can replicate it.
-func leastLoadedIn(m *Manager, lo, hi int) int {
-	clock := m.Clock()
+// when every chip of the range is drained.
+func (m *Manager) leastLoadedIn(lo, hi int) int {
 	best := -1
 	var bestFree time.Duration
 	for c := lo; c < hi; c++ {
-		if m.FreeBlocksOnChip(c) == 0 {
+		if m.free[c].Len() == 0 {
 			continue
 		}
-		if clock == nil {
+		if m.clock == nil {
 			return c
 		}
-		if f := clock.ChipFree(c); best < 0 || f < bestFree {
+		if f := m.clock.ChipFree(c); best < 0 || f < bestFree {
 			best, bestFree = c, f
 		}
 	}
@@ -205,21 +163,22 @@ func leastLoadedIn(m *Manager, lo, hi int) int {
 }
 
 // DispatchPolicyNames lists the built-in policies in presentation order.
-var DispatchPolicyNames = []string{Striped{}.Name(), LeastLoaded{}.Name(), HotColdAffinity{}.Name(), TenantPartition{}.Name()}
+var DispatchPolicyNames = []string{Striped.String(), LeastLoaded.String(), HotColdAffinity.String(), TenantPartition.String()}
 
-// DispatchByName resolves a built-in dispatch policy from its Name()
-// (the spelling RunSpec.Dispatch and flashsim -dispatch accept).
+// DispatchByName resolves a dispatch policy from its name (the spelling
+// flashsim -dispatch accepts). The empty string means the default
+// (striped), and "hotcold" is shorthand for hotcold-affinity.
 func DispatchByName(name string) (DispatchPolicy, error) {
 	switch name {
-	case "", Striped{}.Name():
-		return Striped{}, nil
-	case LeastLoaded{}.Name():
-		return LeastLoaded{}, nil
-	case HotColdAffinity{}.Name(), "hotcold":
-		return HotColdAffinity{}, nil
-	case TenantPartition{}.Name():
-		return TenantPartition{}, nil
+	case "", "striped":
+		return Striped, nil
+	case "least-loaded":
+		return LeastLoaded, nil
+	case "hotcold-affinity", "hotcold":
+		return HotColdAffinity, nil
+	case "tenant-partition":
+		return TenantPartition, nil
 	default:
-		return nil, fmt.Errorf("vblock: unknown dispatch policy %q (want striped, least-loaded, hotcold-affinity or tenant-partition)", name)
+		return Striped, fmt.Errorf("vblock: unknown dispatch policy %q (want striped, least-loaded, hotcold-affinity or tenant-partition)", name)
 	}
 }

@@ -30,7 +30,7 @@ func dispatchManager(t *testing.T, chips, pools int) *Manager {
 func TestStripedPolicyMatchesDefault(t *testing.T) {
 	def := dispatchManager(t, 3, 1)
 	explicit := dispatchManager(t, 3, 1)
-	explicit.SetDispatch(Striped{}, fakeClock{0, 0, 0})
+	explicit.SetDispatch(Striped, fakeClock{0, 0, 0})
 	for i := 0; i < def.cfg.TotalBlocks(); i++ {
 		a, err := def.AllocateFirst(0)
 		if err != nil {
@@ -51,7 +51,7 @@ func TestStripedPolicyMatchesDefault(t *testing.T) {
 func TestLeastLoadedFollowsClock(t *testing.T) {
 	m := dispatchManager(t, 3, 1)
 	clock := fakeClock{5 * time.Millisecond, time.Millisecond, 3 * time.Millisecond}
-	m.SetDispatch(LeastLoaded{}, clock)
+	m.SetDispatch(LeastLoaded, clock)
 	perChip := m.cfg.BlocksPerChip
 	vb, err := m.AllocateFirst(0)
 	if err != nil {
@@ -80,7 +80,7 @@ func TestLeastLoadedFollowsClock(t *testing.T) {
 	}
 	// Equal clocks tie toward the lowest chip index.
 	m2 := dispatchManager(t, 3, 1)
-	m2.SetDispatch(LeastLoaded{}, fakeClock{time.Second, time.Second, time.Second})
+	m2.SetDispatch(LeastLoaded, fakeClock{time.Second, time.Second, time.Second})
 	vb, err = m2.AllocateFirst(0)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestLeastLoadedFollowsClock(t *testing.T) {
 func TestLeastLoadedWithoutClockFallsBackToStriped(t *testing.T) {
 	striped := dispatchManager(t, 3, 1)
 	ll := dispatchManager(t, 3, 1)
-	ll.SetDispatch(LeastLoaded{}, nil)
+	ll.SetDispatch(LeastLoaded, nil)
 	for i := 0; i < 6; i++ {
 		a, err := striped.AllocateFirst(0)
 		if err != nil {
@@ -117,7 +117,7 @@ func TestLeastLoadedWithoutClockFallsBackToStriped(t *testing.T) {
 func TestHotColdAffinitySplitsChips(t *testing.T) {
 	m := dispatchManager(t, 4, 2)
 	m.MarkHotPools(0)
-	m.SetDispatch(HotColdAffinity{HotChips: 2}, fakeClock{time.Millisecond, 0, time.Millisecond, 0})
+	m.SetDispatch(HotColdAffinity, fakeClock{time.Millisecond, 0, time.Millisecond, 0})
 	hot, err := m.AllocateFirst(0)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestHotColdAffinitySplitsChips(t *testing.T) {
 func TestHotColdAffinityWidensWhenSubsetDrained(t *testing.T) {
 	m := dispatchManager(t, 2, 2)
 	m.MarkHotPools(0)
-	m.SetDispatch(HotColdAffinity{HotChips: 1}, fakeClock{0, 0})
+	m.SetDispatch(HotColdAffinity, fakeClock{0, 0})
 	perChip := m.cfg.BlocksPerChip
 	for i := 0; i < perChip; i++ {
 		vb, err := m.AllocateFirst(0)
@@ -170,7 +170,7 @@ func TestHotColdAffinityDegeneratesOnOneChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.MarkHotPools(0)
-	m.SetDispatch(HotColdAffinity{}, fakeClock{0})
+	m.SetDispatch(HotColdAffinity, fakeClock{0})
 	for want := 0; want < 3; want++ {
 		pool := want % 2
 		vb, err := m.AllocateFirst(pool)
@@ -183,18 +183,15 @@ func TestHotColdAffinityDegeneratesOnOneChip(t *testing.T) {
 	}
 }
 
-// TestMarkHotPools pins the pool hotness bookkeeping, including the
-// bounds-safety of PoolHot.
+// TestMarkHotPools pins the pool hotness bookkeeping, including that
+// out-of-range pool indices are ignored.
 func TestMarkHotPools(t *testing.T) {
 	m := dispatchManager(t, 2, 3)
-	m.MarkHotPools(0, 2)
+	m.MarkHotPools(0, 2, -1, 3)
 	for pool, want := range []bool{true, false, true} {
-		if got := m.PoolHot(pool); got != want {
-			t.Errorf("PoolHot(%d) = %v, want %v", pool, got, want)
+		if got := m.hotPool[pool]; got != want {
+			t.Errorf("pool %d hot = %v, want %v", pool, got, want)
 		}
-	}
-	if m.PoolHot(-1) || m.PoolHot(3) {
-		t.Error("out-of-range pools reported hot")
 	}
 }
 
@@ -206,32 +203,18 @@ func TestDispatchByName(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("DispatchByName(%q).Name() = %q", name, p.Name())
+		if p.String() != name {
+			t.Errorf("DispatchByName(%q).String() = %q", name, p)
 		}
 	}
-	if p, err := DispatchByName(""); err != nil || p.Name() != "striped" {
+	if p, err := DispatchByName(""); err != nil || p != Striped {
 		t.Errorf("empty name = %v, %v; want striped default", p, err)
 	}
-	if p, err := DispatchByName("hotcold"); err != nil || p.Name() != "hotcold-affinity" {
+	if p, err := DispatchByName("hotcold"); err != nil || p != HotColdAffinity {
 		t.Errorf("hotcold shorthand = %v, %v", p, err)
 	}
 	if _, err := DispatchByName("nope"); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-// TestSetDispatchNilRestoresStriped: nil policy must mean "default", not
-// a nil dereference on the next allocation.
-func TestSetDispatchNilRestoresStriped(t *testing.T) {
-	m := dispatchManager(t, 2, 1)
-	m.SetDispatch(LeastLoaded{}, fakeClock{0, 0})
-	m.SetDispatch(nil, nil)
-	if got := m.Dispatch().Name(); got != "striped" {
-		t.Fatalf("policy after SetDispatch(nil) = %q, want striped", got)
-	}
-	if _, err := m.AllocateFirst(0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -250,12 +233,11 @@ func TestDeviceSatisfiesChipClock(t *testing.T) {
 	}
 }
 
-// TestStripedBoundedOnDrainedPools: Striped.PickChip rotates at most one
-// full lap. With every chip's free pool drained — a contract violation,
-// PickChip is documented to run with at least one free block — it
-// returns -1 ("no preference") instead of spinning forever, and an
-// allocation hitting that state fails loudly instead of hanging the
-// simulation or popping from an empty heap.
+// TestStripedBoundedOnDrainedPools: the striped rotation runs at most
+// one full lap over the chips. With every chip's free pool drained it
+// returns -1 instead of spinning forever, and an allocation hitting that
+// state with a free count that says otherwise fails loudly instead of
+// hanging the simulation or popping from an empty heap.
 func TestStripedBoundedOnDrainedPools(t *testing.T) {
 	m := dispatchManager(t, 3, 1)
 	for i := 0; i < m.cfg.TotalBlocks(); i++ {
@@ -263,15 +245,15 @@ func TestStripedBoundedOnDrainedPools(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := (Striped{}).PickChip(m, 0); got != -1 {
-		t.Errorf("PickChip on drained pools = %d, want -1", got)
+	if got := m.pickChip(0); got != -1 {
+		t.Errorf("pickChip on drained pools = %d, want -1", got)
 	}
 	if _, err := m.AllocateFirst(0); !errors.Is(err, ErrNoFreeBlocks) {
 		t.Errorf("AllocateFirst on empty pool = %v, want ErrNoFreeBlocks", err)
 	}
 	// Corrupt the cached free count so AllocateFirst reaches the
-	// dispatch path with genuinely drained heaps: the striped fallback's
-	// -1 must surface as an error, not an infinite rotation.
+	// dispatch path with genuinely drained heaps: the rotation's -1 must
+	// surface as an error, not an infinite rotation.
 	m.freeCnt = 1
 	_, err := m.AllocateFirst(0)
 	if err == nil || !strings.Contains(err.Error(), "free accounting corrupt") {
@@ -285,7 +267,7 @@ func TestStripedBoundedOnDrainedPools(t *testing.T) {
 func TestTenantPartitionOwnsRanges(t *testing.T) {
 	m := dispatchManager(t, 4, 1)
 	m.SetTenants(2)
-	m.SetDispatch(TenantPartition{}, fakeClock{time.Millisecond, 0, time.Millisecond, 0})
+	m.SetDispatch(TenantPartition, fakeClock{time.Millisecond, 0, time.Millisecond, 0})
 	m.SetActiveTenant(0)
 	vb, err := m.AllocateFirst(0)
 	if err != nil {
@@ -319,7 +301,7 @@ func TestTenantPartitionOwnsRanges(t *testing.T) {
 func TestTenantPartitionWidensWhenDrained(t *testing.T) {
 	m := dispatchManager(t, 2, 1)
 	m.SetTenants(2)
-	m.SetDispatch(TenantPartition{}, fakeClock{0, 0})
+	m.SetDispatch(TenantPartition, fakeClock{0, 0})
 	m.SetActiveTenant(0)
 	perChip := m.cfg.BlocksPerChip
 	for i := 0; i < perChip; i++ {
@@ -346,9 +328,9 @@ func TestTenantPartitionWidensWhenDrained(t *testing.T) {
 func TestTenantPartitionSingleTenantMatchesLeastLoaded(t *testing.T) {
 	clock := fakeClock{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}
 	part := dispatchManager(t, 3, 1)
-	part.SetDispatch(TenantPartition{}, clock)
+	part.SetDispatch(TenantPartition, clock)
 	ll := dispatchManager(t, 3, 1)
-	ll.SetDispatch(LeastLoaded{}, clock)
+	ll.SetDispatch(LeastLoaded, clock)
 	for i := 0; i < part.cfg.TotalBlocks(); i++ {
 		a, err := part.AllocateFirst(0)
 		if err != nil {
@@ -372,7 +354,7 @@ func TestHotColdAffinityTenantSlicing(t *testing.T) {
 	m.MarkHotPools(0)
 	m.SetTenants(2)
 	// Hot subset = chips {0,1}, cold = {2,3}; chip 0 and 2 idle.
-	m.SetDispatch(HotColdAffinity{HotChips: 2}, fakeClock{0, 0, 0, 0})
+	m.SetDispatch(HotColdAffinity, fakeClock{0, 0, 0, 0})
 	m.SetActiveTenant(1)
 	hot, err := m.AllocateFirst(0)
 	if err != nil {

@@ -105,7 +105,7 @@ func TestFreedBlockReturnsToItsChip(t *testing.T) {
 	if err := m.Release(vb.Block); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.FreeBlocksOnChip(0); got != cfg.BlocksPerChip {
+	if got := m.free[0].Len(); got != cfg.BlocksPerChip {
 		t.Errorf("chip 0 free = %d, want %d", got, cfg.BlocksPerChip)
 	}
 	if err := m.CheckInvariants(); err != nil {

@@ -16,12 +16,13 @@
 //     VB 2n+1 allocatable -> block full -> waiting for GC).
 //   - Free blocks are handed out lowest-numbered first ("arranged
 //     according to their original physical block number") within a chip;
-//     on multi-chip devices a pluggable DispatchPolicy picks the chip of
-//     each fresh block. The default Striped policy rotates round-robin so
+//     on multi-chip devices the DispatchPolicy picks the chip of each
+//     fresh block. The default Striped policy rotates round-robin so
 //     consecutive host write streams stripe over the channels; LeastLoaded
-//     follows the per-chip service clocks to the idlest chip, and
-//     HotColdAffinity pins hot-stream pools to a chip subset. With Chips=1
-//     every policy degenerates to the original lowest-numbered-first order.
+//     follows the per-chip service clocks to the idlest chip,
+//     HotColdAffinity pins hot-stream pools to a chip subset, and
+//     TenantPartition gives each tenant its own chips. With Chips=1 every
+//     policy degenerates to the original lowest-numbered-first order.
 package vblock
 
 import (
@@ -111,15 +112,13 @@ type Manager struct {
 
 	// Free pool, one lowest-first heap per chip. Which chip serves the
 	// next allocation is the dispatch policy's call; nextChip is the
-	// rotation cursor Striped keeps here (policy values are stateless so
-	// they can be shared across runs). freeCnt caches the total across
-	// heaps.
+	// Striped rotation cursor. freeCnt caches the total across heaps.
 	free     []blockHeap
 	nextChip int
 	freeCnt  int
 
 	// Dispatch-policy state: the policy consulted on every fresh-block
-	// allocation (never nil; NewManager defaults to Striped), the
+	// allocation (Striped unless SetDispatch says otherwise), the
 	// optional per-chip clock view clock-aware policies read, and the
 	// FTL-declared hot-stream pools HotColdAffinity pins.
 	policy  DispatchPolicy
@@ -163,7 +162,6 @@ func NewManager(cfg nand.Config, k, pools int) (*Manager, error) {
 		blocks:   make([]blockInfo, cfg.TotalBlocks()),
 		pendingQ: make([][]nand.BlockID, pools),
 		buckets:  make([]int32, cfg.PagesPerBlock+1),
-		policy:   Striped{},
 		hotPool:  make([]bool, pools),
 	}
 	for i := range m.buckets {
@@ -187,44 +185,13 @@ func (m *Manager) chipOf(b nand.BlockID) int { return int(b) / m.cfg.BlocksPerCh
 
 // SetDispatch installs the chip-dispatch policy consulted by every
 // subsequent AllocateFirst, along with the per-chip clock view
-// clock-aware policies (LeastLoaded, HotColdAffinity) read. A nil policy
-// restores the default Striped rotation; a nil clock degrades
-// clock-aware policies to their striped/lowest-chip fallbacks.
+// clock-aware policies (LeastLoaded, HotColdAffinity, TenantPartition)
+// read. A nil clock degrades them to their striped/lowest-chip
+// fallbacks.
 func (m *Manager) SetDispatch(p DispatchPolicy, clock ChipClock) {
-	if p == nil {
-		p = Striped{}
-	}
 	m.policy = p
 	m.clock = clock
 }
-
-// Dispatch returns the active dispatch policy.
-func (m *Manager) Dispatch() DispatchPolicy { return m.policy }
-
-// Chips returns how many chips the managed device has — the range a
-// custom DispatchPolicy enumerates when picking a chip.
-func (m *Manager) Chips() int { return len(m.free) }
-
-// Planes returns the per-chip plane count of the managed geometry
-// (1 on single-plane devices).
-func (m *Manager) Planes() int { return m.cfg.PlaneCount() }
-
-// PlaneOf returns the plane a block lives on under the managed
-// geometry: plane assignment is pure block geometry (chip-local block
-// index modulo the plane count — nand.Config.PlaneOf), so dispatch
-// policies that want plane-spread allocations can derive it from any
-// candidate block without consulting the device. Out-of-range blocks
-// report plane 0 like the other read-only accessors.
-func (m *Manager) PlaneOf(b nand.BlockID) int {
-	if int(b) < 0 || int(b) >= m.cfg.TotalBlocks() {
-		return 0
-	}
-	return m.cfg.PlaneOf(b)
-}
-
-// Clock returns the per-chip clock view installed by SetDispatch (nil
-// when none was given), for custom clock-aware dispatch policies.
-func (m *Manager) Clock() ChipClock { return m.clock }
 
 // SetTenants declares how many tenants share the device, enabling the
 // tenant-aware dispatch behaviors (TenantPartition's per-tenant chip
@@ -238,20 +205,17 @@ func (m *Manager) SetTenants(n int) {
 	m.tenants = n
 }
 
-// Tenants returns the declared tenant count (0 or 1 = single-tenant).
-func (m *Manager) Tenants() int { return m.tenants }
-
 // SetActiveTenant tells the manager which tenant the request currently
 // being served belongs to, so allocations it triggers — host writes and
 // any GC they cascade into — dispatch under that tenant's placement.
-// The FTL sets it per request; values are clamped into [0, Tenants())
-// at use, so a stray ID degrades to the last tenant instead of
-// corrupting dispatch.
+// The FTL sets it per request; values are clamped into the declared
+// tenant range at use, so a stray ID degrades to the last tenant
+// instead of corrupting dispatch.
 func (m *Manager) SetActiveTenant(t int) { m.active = t }
 
-// ActiveTenant returns the tenant the current request belongs to,
-// clamped into [0, Tenants()) (0 when single-tenant).
-func (m *Manager) ActiveTenant() int {
+// activeTenant returns the tenant the current request belongs to,
+// clamped into [0, tenants) (0 when single-tenant).
+func (m *Manager) activeTenant() int {
 	if m.tenants <= 1 {
 		return 0
 	}
@@ -268,19 +232,13 @@ func (m *Manager) ActiveTenant() int {
 // MarkHotPools declares which pools carry hot-stream data (host-facing
 // frequently rewritten traffic). FTLs call it once at construction;
 // HotColdAffinity pins these pools to its hot chip subset. Unmarked
-// pools are cold; out-of-range indices are ignored, matching the
-// tolerance of PoolHot and the device's introspection accessors.
+// pools are cold; out-of-range indices are ignored.
 func (m *Manager) MarkHotPools(pools ...int) {
 	for _, p := range pools {
 		if p >= 0 && p < len(m.hotPool) {
 			m.hotPool[p] = true
 		}
 	}
-}
-
-// PoolHot reports whether the pool was marked hot via MarkHotPools.
-func (m *Manager) PoolHot(pool int) bool {
-	return pool >= 0 && pool < len(m.hotPool) && m.hotPool[pool]
 }
 
 // freePush returns a block to its chip's free heap.
@@ -317,24 +275,6 @@ func (m *Manager) vb(b nand.BlockID, part int) VB {
 
 // FreeBlocks returns how many blocks are in the free pool (all chips).
 func (m *Manager) FreeBlocks() int { return m.freeCnt }
-
-// FreeBlocksOnChip returns how many free blocks the chip holds (zero
-// when chip is out of range — bounds-safe like the device's read-only
-// introspection accessors, so custom dispatch policies can probe
-// freely).
-func (m *Manager) FreeBlocksOnChip(chip int) int {
-	if chip < 0 || chip >= len(m.free) {
-		return 0
-	}
-	return m.free[chip].Len()
-}
-
-// FullBlocks returns how many blocks are completely programmed and
-// waiting for GC.
-func (m *Manager) FullBlocks() int { return m.fullCnt }
-
-// Pools returns the number of allocation pools.
-func (m *Manager) Pools() int { return len(m.pendingQ) }
 
 func (m *Manager) checkPool(pool int) error {
 	if pool < 0 || pool >= len(m.pendingQ) {
@@ -380,15 +320,6 @@ func (m *Manager) PoolOf(b nand.BlockID) (int, bool) {
 	return bi.pool, true
 }
 
-// Cursor returns the next page to program in the block, or -1 for
-// out-of-range block IDs.
-func (m *Manager) Cursor(b nand.BlockID) int {
-	if uint64(b) >= uint64(len(m.blocks)) {
-		return -1
-	}
-	return m.blocks[b].cursor
-}
-
 // IsFull reports whether the block is fully programmed; false for
 // out-of-range block IDs.
 func (m *Manager) IsFull(b nand.BlockID) bool {
@@ -411,18 +342,12 @@ func (m *Manager) AllocateFirst(pool int) (VB, error) {
 	if m.freeCnt == 0 {
 		return VB{}, ErrNoFreeBlocks
 	}
-	chip := m.policy.PickChip(m, pool)
-	if chip < 0 || chip >= len(m.free) || m.free[chip].Len() == 0 {
-		// "No preference" (or a buggy pick): fall back to the striped
-		// rotation — freeCnt above guarantees a non-empty chip exists.
-		chip = Striped{}.PickChip(m, pool)
-		if chip < 0 {
-			// freeCnt said blocks exist but every heap is empty: the
-			// free accounting is corrupt. Fail loudly rather than pop
-			// from an empty heap (or, before Striped bounded its lap,
-			// hang the simulation).
-			return VB{}, fmt.Errorf("vblock: free accounting corrupt: %d free blocks cached but every chip heap is empty", m.freeCnt)
-		}
+	chip := m.pickChip(pool)
+	if chip < 0 {
+		// freeCnt said blocks exist but every heap is empty: the free
+		// accounting is corrupt. Fail loudly rather than pop from an
+		// empty heap.
+		return VB{}, fmt.Errorf("vblock: free accounting corrupt: %d free blocks cached but every chip heap is empty", m.freeCnt)
 	}
 	b := nand.BlockID(m.free[chip].pop())
 	m.freeCnt--
@@ -566,8 +491,8 @@ func (m *Manager) ReleaseForce(b nand.BlockID) error {
 
 // Retire permanently removes an owned or full block from the lifecycle:
 // it leaves its pool, pending queue and the victim index, and is never
-// returned to the free pool — the usable capacity honestly shrinks (see
-// RetiredBlocks). The FTL calls it after relocating the block's
+// returned to the free pool — the usable capacity honestly shrinks. The
+// FTL calls it after relocating the block's
 // surviving valid pages; retiring an already-retired block is a no-op,
 // and retiring a free block is an error (pull it from the free heap by
 // allocating it first, which never happens in practice because the
@@ -596,10 +521,6 @@ func (m *Manager) Retire(b nand.BlockID) error {
 	m.retired++
 	return nil
 }
-
-// RetiredBlocks returns how many blocks have been retired — the
-// capacity the device has permanently lost to bad blocks.
-func (m *Manager) RetiredBlocks() int { return m.retired }
 
 // NoteInvalidated records that one page of the block was invalidated on
 // the device, keeping the victim index current. FTLs must call it after

@@ -181,7 +181,7 @@ func TestLifecycleFigureNine(t *testing.T) {
 	if !vbFull || !blockFull {
 		t.Fatalf("block fill: vbFull=%v blockFull=%v", vbFull, blockFull)
 	}
-	if !m.IsFull(b) || m.FullBlocks() != 1 {
+	if !m.IsFull(b) || m.fullCnt != 1 {
 		t.Fatal("block should be full")
 	}
 	if _, _, _, err := m.Advance(b); !errors.Is(err, ErrBlockFull) {
@@ -191,7 +191,7 @@ func TestLifecycleFigureNine(t *testing.T) {
 	if err := m.Release(b); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeBlocks() != 6 || m.FullBlocks() != 0 {
+	if m.FreeBlocks() != 6 || m.fullCnt != 0 {
 		t.Error("release did not return block")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -258,7 +258,7 @@ func TestReusedBlockStartsClean(t *testing.T) {
 	if vb2.Block != vb.Block {
 		t.Fatalf("expected block reuse, got %v", vb2)
 	}
-	if m.Cursor(vb2.Block) != 0 {
+	if m.blocks[vb2.Block].cursor != 0 {
 		t.Error("cursor not reset")
 	}
 	if a, _ := m.PoolOf(vb2.Block); a != poolCold {
@@ -425,11 +425,11 @@ func TestRetireLifecycle(t *testing.T) {
 	if err := m.Retire(full); err != nil {
 		t.Fatal(err)
 	}
-	if m.RetiredBlocks() != 1 {
-		t.Errorf("retired = %d, want 1", m.RetiredBlocks())
+	if m.retired != 1 {
+		t.Errorf("retired = %d, want 1", m.retired)
 	}
-	if m.FullBlocks() != 0 {
-		t.Errorf("full count = %d after retiring the full block", m.FullBlocks())
+	if m.fullCnt != 0 {
+		t.Errorf("full count = %d after retiring the full block", m.fullCnt)
 	}
 	if _, ok := m.PoolOf(full); ok {
 		t.Error("retired block still pool-owned")
@@ -437,7 +437,7 @@ func TestRetireLifecycle(t *testing.T) {
 	if err := m.Retire(full); err != nil {
 		t.Errorf("double retire must be a no-op: %v", err)
 	}
-	if m.RetiredBlocks() != 1 {
+	if m.retired != 1 {
 		t.Error("double retire double-counted")
 	}
 	m.NoteInvalidated(full) // must not resurrect it in the victim index

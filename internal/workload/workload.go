@@ -2,7 +2,7 @@
 // for the two MSR Cambridge enterprise traces the paper replays: a *media
 // server* and a *web/SQL server*. The real traces are not redistributable,
 // so the generators reproduce the statistical properties the PPB strategy
-// is sensitive to (see DESIGN.md §5):
+// is sensitive to:
 //
 //   - media server: large write-once-read-many files with Zipf popularity,
 //     sequential streaming reads, bulk ingest writes, and a small very hot

@@ -65,17 +65,17 @@ type (
 )
 
 // DispatchPolicy selects the chip of every fresh block allocation
-// (internal/vblock): where fresh blocks — and with them every write
-// stream — land on a multi-chip device.
+// (internal/vblock, FTLOptions.Dispatch): where fresh blocks — and with
+// them every write stream — land on a multi-chip device.
 type DispatchPolicy = vblock.DispatchPolicy
 
-// DispatchByName resolves a built-in dispatch policy from its name
-// ("striped", "least-loaded", "hotcold-affinity", "tenant-partition") —
-// the spelling RunSpec.Dispatch and flashsim -dispatch accept.
+// DispatchByName resolves a dispatch policy from its name ("striped",
+// "least-loaded", "hotcold-affinity", "tenant-partition") — the spelling
+// flashsim -dispatch accepts.
 func DispatchByName(name string) (DispatchPolicy, error) { return vblock.DispatchByName(name) }
 
-// DispatchPolicyNames lists the built-in dispatch policies in
-// presentation order (the a6 sweep's policy axis).
+// DispatchPolicyNames lists the dispatch policies in presentation
+// order.
 var DispatchPolicyNames = vblock.DispatchPolicyNames
 
 // Reliability model (internal/nand) and wear leveling (internal/ftl).
@@ -93,13 +93,13 @@ type (
 )
 
 // WearByName resolves a wear policy from its name ("none",
-// "wear-aware", "threshold-swap") — the spelling RunSpec.Wear and
-// flashsim -wear accept.
+// "wear-aware", "threshold-swap") — the spelling flashsim -wear
+// accepts.
 func WearByName(name string) (WearPolicy, error) { return ftl.WearByName(name) }
 
 // ReliabilityProfileByName resolves a built-in reliability preset from
-// its name ("off", "low", "high") — the spelling RunSpec.Reliability
-// and flashsim -reliability accept.
+// its name ("off", "low", "high") — the spelling flashsim -reliability
+// accepts.
 func ReliabilityProfileByName(name string) (ReliabilityConfig, error) {
 	return nand.ReliabilityProfileByName(name)
 }
@@ -114,8 +114,8 @@ func ReliabilityProfileByName(name string) (ReliabilityConfig, error) {
 type SuspendPolicy = nand.SuspendPolicy
 
 // SuspendByName resolves a suspend policy from its name ("off",
-// "erase", "full"; empty means off) — the spelling RunSpec.Suspend and
-// flashsim -suspend accept.
+// "erase", "full"; empty means off) — the spelling flashsim -suspend
+// accepts.
 func SuspendByName(name string) (SuspendPolicy, error) { return nand.SuspendByName(name) }
 
 // The PPB strategy (internal/core).
