@@ -56,9 +56,10 @@
 //
 // Unknown -ftl, -dispatch, -reliability, -wear or -suspend names are
 // rejected before the trace is loaded, with the list of valid names, and
-// so are -gb outside (0, 64], -tenants outside [1, 8], -qd, -chips or
-// -planes below 1, -pagesize below 4096, and -chips above the block
-// count of the requested device.
+// so are -gb outside (0, 64] or at or below 64/683 GiB (about 0.0937,
+// where the Table 1 geometry reaches Config.Scaled's block floor),
+// -tenants outside [1, 8], -qd, -chips or -planes below 1, -pagesize
+// below 4096, and -chips above the block count of the requested device.
 //
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
@@ -69,6 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -302,13 +304,24 @@ func deviceConfig(gb float64, pageSize int) ppbflash.DeviceConfig {
 
 // validateRanges rejects out-of-range numeric flags up front, naming the
 // valid range: -gb scales the 64 GiB Table 1 device down, so it must lie
-// in (0, 64]; -qd must allow at least one outstanding request; -tenants
+// in (0, 64], and its divisor 64/gb may not exceed what Config.Scaled
+// honours — a larger one would shrink the chip below Scaled's block
+// floor, which Scaled silently restores (and one past the int range
+// would wrap to a divisor of 1, the full device). The divisor is checked
+// as a float, before deviceConfig converts it. -qd must allow at least
+// one outstanding request; -tenants
 // is bounded by the compositor's tenant slots; -pagesize has the
 // minPageSize floor; a chip and a plane per chip are the least a device
 // can have, and a chip needs at least one block of the device.
 func validateRanges(gb float64, qd, tenants, pageSize, chips, planes int) error {
 	if !(gb > 0 && gb <= 64) {
 		return fmt.Errorf("-gb %g out of range (0, 64]", gb)
+	}
+	t1 := ppbflash.TableOneConfig()
+	floor := t1.Scaled(math.MaxInt).BlocksPerChip
+	if maxDiv := t1.BlocksPerChip / floor; 64/gb >= float64(maxDiv+1) {
+		return fmt.Errorf("-gb %g out of range (64/%d = %.4f, 64]: a smaller device would be raised to %d blocks",
+			gb, maxDiv+1, 64/float64(maxDiv+1), floor)
 	}
 	if tenants < 1 || tenants > ppbflash.MaxTenants {
 		return fmt.Errorf("-tenants %d out of range [1, %d]", tenants, ppbflash.MaxTenants)

@@ -123,6 +123,9 @@ func TestValidateRanges(t *testing.T) {
 		{name: "negative gb", gb: -1, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "(0, 64]"},
 		{name: "gb above device", gb: 65, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-gb 65 out of range (0, 64]"},
 		{name: "gb NaN", gb: math.NaN(), qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "(0, 64]"},
+		{name: "gb below smallest device", gb: 0.05, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-gb 0.05 out of range (64/683 = 0.0937, 64]"},
+		{name: "gb divisor overflow", gb: 1e-300, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-gb 1e-300 out of range (64/683"},
+		{name: "smallest device", gb: 0.1, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1},
 		{name: "zero qd", gb: 4, qd: 0, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-qd 0 out of range: want at least 1"},
 		{name: "negative qd", gb: 4, qd: -5, tenants: 1, pageSize: page, chips: 1, planes: 1, wantErr: "-qd -5 out of range"},
 		{name: "zero tenants", gb: 4, qd: 1, tenants: 0, pageSize: page, chips: 1, planes: 1, wantErr: "-tenants 0 out of range [1, 8]"},
@@ -165,6 +168,8 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 	}{
 		{[]string{"-gb", "0.125", "-pagesize", "64"}, "-pagesize 64 out of range: want at least 4096"},
 		{[]string{"-gb", "1", "-chips", "1000"}, "-chips 1000 out of range [1, 170]"},
+		{[]string{"-gb", "0.05"}, "-gb 0.05 out of range (64/683"},
+		{[]string{"-gb", "1e-300"}, "-gb 1e-300 out of range (64/683"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(append([]string{"-trace", missing}, tc.args...), &stdout, &stderr); code != 2 ||

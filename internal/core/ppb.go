@@ -15,7 +15,8 @@
 //  3. Hot/cold area bookkeeping (§3.4). A two-level LRU tracks hot data,
 //     an access-frequency table tracks cold data, and Algorithm 1's
 //     diversion rules keep the slow/fast VB pipelines of an area from
-//     starving each other.
+//     starving each other. Both trackers are sized from the device's
+//     logical space (see trackerCap), not configured.
 //
 // Crucially, PPB is *progressive*: identifying data as iron-hot (or
 // cold) never triggers an immediate copy. Data migrates to a page of the
@@ -52,62 +53,20 @@ type Options struct {
 	// Identifier is the first-stage hot/cold mechanism; nil defaults to
 	// the paper's size-check at the device page size.
 	Identifier hotness.Identifier
-	// HotListEntries / IronListEntries bound the two-level LRU. Zero
-	// defaults to 1/64 of logical pages each (min 64).
-	HotListEntries  int
-	IronListEntries int
-	// ColdTableEntries bounds the access-frequency table. Zero defaults
-	// to the logical page count (min 256): the cold area is most of the
-	// device, and an undersized table ages out exactly the read-popular
-	// entries it exists to find. At the full Table 1 scale this costs
-	// roughly 50 MB — the footprint a real controller would spend on its
-	// mapping cache.
-	ColdTableEntries int
-	// ColdPromoteReads is the re-access count that turns icy-cold data
-	// cold (default 2).
-	ColdPromoteReads uint32
-	// StaleWindow is the "demote if not modified" horizon: a hot-list
-	// chunk relocated by GC whose last write is more than StaleWindow
-	// host writes ago is demoted to the cold area (default 4x the hot
-	// list capacity).
-	StaleWindow uint64
 }
 
-// defaultSplitFactor is the paper's default virtual-block split (k=2).
-// One helper shared by New (which needs it before the manager exists)
-// and withDefaults, so the two can never disagree.
-func defaultSplitFactor(k int) int {
-	if k == 0 {
-		return 2
-	}
-	return k
-}
+// coldPromoteReads is the re-access count that turns icy-cold data
+// cold.
+const coldPromoteReads = 2
 
-func (o Options) withDefaults(cfg nand.Config, logicalPages uint64) Options {
-	o.SplitFactor = defaultSplitFactor(o.SplitFactor)
-	if o.Identifier == nil {
-		o.Identifier = hotness.SizeCheck{ThresholdBytes: cfg.PageSize}
-	}
-	def := func(v int, frac uint64, min int) int {
-		if v != 0 {
-			return v
-		}
-		n := int(logicalPages / frac)
-		if n < min {
-			n = min
-		}
-		return n
-	}
-	o.HotListEntries = def(o.HotListEntries, 64, 64)
-	o.IronListEntries = def(o.IronListEntries, 64, 64)
-	o.ColdTableEntries = def(o.ColdTableEntries, 1, 256)
-	if o.ColdPromoteReads == 0 {
-		o.ColdPromoteReads = 2
-	}
-	if o.StaleWindow == 0 {
-		o.StaleWindow = uint64(o.HotListEntries) * 4
-	}
-	return o
+// trackerCap is the entry capacity of each list of the two-level LRU:
+// 1/64 of the logical pages, at least 64. The "demote if not modified"
+// horizon is four times it (staleWindow). The cold-area frequency table
+// needs no bound: it spans the whole logical space, because the cold
+// area is most of the device and a smaller table would age out exactly
+// the read-popular entries it exists to find.
+func trackerCap(logicalPages uint64) int {
+	return max(int(logicalPages/64), 64)
 }
 
 // Stats extends the base FTL stats with PPB-specific activity.
@@ -175,7 +134,6 @@ func areaPools(area hotness.Area) []int {
 // PPB is the progressive performance boosting FTL.
 type PPB struct {
 	ftl.Base
-	opt   Options
 	vbm   *vblock.Manager
 	ident hotness.Identifier
 	hot   *hotness.TwoLevelLRU
@@ -185,13 +143,15 @@ type PPB struct {
 	isOpen [numPools][2]bool
 
 	// GC callbacks bound once at construction (see New).
-	excludeFn   func(nand.BlockID) bool
 	reprogramFn ftl.ReprogramFunc
 	slowFirstFn func(nand.OOB) bool
 
-	writeSeq uint64
-	inGC     bool
-	ppbStats Stats
+	// staleWindow is the "demote if not modified" horizon: a hot-list
+	// chunk relocated by GC whose last write is more than staleWindow
+	// host writes ago is demoted to the cold area.
+	staleWindow uint64
+	writeSeq    uint64
+	ppbStats    Stats
 }
 
 var _ ftl.FTL = (*PPB)(nil)
@@ -236,7 +196,9 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 			opt.FTL.GCHighWater = high
 		}
 	}
-	opt.SplitFactor = defaultSplitFactor(opt.SplitFactor)
+	if opt.SplitFactor == 0 {
+		opt.SplitFactor = 2
+	}
 	vbm, err := vblock.NewManager(dev.Config(), opt.SplitFactor, numPools)
 	if err != nil {
 		return nil, err
@@ -249,27 +211,22 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(dev.Config(), base.LogicalPages())
-	// When the cold table covers the whole logical space (the default),
-	// back it with a dense per-LPN array: the bounded map could never
-	// overflow at that size, and every host read consults this table.
-	var cold *hotness.FreqTable
-	if uint64(opt.ColdTableEntries) >= base.LogicalPages() {
-		cold = hotness.NewDenseFreqTable(base.LogicalPages(), opt.ColdPromoteReads)
-	} else {
-		cold = hotness.NewFreqTable(opt.ColdTableEntries, opt.ColdPromoteReads)
+	ident := opt.Identifier
+	if ident == nil {
+		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
 	}
+	logical := base.LogicalPages()
+	listCap := trackerCap(logical)
 	p := &PPB{
-		Base:  base,
-		opt:   opt,
-		vbm:   vbm,
-		ident: opt.Identifier,
-		hot:   hotness.NewTwoLevelLRU(opt.HotListEntries, opt.IronListEntries, base.LogicalPages()),
-		cold:  cold,
+		Base:        base,
+		vbm:         vbm,
+		ident:       ident,
+		hot:         hotness.NewTwoLevelLRU(listCap, listCap, logical),
+		cold:        hotness.NewFreqTable(logical, coldPromoteReads),
+		staleWindow: 4 * uint64(listCap),
 	}
-	// Bind the GC callbacks once: method-value creation allocates, and
-	// maybeGC sits on the per-write hot path.
-	p.excludeFn = p.excludeOpen
+	// Bind the GC callbacks once, so the MaybeGC check inlined into every
+	// Write passes two stored funcs instead of building method values.
 	p.reprogramFn = p.reprogramGC
 	p.slowFirstFn = p.gcSlowFirst
 	return p, nil
@@ -316,7 +273,7 @@ func (p *PPB) Write(lpn uint64, reqSize int) error {
 	if err := p.CheckWrite(lpn); err != nil {
 		return err
 	}
-	if err := p.maybeGC(); err != nil {
+	if err := p.MaybeGC(p.reprogramFn, p.slowFirstFn); err != nil {
 		return err
 	}
 	if err := p.InvalidateOld(lpn); err != nil {
@@ -594,34 +551,12 @@ func pairedLevel(lvl hotness.Level) hotness.Level {
 	}
 }
 
-// maybeGC triggers the garbage collector at the low-water mark.
-func (p *PPB) maybeGC() error {
-	if p.inGC || p.vbm.FreeBlocks() > p.Opts().GCLowWater {
-		return nil
-	}
-	p.inGC = true
-	defer func() { p.inGC = false }()
-	return p.GCLoopOrdered(p.excludeFn, p.reprogramFn, p.slowFirstFn)
-}
-
 // gcSlowFirst orders GC relocation so slow-deserving data (hot, icy)
 // moves first: filling slow halves opens the paired fast halves
 // (in-order programming), so by the time the victim's fast-deserving
 // data (iron-hot, cold) relocates, fast pages actually exist for it.
 func (p *PPB) gcSlowFirst(oob nand.OOB) bool {
 	return !p.currentLevel(oob.LPN, oob.Tag).Fast()
-}
-
-// excludeOpen keeps currently open VB blocks out of victim selection.
-func (p *PPB) excludeOpen(b nand.BlockID) bool {
-	for lvl := range p.open {
-		for st := range p.open[lvl] {
-			if p.isOpen[lvl][st] && p.open[lvl][st].Block == b {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // reprogramGC relocates one valid page during GC. This is where the
@@ -635,7 +570,7 @@ func (p *PPB) excludeOpen(b nand.BlockID) bool {
 func (p *PPB) reprogramGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	lvl := p.currentLevel(oob.LPN, oob.Tag)
 	if lvl == hotness.Hot {
-		if last, ok := p.hot.LastWrite(oob.LPN); ok && p.writeSeq-last > p.opt.StaleWindow {
+		if last, ok := p.hot.LastWrite(oob.LPN); ok && p.writeSeq-last > p.staleWindow {
 			p.handleDemotion(p.hot.Demote(oob.LPN))
 			p.ppbStats.StaleDemotions.Inc()
 			lvl = p.currentLevel(oob.LPN, uint8(hotness.IcyCold))
@@ -659,7 +594,7 @@ func (p *PPB) reprogramGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 			// The library's fast halves go to the most re-read tier;
 			// the long tail of read-evidence data fills the stable slow
 			// halves of the same blocks.
-			wantFast = p.cold.ReadCount(oob.LPN) >= 2*p.opt.ColdPromoteReads
+			wantFast = p.cold.ReadCount(oob.LPN) >= 2*coldPromoteReads
 		case p.readSinceWrite(oob.LPN):
 			pool = poolColdGCLib // warm icy: read evidence, long-lived
 		default:
@@ -696,13 +631,11 @@ func (p *PPB) CheckAreaPurity() error {
 	for b := 0; b < cfg.TotalBlocks(); b++ {
 		blockPool, known := p.vbm.PoolOf(nand.BlockID(b))
 		blockArea := poolArea(blockPool)
-		hasAny := false
 		for pg := 0; pg < cfg.PagesPerBlock; pg++ {
 			ppn := cfg.PPNForBlockPage(nand.BlockID(b), pg)
 			if dev.State(ppn) == nand.PageFree {
 				continue
 			}
-			hasAny = true
 			lvl := hotness.Level(dev.PeekOOB(ppn).Tag)
 			if !lvl.Valid() {
 				return fmt.Errorf("core: block %d page %d has invalid level tag %d", b, pg, dev.PeekOOB(ppn).Tag)
@@ -719,7 +652,6 @@ func (p *PPB) CheckAreaPurity() error {
 					b, blockArea, lvl, pg)
 			}
 		}
-		_ = hasAny
 	}
 	return nil
 }

@@ -54,17 +54,17 @@ func TestOptionsDefaults(t *testing.T) {
 	if p.SplitFactor() != 2 {
 		t.Errorf("split = %d, want 2", p.SplitFactor())
 	}
-	if p.opt.Identifier == nil || p.opt.Identifier.Name() != "size-check" {
+	if p.ident == nil || p.ident.Name() != "size-check" {
 		t.Error("default identifier should be size-check")
 	}
-	if p.opt.HotListEntries < 64 || p.opt.ColdTableEntries < 256 {
-		t.Errorf("capacities = %d/%d", p.opt.HotListEntries, p.opt.ColdTableEntries)
+	if got := trackerCap(p.LogicalPages()); got != 64 {
+		t.Errorf("list capacity = %d, want the 64-entry floor", got)
 	}
-	if p.opt.ColdPromoteReads != 2 {
-		t.Errorf("promote reads = %d", p.opt.ColdPromoteReads)
+	if got := trackerCap(64 * 1000); got != 1000 {
+		t.Errorf("list capacity = %d, want 1/64 of the logical pages", got)
 	}
-	if p.opt.StaleWindow != uint64(p.opt.HotListEntries)*4 {
-		t.Errorf("stale window = %d", p.opt.StaleWindow)
+	if p.staleWindow != 4*uint64(trackerCap(p.LogicalPages())) {
+		t.Errorf("stale window = %d", p.staleWindow)
 	}
 	if p.Name() != "ppb" {
 		t.Error("name")
@@ -314,9 +314,8 @@ func TestGCMigratesColdPopularDataToFastPages(t *testing.T) {
 }
 
 func TestStaleHotDataDemotedAtGC(t *testing.T) {
-	opt := testOptions()
-	opt.StaleWindow = 10
-	p := newPPB(t, testConfig(), opt)
+	p := newPPB(t, testConfig(), testOptions())
+	p.staleWindow = 10
 	// One hot write that then goes untouched.
 	if err := p.Write(0, hotSize); err != nil {
 		t.Fatal(err)
@@ -342,10 +341,9 @@ func TestStaleHotDataDemotedAtGC(t *testing.T) {
 }
 
 func TestHotListOverflowDemotesToColdArea(t *testing.T) {
-	opt := testOptions()
-	opt.HotListEntries, opt.IronListEntries = 4, 4
-	p := newPPB(t, testConfig(), opt)
-	for lpn := uint64(0); lpn < 12; lpn++ {
+	p := newPPB(t, testConfig(), testOptions())
+	// One write past the hot list's capacity pushes the oldest entry out.
+	for lpn := uint64(0); lpn <= uint64(trackerCap(p.LogicalPages())); lpn++ {
 		if err := p.Write(lpn, hotSize); err != nil {
 			t.Fatal(err)
 		}
@@ -440,12 +438,12 @@ func TestLevelReadCounters(t *testing.T) {
 func TestPropertyPPBInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		dev := nand.MustNewDevice(testConfig())
-		opt := testOptions()
-		opt.HotListEntries, opt.IronListEntries = 16, 16
-		p, err := New(dev, opt)
+		p, err := New(dev, testOptions())
 		if err != nil {
 			return false
 		}
+		// Small lists keep the trackers demoting throughout the run.
+		p.hot = hotness.NewTwoLevelLRU(16, 16, p.LogicalPages())
 		rng := rand.New(rand.NewSource(seed))
 		span := int64(p.LogicalPages())
 		written := make(map[uint64]bool)

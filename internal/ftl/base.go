@@ -20,9 +20,9 @@ type Base struct {
 	// victim picks go through it so its victim index stays current.
 	vbm *vblock.Manager
 	// gcDeferred is collectBlock's reusable fast-first scratch;
-	// gcCollecting marks a collection in flight so a nested collection
-	// (re-entered through a reprogram callback) detaches its scratch
-	// instead of clobbering the slice the outer pass still ranges.
+	// gcCollecting marks a collection in flight, so a collection
+	// re-entered through a reprogram callback fails instead of
+	// clobbering the slice the outer pass still ranges.
 	gcDeferred   []int
 	gcCollecting bool
 }
@@ -32,9 +32,9 @@ type Base struct {
 // (internal/core) embed the result. Taking the manager at construction
 // (rather than attaching it later) guarantees Invalidate always feeds
 // the manager's GC victim index — a strategy cannot forget to wire it —
-// and lets NewBase thread the dispatch policy plus the device's
-// read-only chip clock view into the manager, so clock-aware policies
-// work for every strategy without per-FTL wiring.
+// and lets NewBase thread the dispatch policy plus the device's chip
+// clocks into the manager, so clock-aware policies work for every
+// strategy without per-FTL wiring.
 func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) {
 	cfg := dev.Config()
 	opts = opts.withDefaults(cfg)
@@ -44,7 +44,7 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) 
 	if vbm == nil {
 		return Base{}, fmt.Errorf("ftl: NewBase requires a vblock manager")
 	}
-	vbm.SetDispatch(opts.Dispatch, dev.ClockView())
+	vbm.SetDispatch(opts.Dispatch, dev)
 	if opts.Tenants > 1 {
 		vbm.SetTenants(opts.Tenants)
 	}
@@ -93,9 +93,6 @@ func (b *Base) Opts() Options { return b.opts }
 // Map returns the logical-to-physical mapping table.
 func (b *Base) Map() *Mapping { return b.table }
 
-// Manager returns the virtual-block manager the base was built with.
-func (b *Base) Manager() *vblock.Manager { return b.vbm }
-
 // SetTenant announces the tenant whose request the FTL is about to
 // serve, so tenant-aware dispatch policies (vblock.TenantPartition and
 // the tenant slicing in vblock.HotColdAffinity) route the allocations it
@@ -112,10 +109,8 @@ func (b *Base) Invalidate(ppn nand.PPN) error {
 	if err := b.dev.Invalidate(ppn); err != nil {
 		return err
 	}
-	if b.vbm != nil {
-		blk, _ := b.cfg.SplitPPN(ppn)
-		b.vbm.NoteInvalidated(blk)
-	}
+	blk, _ := b.cfg.SplitPPN(ppn)
+	b.vbm.NoteInvalidated(blk)
 	return nil
 }
 

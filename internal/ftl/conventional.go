@@ -22,7 +22,6 @@ type Conventional struct {
 	Base
 	active [2]nand.BlockID // 0 = host stream, 1 = GC stream
 	open   [2]bool
-	inGC   bool
 }
 
 const (
@@ -62,7 +61,7 @@ func (c *Conventional) Write(lpn uint64, _ int) error {
 	if err := c.CheckWrite(lpn); err != nil {
 		return err
 	}
-	if err := c.maybeGC(); err != nil {
+	if err := c.MaybeGC(c.programGC, nil); err != nil {
 		return err
 	}
 	if err := c.InvalidateOld(lpn); err != nil {
@@ -114,19 +113,4 @@ func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, pp
 
 func (c *Conventional) programGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	return c.program(convGC, oob)
-}
-
-// maybeGC runs greedy garbage collection when the free pool is low.
-func (c *Conventional) maybeGC() error {
-	if c.inGC || c.vbm.FreeBlocks() > c.Opts().GCLowWater {
-		return nil
-	}
-	c.inGC = true
-	defer func() { c.inGC = false }()
-	return c.GCLoop(c.excludeActive, c.programGC)
-}
-
-func (c *Conventional) excludeActive(b nand.BlockID) bool {
-	return (c.open[convHost] && b == c.active[convHost]) ||
-		(c.open[convGC] && b == c.active[convGC])
 }

@@ -1,55 +1,65 @@
 package ftl
 
 import (
+	"errors"
 	"time"
 
 	"ppbflash/internal/nand"
 )
 
 // ReprogramFunc relocates one valid page during GC and returns the device
-// cost of the program plus the new physical page.
+// cost of the program plus the new physical page. It must not start
+// another collection, directly or through the FTL's Write: collectBlock
+// reuses one scratch slice per FTL, so a re-entered collection returns
+// an error instead of running.
 type ReprogramFunc func(oob nand.OOB) (time.Duration, nand.PPN, error)
 
-// GCLoop is the garbage collector shared by every FTL in this module:
-// greedy victim selection (most invalid pages, wear-aware tie-break),
-// valid-page relocation through the strategy's own reprogram routine,
-// erase, release. It runs until the free pool recovers to the high-water
-// mark or nothing reclaimable remains.
+// errGCReentered reports a collection started from inside a reprogram
+// callback.
+var errGCReentered = errors.New("ftl: garbage collection re-entered from a reprogram callback")
+
+// MaybeGC is the garbage-collection trigger every FTL in this module
+// calls before a host write: when the free pool has fallen to the
+// low-water mark it runs the collector. The check is kept this small so
+// it inlines into each strategy's Write; the collector stays out of line.
+//
+// reprogram relocates valid pages through the strategy's own placement.
+// Within each collected block, pages for which fastFirst returns true
+// relocate before the rest. PPB uses this to let fast-deserving data
+// (iron-hot, cold) claim the fast virtual-block space of a GC burst ahead
+// of slow-deserving data: the paper does not fix a relocation order, and
+// this one makes the progressive migration converge. A nil fastFirst
+// keeps physical page order.
+func (b *Base) MaybeGC(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+	if b.vbm.FreeBlocks() > b.opts.GCLowWater {
+		return nil
+	}
+	return b.gc(reprogram, fastFirst)
+}
+
+// gc is the collector shared by every FTL in this module: greedy victim
+// selection (most invalid pages, wear-aware tie-break), valid-page
+// relocation, erase, release. It runs until the free pool recovers to
+// the high-water mark or nothing reclaimable remains. Open blocks are
+// never victims: the manager skips them itself (vblock.Manager.IsOpen).
 //
 // Victims come from the manager's incrementally maintained invalid-count
 // index, so each pick costs O(candidates at the top count) instead of a
 // scan over every block; the tests cross-check it against a full scan.
-func (b *Base) GCLoop(exclude func(nand.BlockID) bool, reprogram ReprogramFunc) error {
-	return b.GCLoopOrdered(exclude, reprogram, nil)
-}
-
-// pickVictim selects the next GC victim: full blocks only, then (when
-// fullOnly is cleared) any owned block as the desperation fallback.
-// Under Options.Wear == WearAware the greedy rule is relaxed by
-// wearWindow invalid-count buckets.
-func (b *Base) pickVictim(fullOnly bool, exclude func(nand.BlockID) bool) (nand.BlockID, bool) {
-	if b.opts.Wear == WearAware {
-		return b.vbm.PickVictimWearAware(fullOnly, exclude, b.dev.EraseCount, wearWindow(&b.cfg))
-	}
-	return b.vbm.PickVictim(fullOnly, exclude, b.dev.EraseCount)
-}
-
-// GCLoopOrdered is GCLoop with a relocation-order hook: within each
-// collected block, pages for which fastFirst returns true are relocated
-// before the rest. PPB uses this to let fast-deserving data (iron-hot,
-// cold) claim the available fast virtual-block space of a GC burst ahead
-// of slow-deserving data — the paper does not fix a relocation order, and
-// this one makes the progressive migration converge. A nil fastFirst
-// keeps physical page order.
-func (b *Base) GCLoopOrdered(exclude func(nand.BlockID) bool,
-	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
 	vbm := b.vbm
+	// Under Options.Wear == WearAware the greedy rule is relaxed by
+	// wearWindow invalid-count buckets.
+	window := 0
+	if b.opts.Wear == WearAware {
+		window = wearWindow(&b.cfg)
+	}
 	b.stats.GCRuns.Inc()
 	for vbm.FreeBlocks() < b.opts.GCHighWater {
-		victim, ok := b.pickVictim(true, exclude)
+		victim, ok := vbm.PickVictim(true, b.dev.EraseCount, window)
 		if !ok {
-			// Desperation: consider partially filled, non-active blocks.
-			victim, ok = b.pickVictim(false, exclude)
+			// Desperation: consider partially filled blocks.
+			victim, ok = vbm.PickVictim(false, b.dev.EraseCount, window)
 			if !ok {
 				return nil // nothing reclaimable; let the write fail if truly full
 			}
@@ -73,19 +83,19 @@ func (b *Base) GCLoopOrdered(exclude func(nand.BlockID) bool,
 	// Free space is healthy again: do the proactive reliability work —
 	// scrub blocks flagged for retirement, then rebalance wear. Both are
 	// bounded and guarded so they never push the pool back into GC.
-	if err := b.scrubRetireCandidates(exclude, reprogram, fastFirst); err != nil {
+	if err := b.scrubRetireCandidates(reprogram, fastFirst); err != nil {
 		return err
 	}
-	return b.maybeWearSwap(exclude, reprogram, fastFirst)
+	return b.maybeWearSwap(reprogram, fastFirst)
 }
 
 // scrubRetireCandidates drains the device's retire-candidate queue
 // while free space allows: each candidate's surviving valid pages are
 // relocated and the block is retired instead of freed. A candidate
-// skipped here (active block, or the pool ran low) keeps its pending
+// skipped here (open block, or the pool ran low) keeps its pending
 // recommendation and is retired at its next normal GC erase instead, so
 // retirement never depends on the scrub running.
-func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) scrubRetireCandidates(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
 	if !b.dev.ReliabilityEnabled() {
 		return nil
 	}
@@ -94,10 +104,7 @@ func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram 
 		if !ok {
 			return nil
 		}
-		if exclude != nil && exclude(cand) {
-			continue
-		}
-		if _, owned := b.vbm.PoolOf(cand); !owned {
+		if _, owned := b.vbm.PoolOf(cand); !owned || b.vbm.IsOpen(cand) {
 			continue
 		}
 		if err := b.collectBlock(cand, reprogram, fastFirst); err != nil {
@@ -115,7 +122,7 @@ func (b *Base) scrubRetireCandidates(exclude func(nand.BlockID) bool, reprogram 
 // max erase count is O(1) (the device maintains it incrementally); only
 // the min scan pays a ForEachFull walk, and only while the policy is
 // active and free space is healthy.
-func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) maybeWearSwap(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
 	if b.opts.Wear != WearThresholdSwap {
 		return nil
 	}
@@ -130,9 +137,6 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 	var candWear uint32
 	found := false
 	b.vbm.ForEachFull(func(blk nand.BlockID) bool {
-		if exclude != nil && exclude(blk) {
-			return true
-		}
 		if w := b.dev.EraseCount(blk); !found || w < candWear {
 			cand, candWear, found = blk, w, true
 		}
@@ -156,6 +160,11 @@ func (b *Base) maybeWearSwap(exclude func(nand.BlockID) bool, reprogram Reprogra
 // every op serializes on one clock and the floors are inert.
 func (b *Base) collectBlock(victim nand.BlockID,
 	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+	if b.gcCollecting {
+		return errGCReentered
+	}
+	b.gcCollecting = true
+	defer func() { b.gcCollecting = false }()
 	vbm := b.vbm
 	// A partially-used victim may still be queued as "pending": its next
 	// part could otherwise be opened as a relocation target mid-collect.
@@ -193,17 +202,8 @@ func (b *Base) collectBlock(victim nand.BlockID,
 	}
 	// The deferred-page scratch lives on the Base and is reused across
 	// collections: GC runs millions of times per replay and must not
-	// allocate per collected block. A nested collection (re-entered
-	// through reprogram) detaches instead — sharing the backing array
-	// while the outer pass still appends to or ranges it would silently
-	// corrupt the outer victim's page list.
-	nested := b.gcCollecting
-	b.gcCollecting = true
-	defer func() { b.gcCollecting = nested }()
+	// allocate per collected block.
 	deferred := b.gcDeferred[:0]
-	if nested {
-		deferred = nil
-	}
 	for page := 0; page < b.cfg.PagesPerBlock; page++ {
 		ppn := b.cfg.PPNForBlockPage(victim, page)
 		if b.dev.State(ppn) != nand.PageValid {
@@ -217,12 +217,7 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			return err
 		}
 	}
-	if !nested {
-		// Hand the (possibly grown) array back before the second pass;
-		// any collection nested under it detaches, so the range below
-		// cannot be clobbered.
-		b.gcDeferred = deferred[:0]
-	}
+	b.gcDeferred = deferred[:0] // keep the (possibly grown) array
 	for _, page := range deferred {
 		if err := relocate(page); err != nil {
 			return err

@@ -27,7 +27,6 @@ type GreedySpeed struct {
 
 	slow, fast       vblock.VB
 	slowOpen, fastOk bool
-	inGC             bool
 }
 
 var _ FTL = (*GreedySpeed)(nil)
@@ -60,7 +59,7 @@ func (g *GreedySpeed) Write(lpn uint64, reqSize int) error {
 	if err := g.CheckWrite(lpn); err != nil {
 		return err
 	}
-	if err := g.maybeGC(); err != nil {
+	if err := g.MaybeGC(g.program, nil); err != nil {
 		return err
 	}
 	if err := g.InvalidateOld(lpn); err != nil {
@@ -147,17 +146,4 @@ func (g *GreedySpeed) ensureFast() error {
 	}
 	g.fast, g.fastOk = vb, true
 	return nil
-}
-
-func (g *GreedySpeed) maybeGC() error {
-	if g.inGC || g.vbm.FreeBlocks() > g.opts.GCLowWater {
-		return nil
-	}
-	g.inGC = true
-	defer func() { g.inGC = false }()
-	return g.GCLoop(g.excludeActive, g.program)
-}
-
-func (g *GreedySpeed) excludeActive(b nand.BlockID) bool {
-	return (g.slowOpen && b == g.slow.Block) || (g.fastOk && b == g.fast.Block)
 }

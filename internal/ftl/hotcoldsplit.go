@@ -20,7 +20,6 @@ type HotColdSplit struct {
 
 	active [2]nand.BlockID // per area
 	open   [2]bool
-	inGC   bool
 }
 
 var _ FTL = (*HotColdSplit)(nil)
@@ -51,7 +50,7 @@ func (h *HotColdSplit) Write(lpn uint64, reqSize int) error {
 	if err := h.CheckWrite(lpn); err != nil {
 		return err
 	}
-	if err := h.maybeGC(); err != nil {
+	if err := h.MaybeGC(h.program, nil); err != nil {
 		return err
 	}
 	if err := h.InvalidateOld(lpn); err != nil {
@@ -99,18 +98,4 @@ func (h *HotColdSplit) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
 		h.open[area] = false
 	}
 	return cost, ppn, nil
-}
-
-func (h *HotColdSplit) maybeGC() error {
-	if h.inGC || h.vbm.FreeBlocks() > h.opts.GCLowWater {
-		return nil
-	}
-	h.inGC = true
-	defer func() { h.inGC = false }()
-	return h.GCLoop(h.excludeActive, h.program)
-}
-
-func (h *HotColdSplit) excludeActive(b nand.BlockID) bool {
-	return (h.open[hotness.AreaHot] && b == h.active[hotness.AreaHot]) ||
-		(h.open[hotness.AreaCold] && b == h.active[hotness.AreaCold])
 }

@@ -27,11 +27,11 @@ func victimTestConfig(blocks int) nand.Config {
 // implementation the incremental index in vblock.Manager is checked
 // against: greedy by invalid-page count ("the block with the most
 // invalid pages is selected"), ties broken toward lower wear. Blocks the
-// exclude callback rejects (e.g. active blocks) are skipped. Returns
-// ok=false when no candidate has any invalid page.
+// exclude callback rejects (the blocks still open for writes) are
+// skipped. Returns ok=false when no candidate has any invalid page.
 //
 // The policy is plain greedy rather than Kawaguchi cost-benefit
-// (inv*age/(2*valid+1)): greedy is what GCLoop documents, what the
+// (inv*age/(2*valid+1)): greedy is what the collector documents, what the
 // paper's baseline assumes, and the only score a bucket index can
 // maintain under O(1) updates (the age term re-orders continuously).
 type victimPolicy struct {
@@ -64,9 +64,9 @@ func (v victimPolicy) pick(iter func(func(nand.BlockID) bool), exclude func(nand
 // every step that the incremental invalid-count index picks the same
 // victim as the legacy full scan — or one with an identical
 // (invalid pages, wear) score, since equally-scored candidates are
-// interchangeable under the greedy policy. Each step compares the two
-// with no exclusion and with a fresh random exclusion set (the way GC
-// excludes its active blocks).
+// interchangeable under the greedy policy. The scan excludes the blocks
+// the test itself holds open for writes, so the oracle's notion of an
+// open block stays independent of Manager.IsOpen.
 func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 	for trial := int64(0); trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -77,18 +77,21 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := Base{dev: dev, cfg: cfg, vbm: vbm}
-		// The exclusion sets draw from their own source so the write,
-		// invalidate and collect sequence stays the one rng alone drives.
-		exRng := rand.New(rand.NewSource(trial + 1000))
-		excluded := make([]bool, cfg.TotalBlocks())
-		exclude := func(b nand.BlockID) bool { return excluded[b] }
 
 		type openVB struct {
 			vb   vblock.VB
 			pool int
 		}
-		var writable []openVB
-		var valid []nand.PPN // every currently-valid page
+		var writable []openVB // the VBs the test holds open for writes
+		var valid []nand.PPN  // every currently-valid page
+		heldOpen := func(b nand.BlockID) bool {
+			for _, w := range writable {
+				if w.vb.Block == b {
+					return true
+				}
+			}
+			return false
+		}
 
 		writeOne := func() {
 			if len(writable) == 0 {
@@ -130,7 +133,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 		}
 
 		collectOne := func() {
-			victim, ok := vbm.PickVictim(false, nil, dev.EraseCount)
+			victim, ok := vbm.PickVictim(false, dev.EraseCount, 0)
 			if !ok {
 				return
 			}
@@ -156,12 +159,6 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			}
 			full := vbm.IsFull(victim)
 			vbm.UnqueuePending(victim)
-			for i := range writable {
-				if writable[i].vb.Block == victim {
-					writable = append(writable[:i], writable[i+1:]...)
-					break
-				}
-			}
 			if full {
 				err = vbm.Release(victim)
 			} else {
@@ -194,42 +191,39 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 						trial, step, b, got, want)
 				}
 			}
-			for b := range excluded {
-				excluded[b] = exRng.Intn(4) == 0
-			}
 			for _, fullOnly := range []bool{true, false} {
 				iter := vbm.ForEachOwned
 				if fullOnly {
 					iter = vbm.ForEachFull
 				}
-				for _, ex := range []func(nand.BlockID) bool{nil, exclude} {
-					got, gok := vbm.PickVictim(fullOnly, ex, dev.EraseCount)
-					want, wok := victimPolicy{dev: dev}.pick(iter, ex)
-					if gok != wok {
-						t.Fatalf("trial %d step %d fullOnly=%v exclude=%v: index found=%v, scan found=%v",
-							trial, step, fullOnly, ex != nil, gok, wok)
-					}
-					if !gok {
-						continue
-					}
-					if ex != nil && ex(got) {
-						t.Fatalf("trial %d step %d fullOnly=%v: index picked excluded block %d",
-							trial, step, fullOnly, got)
-					}
-					gi, gw := score(got)
-					wi, ww := score(want)
-					if gi != wi || gw != ww {
-						t.Fatalf("trial %d step %d fullOnly=%v exclude=%v: index picked block %d (inv=%d wear=%d), scan picked %d (inv=%d wear=%d)",
-							trial, step, fullOnly, ex != nil, got, gi, gw, want, wi, ww)
-					}
+				got, gok := vbm.PickVictim(fullOnly, dev.EraseCount, 0)
+				want, wok := victimPolicy{dev: dev}.pick(iter, heldOpen)
+				if gok != wok {
+					t.Fatalf("trial %d step %d fullOnly=%v: index found=%v, scan found=%v",
+						trial, step, fullOnly, gok, wok)
+				}
+				if !gok {
+					continue
+				}
+				if heldOpen(got) {
+					t.Fatalf("trial %d step %d fullOnly=%v: index picked open block %d",
+						trial, step, fullOnly, got)
+				}
+				gi, gw := score(got)
+				wi, ww := score(want)
+				if gi != wi || gw != ww {
+					t.Fatalf("trial %d step %d fullOnly=%v: index picked block %d (inv=%d wear=%d), scan picked %d (inv=%d wear=%d)",
+						trial, step, fullOnly, got, gi, gw, want, wi, ww)
 				}
 			}
 		}
 	}
 }
 
-// TestVictimIndexHonorsExclude verifies that excluded blocks are skipped
-// and the pick falls through to lower invalid-count buckets.
+// TestVictimIndexHonorsExclude verifies that the index excludes blocks
+// still open for writes on its own: an open block is never picked,
+// however many invalid pages it holds, and the pick falls through to
+// lower invalid-count buckets.
 func TestVictimIndexHonorsExclude(t *testing.T) {
 	cfg := victimTestConfig(16)
 	dev := nand.MustNewDevice(cfg)
@@ -239,12 +233,14 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 	}
 	base := Base{dev: dev, cfg: cfg, vbm: vbm}
 
-	fill := func(invalidate int) nand.BlockID {
+	// program writes n pages into the block and invalidates the first
+	// invalidate of them.
+	program := func(n, invalidate int) nand.BlockID {
 		vb, err := vbm.AllocateFirst(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := 0; p < cfg.PagesPerBlock; p++ {
+		for p := 0; p < n; p++ {
 			if _, _, _, err := vbm.Advance(vb.Block); err != nil {
 				t.Fatal(err)
 			}
@@ -261,23 +257,27 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 		return vb.Block
 	}
 
-	top := fill(6)
-	second := fill(3)
-	if got, ok := vbm.PickVictim(true, nil, dev.EraseCount); !ok || got != top {
-		t.Fatalf("pick = %v %v, want block %d", got, ok, top)
+	// One page short of full, with every written page invalid: the top
+	// bucket, but still open.
+	open := program(cfg.PagesPerBlock-1, cfg.PagesPerBlock-1)
+	for _, fullOnly := range []bool{true, false} {
+		if got, ok := vbm.PickVictim(fullOnly, dev.EraseCount, 0); ok {
+			t.Fatalf("fullOnly=%v: picked block %d, want none (the only candidate is open)", fullOnly, got)
+		}
 	}
-	got, ok := vbm.PickVictim(true, func(b nand.BlockID) bool { return b == top }, dev.EraseCount)
-	if !ok || got != second {
-		t.Fatalf("excluded pick = %v %v, want block %d", got, ok, second)
-	}
-	if _, ok := vbm.PickVictim(true, func(nand.BlockID) bool { return true }, dev.EraseCount); ok {
-		t.Fatal("pick with everything excluded should fail")
+	top := program(cfg.PagesPerBlock, 6)
+	program(cfg.PagesPerBlock, 3)
+	for _, fullOnly := range []bool{true, false} {
+		if got, ok := vbm.PickVictim(fullOnly, dev.EraseCount, 0); !ok || got != top {
+			t.Fatalf("fullOnly=%v: pick = %v %v, want block %d below the open block %d",
+				fullOnly, got, ok, top, open)
+		}
 	}
 }
 
 // TestGCDesperationCollectsPartialBlock builds a state with no full
 // blocks and only a partially-programmed, pending victim, and verifies
-// GCLoopOrdered falls back to the desperation pass: the partial block is
+// MaybeGC falls back to the desperation pass: the partial block is
 // unqueued from pending, its survivors relocated, and the block
 // force-released back to the free pool.
 func TestGCDesperationCollectsPartialBlock(t *testing.T) {
@@ -287,14 +287,14 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, GCLowWater: 1, GCHighWater: 9})
+	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, GCLowWater: 8, GCHighWater: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// A dummy allocation besides the victim pulls the free pool below the
-	// high-water mark so the GC loop actually runs; with zero invalid
-	// pages it can never be picked itself.
+	// A dummy allocation besides the victim pulls the free pool to the
+	// low-water mark so MaybeGC actually runs; with zero invalid pages
+	// it can never be picked itself.
 	if _, err := vbm.AllocateFirst(0); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +327,12 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if vbm.PendingCount(0) != 1 {
 		t.Fatalf("pending count = %d, want 1", vbm.PendingCount(0))
 	}
-	if _, ok := vbm.PickVictim(true, nil, dev.EraseCount); ok {
+	if _, ok := vbm.PickVictim(true, dev.EraseCount, 0); ok {
 		t.Fatal("full-only pick should find nothing (no full blocks)")
 	}
 
-	// The relocation target: GC opens a fresh block through this stub.
+	// The relocation target: GC opens a fresh block through this stub;
+	// while it is open the victim walk skips it on its own.
 	var target vblock.VB
 	var haveTarget bool
 	reprogram := func(oob nand.OOB) (time.Duration, nand.PPN, error) {
@@ -350,9 +351,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 		cost, err := dev.Program(ppn, oob)
 		return cost, ppn, err
 	}
-	exclude := func(b nand.BlockID) bool { return haveTarget && b == target.Block }
-
-	if err := base.GCLoopOrdered(exclude, reprogram, nil); err != nil {
+	if err := base.MaybeGC(reprogram, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dev.EraseCount(victim) != 1 {

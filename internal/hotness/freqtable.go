@@ -1,7 +1,5 @@
 package hotness
 
-import "slices"
-
 // FreqTable is the cold-area tracker of the PPB strategy (Figure 11a): an
 // access-frequency table logging the re-access (read) frequency of each
 // cold chunk. Chunks whose frequency reaches PromoteAt are cold
@@ -10,46 +8,26 @@ import "slices"
 // the table and splits it; a fixed threshold is the streaming equivalent
 // and keeps lookups O(1).
 //
-// The table is capacity-bounded. On overflow every count is halved and
-// zero entries are dropped (classic frequency aging), which also keeps
-// long-running traces from saturating counts.
-//
-// Two backings share the one type: a hash map for capacity-bounded
-// tables, and a dense per-LPN array (NewDenseFreqTable) for tables sized
-// to the whole logical space — the PPB default, where the cold area is
-// most of the device and every host read consults the table, so the map
-// hashing cost dominated the replay loop. The dense backing stores
-// count+1 (0 = untracked) and can never overflow, so it never ages.
+// The table is a dense per-LPN array spanning the logical space: the
+// cold area is most of the device and every host read consults the
+// table, so it indexes instead of hashing. An entry stores count+1
+// (0 = untracked); a table covering every LPN never overflows, so
+// counts never age, and they saturate instead of wrapping.
 type FreqTable struct {
-	cap       int
 	promoteAt uint32
-	counts    map[uint64]uint32
-	dense     []uint32 // nil for map-backed tables
-	size      int      // tracked entries in the dense backing
+	dense     []uint32
+	size      int // tracked entries
 }
 
-// NewFreqTable builds a table with the given entry capacity and promotion
-// threshold (reads needed to classify a chunk as cold rather than
-// icy-cold). promoteAt of 0 defaults to 2.
-func NewFreqTable(capacity int, promoteAt uint32) *FreqTable {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewFreqTable builds a table covering the LPN range [0, span) with the
+// given promotion threshold (reads needed to classify a chunk as cold
+// rather than icy-cold). promoteAt of 0 defaults to 2. LPNs beyond the
+// span read as untracked and are never stored.
+func NewFreqTable(span uint64, promoteAt uint32) *FreqTable {
 	if promoteAt == 0 {
 		promoteAt = 2
 	}
-	return &FreqTable{cap: capacity, promoteAt: promoteAt, counts: make(map[uint64]uint32)}
-}
-
-// NewDenseFreqTable builds a table covering the LPN range [0, span) with
-// a flat array. Use it when the capacity would cover the whole logical
-// space anyway: same behavior as the map backing (which would never
-// overflow either), with O(1) array indexing instead of hashing.
-func NewDenseFreqTable(span uint64, promoteAt uint32) *FreqTable {
-	if promoteAt == 0 {
-		promoteAt = 2
-	}
-	return &FreqTable{cap: int(span), promoteAt: promoteAt, dense: make([]uint32, span)}
+	return &FreqTable{promoteAt: promoteAt, dense: make([]uint32, span)}
 }
 
 // Level returns the cold-area level of lpn and whether it is tracked.
@@ -66,33 +44,24 @@ func (f *FreqTable) Level(lpn uint64) (Level, bool) {
 
 // get returns the read count of lpn and whether it is tracked.
 func (f *FreqTable) get(lpn uint64) (uint32, bool) {
-	if f.dense != nil {
-		if lpn >= uint64(len(f.dense)) || f.dense[lpn] == 0 {
-			return 0, false
-		}
-		return f.dense[lpn] - 1, true
+	if lpn >= uint64(len(f.dense)) || f.dense[lpn] == 0 {
+		return 0, false
 	}
-	c, ok := f.counts[lpn]
-	return c, ok
+	return f.dense[lpn] - 1, true
 }
 
 // set stores the read count of lpn, inserting it if untracked.
 func (f *FreqTable) set(lpn uint64, c uint32) {
-	if f.dense != nil {
-		if lpn >= uint64(len(f.dense)) {
-			return
-		}
-		if f.dense[lpn] == 0 {
-			f.size++
-		}
-		if c == ^uint32(0) {
-			c-- // keep count+1 from wrapping to "untracked"
-		}
-		f.dense[lpn] = c + 1
+	if lpn >= uint64(len(f.dense)) {
 		return
 	}
-	f.counts[lpn] = c
-	f.maybeAge()
+	if f.dense[lpn] == 0 {
+		f.size++
+	}
+	if c == ^uint32(0) {
+		c-- // keep count+1 from wrapping to "untracked"
+	}
+	f.dense[lpn] = c + 1
 }
 
 // OnWrite registers (or refreshes) a cold-area chunk. A rewrite resets
@@ -129,61 +98,11 @@ func (f *FreqTable) ReadCount(lpn uint64) uint32 {
 
 // Remove forgets lpn.
 func (f *FreqTable) Remove(lpn uint64) {
-	if f.dense != nil {
-		if lpn < uint64(len(f.dense)) && f.dense[lpn] != 0 {
-			f.dense[lpn] = 0
-			f.size--
-		}
-		return
+	if lpn < uint64(len(f.dense)) && f.dense[lpn] != 0 {
+		f.dense[lpn] = 0
+		f.size--
 	}
-	delete(f.counts, lpn)
 }
 
 // Len returns the number of tracked chunks.
-func (f *FreqTable) Len() int {
-	if f.dense != nil {
-		return f.size
-	}
-	return len(f.counts)
-}
-
-// maybeAge halves all counts when the table overflows, dropping entries
-// that reach zero. Repeated halving always frees space eventually; if a
-// pathological distribution keeps every count above zero, the
-// lowest-numbered LPNs are evicted to enforce the bound approximately.
-//
-// Both passes iterate the keys in sorted order: Go randomizes map
-// iteration, so evicting "whatever the range encounters first" made the
-// surviving table contents — and with them every later hot/cold
-// classification — differ run to run on overflow. That is exactly the
-// silent-nondeterminism class the determinism analyzer flags
-// (cmd/flashvet), and the sorted-keys collection below is its
-// sanctioned idiom.
-func (f *FreqTable) maybeAge() {
-	if len(f.counts) <= f.cap {
-		return
-	}
-	keys := make([]uint64, 0, len(f.counts))
-	for lpn := range f.counts {
-		keys = append(keys, lpn)
-	}
-	slices.Sort(keys)
-	for _, lpn := range keys {
-		c := f.counts[lpn] / 2
-		if c == 0 {
-			delete(f.counts, lpn)
-		} else {
-			f.counts[lpn] = c
-		}
-	}
-	over := len(f.counts) - f.cap
-	for _, lpn := range keys {
-		if over <= 0 {
-			break
-		}
-		if _, survived := f.counts[lpn]; survived {
-			delete(f.counts, lpn)
-			over--
-		}
-	}
-}
+func (f *FreqTable) Len() int { return f.size }

@@ -265,35 +265,8 @@ func TestFreqTableDemotedSeed(t *testing.T) {
 	}
 }
 
-func TestFreqTableAging(t *testing.T) {
-	f := NewFreqTable(8, 2)
-	for lpn := uint64(0); lpn < 8; lpn++ {
-		f.OnWrite(lpn)
-		f.OnRead(lpn)
-		f.OnRead(lpn) // every entry cold at count 2
-	}
-	f.OnWrite(100) // overflow triggers aging: counts halve to 1
-	if f.Len() > 8 {
-		t.Fatalf("len = %d, cap 8", f.Len())
-	}
-	if lvl, ok := f.Level(0); ok && lvl == Cold {
-		t.Error("aging should have demoted old cold entries")
-	}
-}
-
-func TestFreqTableAgingDropsZeroCounts(t *testing.T) {
-	f := NewFreqTable(4, 2)
-	for lpn := uint64(0); lpn < 4; lpn++ {
-		f.OnWrite(lpn) // all counts zero
-	}
-	f.OnWrite(50) // overflow: zero-count entries vanish
-	if f.Len() > 4 {
-		t.Fatalf("len = %d after aging, cap 4", f.Len())
-	}
-}
-
 func TestFreqTableDefaultThreshold(t *testing.T) {
-	f := NewFreqTable(0, 0) // floors: cap 1, promoteAt 2
+	f := NewFreqTable(2, 0) // promoteAt 0 defaults to 2
 	f.OnWrite(1)
 	f.OnRead(1)
 	if lvl, _ := f.Level(1); lvl != IcyCold {
@@ -306,12 +279,12 @@ func TestFreqTableDefaultThreshold(t *testing.T) {
 }
 
 func TestFreqTableCounterSaturates(t *testing.T) {
-	f := NewFreqTable(4, 2)
-	f.counts[7] = ^uint32(0)
+	f := NewFreqTable(8, 2)
+	f.dense[7] = ^uint32(0) // the largest storable count (count+1 encoding)
 	if lvl, ok := f.OnRead(7); !ok || lvl != Cold {
 		t.Fatalf("saturated read = %v %v", lvl, ok)
 	}
-	if f.counts[7] != ^uint32(0) {
+	if f.dense[7] != ^uint32(0) {
 		t.Error("counter overflowed")
 	}
 }
@@ -388,21 +361,36 @@ func checkLists(tr *TwoLevelLRU) error {
 	return nil
 }
 
-// Property: the frequency table never exceeds its capacity by more than
-// the single in-flight insert.
+// Property: the table tracks each LPN of its span at most once, never
+// more entries than the span, and ignores LPNs beyond it, so Len always
+// equals the number of tracked LPNs.
 func TestPropertyFreqTableBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		capacity := 1 + rng.Intn(16)
-		ft := NewFreqTable(capacity, 2)
+		span := uint64(1 + rng.Intn(16))
+		ft := NewFreqTable(span, 2)
 		for step := 0; step < 500; step++ {
-			lpn := uint64(rng.Intn(64))
-			if rng.Intn(2) == 0 {
+			lpn := uint64(rng.Intn(2 * int(span)))
+			switch rng.Intn(4) {
+			case 0:
 				ft.OnWrite(lpn)
-			} else {
+			case 1:
 				ft.OnRead(lpn)
+			case 2:
+				ft.InsertDemoted(lpn)
+			default:
+				ft.Remove(lpn)
 			}
-			if ft.Len() > capacity {
+			tracked := 0
+			for l := uint64(0); l < 2*span; l++ {
+				if _, ok := ft.Level(l); ok {
+					if l >= span {
+						return false
+					}
+					tracked++
+				}
+			}
+			if ft.Len() != tracked || uint64(tracked) > span {
 				return false
 			}
 		}

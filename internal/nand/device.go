@@ -508,24 +508,6 @@ func (d *Device) ChipFree(chip int) time.Duration {
 	return d.chipFree[chip]
 }
 
-// ClockView is a read-only handle over the device's per-chip service
-// clocks: the view clock-aware dispatch policies (vblock.LeastLoaded,
-// vblock.HotColdAffinity) consult without being handed the mutable
-// device. It satisfies vblock.ChipClock.
-type ClockView struct {
-	d *Device
-}
-
-// ClockView returns the read-only per-chip clock view of the device.
-func (d *Device) ClockView() ClockView { return ClockView{d: d} }
-
-// Chips returns how many chips the viewed device has.
-func (v ClockView) Chips() int { return len(v.d.chipFree) }
-
-// ChipFree returns the next-free clock of one chip (zero when chip is
-// out of range, matching the device's introspection accessors).
-func (v ClockView) ChipFree(chip int) time.Duration { return v.d.ChipFree(chip) }
-
 // BeginBurst starts a new burst window: BurstOps, BurstStart and
 // BurstFinish describe only the operations scheduled after this call.
 // The harness brackets each host request with a burst so the request's

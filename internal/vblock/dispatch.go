@@ -5,12 +5,9 @@ import (
 	"time"
 )
 
-// ChipClock is the read-only per-chip service-clock view the
-// clock-aware dispatch policies consult: ChipFree reports when the chip
-// finishes its queued device work. nand.Device and its nand.ClockView
-// both satisfy it; a manager without a clock (SetDispatch with nil)
-// serves clock-aware policies through their striped or lowest-chip
-// fallbacks.
+// ChipClock is the per-chip service-clock view the clock-aware dispatch
+// policies consult: ChipFree reports when the chip finishes its queued
+// device work. nand.Device satisfies it.
 type ChipClock interface {
 	ChipFree(chip int) time.Duration
 }
@@ -32,18 +29,16 @@ const (
 	// LeastLoaded allocates each fresh block on the chip whose service
 	// clock frees earliest (ties to the lowest chip index), so a new
 	// write stream opens where the device is idle instead of rotating
-	// blindly onto a chip still draining a GC burst. Without a clock
-	// view it behaves exactly like Striped.
+	// blindly onto a chip still draining a GC burst.
 	LeastLoaded
 	// HotColdAffinity pins hot-stream pools (marked by the FTL through
 	// MarkHotPools) to the first half of the chips (at least one) and
 	// routes every other pool to the rest, so cold and GC traffic does
 	// not queue behind hot host writes on the same chip. Within each
-	// subset the earliest-free chip wins (the lowest chip with free
-	// blocks without a clock view); on a multi-tenant manager the subset
-	// is further sliced per tenant. A drained slice or subset widens —
-	// to the subset, then to all chips — rather than stranding free
-	// space.
+	// subset the earliest-free chip wins; on a multi-tenant manager the
+	// subset is further sliced per tenant. A drained slice or subset
+	// widens — to the subset, then to all chips — rather than stranding
+	// free space.
 	HotColdAffinity
 	// TenantPartition carves the chips into contiguous per-tenant ranges
 	// — tenant t of n owns [t*chips/n, (t+1)*chips/n) — and dispatches
@@ -106,12 +101,10 @@ func (m *Manager) pickChip(pool int) int {
 		}
 		fallthrough // single tenant or single chip: least-loaded
 	case LeastLoaded:
-		if m.clock != nil {
-			return m.leastLoadedIn(0, chips)
-		}
+		return m.leastLoadedIn(0, chips)
 	}
-	// Striped, and LeastLoaded without a clock. The rotation is bounded
-	// to one full lap, so drained pools yield -1 instead of a spin.
+	// Striped. The rotation is bounded to one full lap, so drained pools
+	// yield -1 instead of a spin.
 	for i := 0; i < chips; i++ {
 		chip := (m.nextChip + i) % chips
 		if m.free[chip].Len() > 0 {
@@ -142,8 +135,7 @@ func tenantRange(lo, hi, t, n int) (int, int) {
 }
 
 // leastLoadedIn returns the chip in [lo, hi) with free blocks whose
-// service clock frees earliest, ties to the lowest index; without a
-// clock view the lowest-indexed chip with free blocks wins. Returns -1
+// service clock frees earliest, ties to the lowest index. Returns -1
 // when every chip of the range is drained.
 func (m *Manager) leastLoadedIn(lo, hi int) int {
 	best := -1
@@ -151,9 +143,6 @@ func (m *Manager) leastLoadedIn(lo, hi int) int {
 	for c := lo; c < hi; c++ {
 		if m.free[c].Len() == 0 {
 			continue
-		}
-		if m.clock == nil {
-			return c
 		}
 		if f := m.clock.ChipFree(c); best < 0 || f < bestFree {
 			best, bestFree = c, f

@@ -90,28 +90,6 @@ func TestLeastLoadedFollowsClock(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedWithoutClockFallsBackToStriped: no clock view means the
-// policy must behave exactly like Striped, not panic or pick chip 0
-// forever.
-func TestLeastLoadedWithoutClockFallsBackToStriped(t *testing.T) {
-	striped := dispatchManager(t, 3, 1)
-	ll := dispatchManager(t, 3, 1)
-	ll.SetDispatch(LeastLoaded, nil)
-	for i := 0; i < 6; i++ {
-		a, err := striped.AllocateFirst(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ll.AllocateFirst(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Block != b.Block {
-			t.Fatalf("allocation %d: striped block %d, clockless least-loaded block %d", i, a.Block, b.Block)
-		}
-	}
-}
-
 // TestHotColdAffinitySplitsChips: hot pools fill the hot chip prefix,
 // cold pools the rest; each side prefers its subset's idlest chip.
 func TestHotColdAffinitySplitsChips(t *testing.T) {
@@ -219,18 +197,10 @@ func TestDispatchByName(t *testing.T) {
 }
 
 // TestDeviceSatisfiesChipClock pins the structural contract the ftl
-// wiring relies on: both the device and its read-only ClockView satisfy
-// vblock.ChipClock.
+// wiring relies on: the device satisfies vblock.ChipClock.
 func TestDeviceSatisfiesChipClock(t *testing.T) {
 	dev := nand.MustNewDevice(multiChipConfig(2))
 	var _ ChipClock = dev
-	var _ ChipClock = dev.ClockView()
-	if got := dev.ClockView().Chips(); got != 2 {
-		t.Errorf("ClockView.Chips() = %d, want 2", got)
-	}
-	if got := dev.ClockView().ChipFree(99); got != 0 {
-		t.Errorf("out-of-range ChipFree = %v, want 0", got)
-	}
 }
 
 // TestStripedBoundedOnDrainedPools: the striped rotation runs at most

@@ -119,8 +119,8 @@ type Manager struct {
 
 	// Dispatch-policy state: the policy consulted on every fresh-block
 	// allocation (Striped unless SetDispatch says otherwise), the
-	// optional per-chip clock view clock-aware policies read, and the
-	// FTL-declared hot-stream pools HotColdAffinity pins.
+	// per-chip clock clock-aware policies read, and the FTL-declared
+	// hot-stream pools HotColdAffinity pins.
 	policy  DispatchPolicy
 	clock   ChipClock
 	hotPool []bool
@@ -184,10 +184,9 @@ func NewManager(cfg nand.Config, k, pools int) (*Manager, error) {
 func (m *Manager) chipOf(b nand.BlockID) int { return int(b) / m.cfg.BlocksPerChip }
 
 // SetDispatch installs the chip-dispatch policy consulted by every
-// subsequent AllocateFirst, along with the per-chip clock view
+// subsequent AllocateFirst, along with the per-chip clock the
 // clock-aware policies (LeastLoaded, HotColdAffinity, TenantPartition)
-// read. A nil clock degrades them to their striped/lowest-chip
-// fallbacks.
+// read.
 func (m *Manager) SetDispatch(p DispatchPolicy, clock ChipClock) {
 	m.policy = p
 	m.clock = clock
@@ -577,81 +576,60 @@ func (m *Manager) idxRemove(b nand.BlockID) {
 	bi.inIdx = false
 }
 
-// PickVictim returns the greedy garbage-collection victim: the block with
-// the most invalidated pages, restricted to fully-programmed blocks when
-// fullOnly is set (the desperation pass over partially-filled blocks
-// clears it). Among equally-invalid candidates the lowest wear wins when
-// a wear callback is given. The walk starts at the highest occupied
-// invalid-count bucket, so cost is bounded by the number of candidates
-// sharing the top eligible count — independent of the device's block
-// count — rather than a full ForEachFull/ForEachOwned scan.
-func (m *Manager) PickVictim(fullOnly bool, exclude func(nand.BlockID) bool, wear func(nand.BlockID) uint32) (nand.BlockID, bool) {
-	for m.maxInv >= 1 && m.buckets[m.maxInv] == nilBlock {
-		m.maxInv--
+// IsOpen reports whether the block has an allocated part with pages
+// still unprogrammed: a write pipeline some strategy is filling. Every
+// strategy opens parts only through AllocateFirst or OpenPending(Group)
+// and stops writing one exactly when Advance reports it full, so this
+// is the manager's own record of the blocks garbage collection must not
+// touch. A full, pending, free or retired block is not open; neither is
+// an out-of-range block ID.
+func (m *Manager) IsOpen(b nand.BlockID) bool {
+	if uint64(b) >= uint64(len(m.blocks)) {
+		return false
 	}
-	for inv := m.maxInv; inv >= 1; inv-- {
-		var best nand.BlockID
-		var bestWear uint32
-		found := false
-		for node := m.buckets[inv]; node != nilBlock; node = m.blocks[node].next {
-			b := nand.BlockID(node)
-			if fullOnly && m.blocks[node].phase != phaseFull {
-				continue
-			}
-			if exclude != nil && exclude(b) {
-				continue
-			}
-			if wear == nil {
-				return b, true
-			}
-			if w := wear(b); !found || w < bestWear {
-				best, bestWear, found = b, w, true
-			}
-		}
-		if found {
-			return best, true
-		}
-	}
-	return 0, false
+	return m.isOpen(&m.blocks[b])
 }
 
-// PickVictimWearAware is PickVictim with the greedy rule relaxed for
-// wear leveling: instead of insisting on the highest invalid-page
-// count, it considers every eligible block within window invalid-count
-// buckets of the top and returns the least-worn one, trading a bounded
-// amount of write amplification for a flatter wear distribution. With
-// window 0 it degenerates to PickVictim's tie-break-by-wear; when the
-// relaxed range holds no eligible block it falls back to the full
-// PickVictim walk so GC never stalls.
-func (m *Manager) PickVictimWearAware(fullOnly bool, exclude func(nand.BlockID) bool, wear func(nand.BlockID) uint32, window int) (nand.BlockID, bool) {
+func (m *Manager) isOpen(bi *blockInfo) bool {
+	return bi.phase == phaseOwned && bi.cursor < bi.allocated*m.partLen
+}
+
+// PickVictim returns the garbage-collection victim, never an open block
+// (IsOpen) and only a fully-programmed one when fullOnly is set (the
+// desperation pass over partially-filled blocks clears it). The walk
+// visits invalid-count buckets from the top and keeps the least-worn
+// eligible block, so window 0 is greedy (most invalid pages, ties to the
+// lowest wear). A positive window relaxes greedy for wear leveling: the
+// least-worn eligible block within window buckets of the top wins,
+// trading a bounded amount of write amplification for a flatter wear
+// distribution. When those buckets hold no eligible block the walk
+// settles on the first lower bucket that does, so GC never stalls.
+//
+// Cost is bounded by the candidates in the buckets visited, independent
+// of the device's block count, rather than a ForEachFull/ForEachOwned
+// scan.
+func (m *Manager) PickVictim(fullOnly bool, wear func(nand.BlockID) uint32, window int) (nand.BlockID, bool) {
 	for m.maxInv >= 1 && m.buckets[m.maxInv] == nilBlock {
 		m.maxInv--
-	}
-	lo := m.maxInv - window
-	if lo < 1 {
-		lo = 1
 	}
 	var best nand.BlockID
 	var bestWear uint32
 	found := false
-	for inv := m.maxInv; inv >= lo; inv-- {
+	for inv := m.maxInv; inv >= 1; inv-- {
 		for node := m.buckets[inv]; node != nilBlock; node = m.blocks[node].next {
-			b := nand.BlockID(node)
-			if fullOnly && m.blocks[node].phase != phaseFull {
+			bi := &m.blocks[node]
+			if (fullOnly && bi.phase != phaseFull) || m.isOpen(bi) {
 				continue
 			}
-			if exclude != nil && exclude(b) {
-				continue
-			}
-			if w := wear(b); !found || w < bestWear {
-				best, bestWear, found = b, w, true
+			if w := wear(nand.BlockID(node)); !found || w < bestWear {
+				best, bestWear, found = nand.BlockID(node), w, true
 			}
 		}
+		if found && inv <= m.maxInv-window {
+			return best, true
+		}
 	}
-	if found {
-		return best, true
-	}
-	return m.PickVictim(fullOnly, exclude, wear)
+	return best, found
 }
 
 // ForEachFull calls fn for every full block until fn returns false.

@@ -441,7 +441,7 @@ func TestRetireLifecycle(t *testing.T) {
 		t.Error("double retire double-counted")
 	}
 	m.NoteInvalidated(full) // must not resurrect it in the victim index
-	if v, ok := m.PickVictim(false, nil, nil); ok {
+	if v, ok := m.PickVictim(false, func(nand.BlockID) uint32 { return 0 }, 0); ok {
 		t.Errorf("victim %d found, want none (only candidate is retired)", v)
 	}
 	if err := m.Retire(full); err != nil {
@@ -489,8 +489,9 @@ func TestRetireLifecycle(t *testing.T) {
 
 // TestPickVictimWearAware pins the relaxed victim rule: the least-worn
 // block within the invalid-count window wins over a more-invalid but
-// hotter block, window 0 degenerates to greedy, and an empty window
-// falls back to the plain greedy walk.
+// hotter block, window 0 is greedy with a wear tie-break, and a window
+// holding no eligible block falls through to the first lower bucket
+// that has one.
 func TestPickVictimWearAware(t *testing.T) {
 	m := newTestManager(t, 2)
 	b0 := fullFill(t, m, poolHot) // 3 invalid, wear 10
@@ -500,34 +501,85 @@ func TestPickVictimWearAware(t *testing.T) {
 		m.NoteInvalidated(b0)
 	}
 	for i := 0; i < 2; i++ {
+		m.NoteInvalidated(b2) // b2 heads bucket 2, so the tie-break must look past it
 		m.NoteInvalidated(b1)
-		m.NoteInvalidated(b2)
 	}
 	wear := map[nand.BlockID]uint32{b0: 10, b1: 1, b2: 5}
 	wearFn := func(b nand.BlockID) uint32 { return wear[b] }
 
 	// Window 0: greedy — the most-invalid block wins despite its wear.
-	if v, ok := m.PickVictimWearAware(true, nil, wearFn, 0); !ok || v != b0 {
+	if v, ok := m.PickVictim(true, wearFn, 0); !ok || v != b0 {
 		t.Errorf("window 0 victim = %v %v, want greedy %d", v, ok, b0)
 	}
 	// Window 1 reaches one bucket down: the least-worn of {b0,b1,b2}.
-	if v, ok := m.PickVictimWearAware(true, nil, wearFn, 1); !ok || v != b1 {
+	if v, ok := m.PickVictim(true, wearFn, 1); !ok || v != b1 {
 		t.Errorf("window 1 victim = %v %v, want least-worn %d", v, ok, b1)
 	}
-	// Excluding b1 leaves b2 as the least-worn in range.
-	excl := func(b nand.BlockID) bool { return b == b1 }
-	if v, ok := m.PickVictimWearAware(true, excl, wearFn, 1); !ok || v != b2 {
-		t.Errorf("window 1 excl victim = %v %v, want %d", v, ok, b2)
+	// A block still open for writes tops the index with 6 invalid pages.
+	// Window 1 then spans buckets 6 and 5, which hold no eligible block;
+	// the walk falls through to bucket 3 and stops there, so b0 wins
+	// over the less-worn b1 one bucket further down.
+	vb, err := m.AllocateFirst(poolHot)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Fallback: exclude everything in the window (only b0 qualifies at
-	// window 0 beyond bucket 3... shrink the window so only b0 is in
-	// range, exclude it, and the full greedy walk must still find b1.
-	exclTop := func(b nand.BlockID) bool { return b == b0 }
-	if v, ok := m.PickVictimWearAware(true, exclTop, wearFn, 0); !ok || v != b1 {
-		t.Errorf("fallback victim = %v %v, want %d via PickVictim", v, ok, b1)
+	fill(t, m, vb.Block, 4)
+	if _, ok := m.OpenPending(poolHot); !ok {
+		t.Fatal("setup: fast part not pending")
 	}
-	// PickVictim's own wear tie-break among the bucket-2 pair.
-	if v, ok := m.PickVictim(true, exclTop, wearFn); !ok || v != b1 {
-		t.Errorf("greedy tie-break victim = %v %v, want %d", v, ok, b1)
+	fill(t, m, vb.Block, 2)
+	for i := 0; i < 6; i++ {
+		m.NoteInvalidated(vb.Block)
+	}
+	if v, ok := m.PickVictim(false, wearFn, 1); !ok || v != b0 {
+		t.Errorf("fall-through victim = %v %v, want %d", v, ok, b0)
+	}
+	// Window 0 below the open block: greedy again.
+	if v, ok := m.PickVictim(false, wearFn, 0); !ok || v != b0 {
+		t.Errorf("window 0 victim under an open top = %v %v, want %d", v, ok, b0)
+	}
+}
+
+// TestIsOpen walks a block through the Figure 9 lifecycle: it is open
+// exactly while an allocated part has unprogrammed pages.
+func TestIsOpen(t *testing.T) {
+	m := newTestManager(t, 2)
+	const b = nand.BlockID(0)
+	if m.IsOpen(b) {
+		t.Error("free block reported open")
+	}
+	vb, err := m.AllocateFirst(poolHot)
+	if err != nil || vb.Block != b {
+		t.Fatalf("allocate = %v %v, want block %d", vb, err, b)
+	}
+	if !m.IsOpen(b) {
+		t.Error("part 0 allocated and empty: want open")
+	}
+	fill(t, m, b, 3)
+	if !m.IsOpen(b) {
+		t.Error("part 0 partly programmed: want open")
+	}
+	fill(t, m, b, 1)
+	if m.IsOpen(b) || m.PendingCount(poolHot) != 1 {
+		t.Error("part 0 full and pending: want not open")
+	}
+	if _, ok := m.OpenPending(poolHot); !ok {
+		t.Fatal("fast part not pending")
+	}
+	if !m.IsOpen(b) {
+		t.Error("part 1 opened: want open")
+	}
+	fill(t, m, b, 4)
+	if m.IsOpen(b) || !m.IsFull(b) {
+		t.Error("full block: want not open")
+	}
+	if err := m.Release(b); err != nil {
+		t.Fatal(err)
+	}
+	if m.IsOpen(b) {
+		t.Error("released block reported open")
+	}
+	if m.IsOpen(nand.BlockID(m.cfg.TotalBlocks())) {
+		t.Error("out-of-range block reported open")
 	}
 }
