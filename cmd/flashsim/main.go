@@ -54,12 +54,14 @@
 // retire. -wear picks the GC wear-leveling policy; -seed drives the
 // fault-injection PRNG (equal seeds inject identical faults).
 //
-// Unknown -ftl, -dispatch, -reliability, -wear or -suspend names are
-// rejected before the trace is loaded, with the list of valid names, and
-// so are -gb outside (0, 64] or at or below 64/683 GiB (about 0.0937,
-// where the Table 1 geometry reaches Config.Scaled's block floor),
-// -tenants outside [1, 8], -qd, -chips or -planes below 1, -pagesize
-// below 4096, and -chips above the block count of the requested device.
+// Unknown -ftl, -dispatch, -reliability, -wear, -suspend or -format
+// names are rejected before the trace is loaded, with the list of valid
+// names, and so are -gb outside (0, 64] or at or below 64/683 GiB (about
+// 0.0937, where the Table 1 geometry reaches Config.Scaled's block
+// floor), -tenants outside [1, 8], -qd, -chips or -planes below 1,
+// -pagesize below 4096, -chips above the block count of the requested
+// device, a negative -parallel or -reorder-window, a -disk below -1, and
+// a -disk other than -1 with -format simple (which has no disk field).
 //
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
@@ -121,7 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := validateRanges(*gb, *qd, *tenants, *pageSize, *chips, *planes); err != nil {
+	if err := validateRanges(rangeFlags{gb: *gb, qd: *qd, tenants: *tenants, pageSize: *pageSize,
+		chips: *chips, planes: *planes, parallel: *parallel, reorder: *reorder,
+		format: *format, disk: *disk}); err != nil {
 		fmt.Fprintln(stderr, "flashsim:", err)
 		return 2
 	}
@@ -302,40 +306,66 @@ func deviceConfig(gb float64, pageSize int) ppbflash.DeviceConfig {
 	return cfg
 }
 
-// validateRanges rejects out-of-range numeric flags up front, naming the
-// valid range: -gb scales the 64 GiB Table 1 device down, so it must lie
-// in (0, 64], and its divisor 64/gb may not exceed what Config.Scaled
-// honours — a larger one would shrink the chip below Scaled's block
-// floor, which Scaled silently restores (and one past the int range
-// would wrap to a divisor of 1, the full device). The divisor is checked
-// as a float, before deviceConfig converts it. -qd must allow at least
-// one outstanding request; -tenants
-// is bounded by the compositor's tenant slots; -pagesize has the
-// minPageSize floor; a chip and a plane per chip are the least a device
-// can have, and a chip needs at least one block of the device.
-func validateRanges(gb float64, qd, tenants, pageSize, chips, planes int) error {
-	if !(gb > 0 && gb <= 64) {
-		return fmt.Errorf("-gb %g out of range (0, 64]", gb)
+// rangeFlags are the flags validateRanges checks.
+type rangeFlags struct {
+	gb                                                   float64
+	qd, tenants, pageSize, chips, planes, parallel, disk int
+	reorder                                              time.Duration
+	format                                               string
+}
+
+// validateRanges rejects out-of-range numeric flags and unknown trace
+// selections up front, naming the valid range or names: -gb scales the
+// 64 GiB Table 1 device down, so it must lie in (0, 64], and its divisor
+// 64/gb may not exceed what Config.Scaled honours — a larger one would
+// shrink the chip below Scaled's block floor, which Scaled silently
+// restores (and one past the int range would wrap to a divisor of 1, the
+// full device). The divisor is checked as a float, before deviceConfig
+// converts it. -qd must allow at least one outstanding request;
+// -tenants is bounded by the compositor's tenant slots; -pagesize has
+// the minPageSize floor; a chip and a plane per chip are the least a
+// device can have, and a chip needs at least one block of the device.
+// -parallel and -reorder-window reserve 0 for their defaults and have
+// no negative meaning. -format names a trace parser, and -disk filters
+// MSR records by disk number, with -1 for all; the simple format has no
+// disk field to filter on.
+func validateRanges(f rangeFlags) error {
+	if !(f.gb > 0 && f.gb <= 64) {
+		return fmt.Errorf("-gb %g out of range (0, 64]", f.gb)
 	}
 	t1 := ppbflash.TableOneConfig()
 	floor := t1.Scaled(math.MaxInt).BlocksPerChip
-	if maxDiv := t1.BlocksPerChip / floor; 64/gb >= float64(maxDiv+1) {
+	if maxDiv := t1.BlocksPerChip / floor; 64/f.gb >= float64(maxDiv+1) {
 		return fmt.Errorf("-gb %g out of range (64/%d = %.4f, 64]: a smaller device would be raised to %d blocks",
-			gb, maxDiv+1, 64/float64(maxDiv+1), floor)
+			f.gb, maxDiv+1, 64/float64(maxDiv+1), floor)
 	}
-	if tenants < 1 || tenants > ppbflash.MaxTenants {
-		return fmt.Errorf("-tenants %d out of range [1, %d]", tenants, ppbflash.MaxTenants)
+	if f.tenants < 1 || f.tenants > ppbflash.MaxTenants {
+		return fmt.Errorf("-tenants %d out of range [1, %d]", f.tenants, ppbflash.MaxTenants)
 	}
-	for _, f := range []struct {
+	for _, fl := range []struct {
 		name   string
 		v, min int
-	}{{"qd", qd, 1}, {"pagesize", pageSize, minPageSize}, {"chips", chips, 1}, {"planes", planes, 1}} {
-		if f.v < f.min {
-			return fmt.Errorf("-%s %d out of range: want at least %d", f.name, f.v, f.min)
+	}{{"qd", f.qd, 1}, {"pagesize", f.pageSize, minPageSize}, {"chips", f.chips, 1}, {"planes", f.planes, 1}} {
+		if fl.v < fl.min {
+			return fmt.Errorf("-%s %d out of range: want at least %d", fl.name, fl.v, fl.min)
 		}
 	}
-	if blocks := deviceConfig(gb, pageSize).TotalBlocks(); chips > blocks {
-		return fmt.Errorf("-chips %d out of range [1, %d]: the device has %d blocks", chips, blocks, blocks)
+	if blocks := deviceConfig(f.gb, f.pageSize).TotalBlocks(); f.chips > blocks {
+		return fmt.Errorf("-chips %d out of range [1, %d]: the device has %d blocks", f.chips, blocks, blocks)
+	}
+	if f.parallel < 0 {
+		return fmt.Errorf("-parallel %d out of range: want at least 1, or 0 for GOMAXPROCS", f.parallel)
+	}
+	if f.reorder < 0 {
+		return fmt.Errorf("-reorder-window %v out of range: want at least 0 (0 = 4x the erase latency when -planes > 1)", f.reorder)
+	}
+	switch {
+	case f.format != "msr" && f.format != "simple":
+		return fmt.Errorf("unknown -format %q (want msr or simple)", f.format)
+	case f.disk < -1:
+		return fmt.Errorf("-disk %d out of range: want a disk number of at least 0, or -1 for all disks", f.disk)
+	case f.disk != -1 && f.format == "simple":
+		return fmt.Errorf("-disk %d needs -format msr: the simple format has no disk field (want -1)", f.disk)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ppbflash"
 )
@@ -98,15 +99,20 @@ func TestValidateNames(t *testing.T) {
 	}
 }
 
-// TestValidateRanges pins the up-front numeric flag checks: -gb outside
+// TestValidateRanges pins the up-front flag checks: -gb outside
 // (0, 64], -tenants outside [1, 8], -qd, -chips or -planes below 1,
-// -pagesize below 4096 and -chips above the device's block count must
-// be rejected with the valid range in the message instead of being
-// silently replaced (-gb 0 and -gb 100 used to replay on the full
+// -pagesize below 4096, -chips above the device's block count, a
+// negative -parallel or -reorder-window, an unknown -format, a -disk
+// below -1 and a -disk with the disk-less simple format must be
+// rejected with the valid range or names in the message instead of
+// being silently replaced (-gb 0 and -gb 100 used to replay on the full
 // 64 GiB device, -qd -5 at depth 1 while the report printed QD -5,
 // -chips 0 and -planes 0 on one chip and one plane, -chips 1000 at
 // -gb 1 on the device's 170 blocks as 170 chips, -pagesize 64 printed
-// "0 KB pages", and -pagesize 0 panicked).
+// "0 KB pages", -pagesize 0 panicked, -parallel -3 ran at GOMAXPROCS,
+// -disk -5 replayed every disk and -disk 3 -format simple ignored the
+// disk) or failing late (-reorder-window -1s inside the run, -format
+// bogus in the trace scan with exit 1). An empty format means msr.
 func TestValidateRanges(t *testing.T) {
 	const page = 16 << 10
 	cases := []struct {
@@ -114,6 +120,9 @@ func TestValidateRanges(t *testing.T) {
 		gb                      float64
 		qd, tenants             int
 		pageSize, chips, planes int
+		parallel, disk          int
+		reorder                 time.Duration
+		format                  string
 		wantErr                 string // substring of the error ("" = valid)
 	}{
 		{name: "defaults", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1},
@@ -140,10 +149,30 @@ func TestValidateRanges(t *testing.T) {
 		{name: "negative chips", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: -3, planes: 1, wantErr: "-chips -3 out of range"},
 		{name: "zero planes", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 0, wantErr: "-planes 0 out of range: want at least 1"},
 		{name: "negative planes", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: -2, wantErr: "-planes -2 out of range"},
+		{name: "parallel workers", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, parallel: 3},
+		{name: "negative parallel", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, parallel: -3,
+			wantErr: "-parallel -3 out of range: want at least 1, or 0 for GOMAXPROCS"},
+		{name: "reorder window", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 2, reorder: time.Millisecond},
+		{name: "negative reorder window", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 2, reorder: -time.Second,
+			wantErr: "-reorder-window -1s out of range: want at least 0"},
+		{name: "simple format", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, format: "simple", disk: -1},
+		{name: "unknown format", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, format: "bogus", disk: -1,
+			wantErr: `unknown -format "bogus" (want msr or simple)`},
+		{name: "every msr disk", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, disk: -1},
+		{name: "one msr disk", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, disk: 3},
+		{name: "disk below all", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, disk: -5,
+			wantErr: "-disk -5 out of range: want a disk number of at least 0, or -1 for all disks"},
+		{name: "disk with simple format", gb: 4, qd: 1, tenants: 1, pageSize: page, chips: 1, planes: 1, format: "simple", disk: 3,
+			wantErr: "-disk 3 needs -format msr"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateRanges(tc.gb, tc.qd, tc.tenants, tc.pageSize, tc.chips, tc.planes)
+			format := tc.format
+			if format == "" {
+				format = "msr"
+			}
+			err := validateRanges(rangeFlags{gb: tc.gb, qd: tc.qd, tenants: tc.tenants, pageSize: tc.pageSize,
+				chips: tc.chips, planes: tc.planes, parallel: tc.parallel, disk: tc.disk, reorder: tc.reorder, format: format})
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateRanges() = %v, want nil", err)
@@ -157,9 +186,10 @@ func TestValidateRanges(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadGeometry: an out-of-range geometry exits 2 naming the
-// valid range before the trace is read — the trace path does not exist,
-// so a run that reached the trace scan would exit 1 instead.
+// TestRunRejectsBadGeometry: an out-of-range geometry, worker count,
+// reorder window or trace selection exits 2 naming the valid range or
+// names before the trace is read — the trace path does not exist, so a
+// run that reached the trace scan would exit 1 instead.
 func TestRunRejectsBadGeometry(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.csv")
 	for _, tc := range []struct {
@@ -170,6 +200,11 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 		{[]string{"-gb", "1", "-chips", "1000"}, "-chips 1000 out of range [1, 170]"},
 		{[]string{"-gb", "0.05"}, "-gb 0.05 out of range (64/683"},
 		{[]string{"-gb", "1e-300"}, "-gb 1e-300 out of range (64/683"},
+		{[]string{"-parallel", "-3"}, "-parallel -3 out of range: want at least 1, or 0 for GOMAXPROCS"},
+		{[]string{"-disk", "-5"}, "-disk -5 out of range: want a disk number of at least 0, or -1 for all disks"},
+		{[]string{"-disk", "3", "-format", "simple"}, "-disk 3 needs -format msr"},
+		{[]string{"-reorder-window", "-1s"}, "-reorder-window -1s out of range: want at least 0"},
+		{[]string{"-format", "bogus"}, `unknown -format "bogus" (want msr or simple)`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(append([]string{"-trace", missing}, tc.args...), &stdout, &stderr); code != 2 ||

@@ -44,7 +44,9 @@ import (
 
 // Options configures the PPB strategy on top of the base FTL options.
 type Options struct {
-	// FTL carries over-provisioning and GC watermarks.
+	// FTL carries the shared FTL options (over-provisioning, dispatch,
+	// deferral, suspend, wear, reliability, tenants); the GC watermarks
+	// are derived from the device and over-provisioning (gcWatermarks).
 	FTL ftl.Options
 	// SplitFactor is how many virtual blocks each physical block is
 	// divided into (the paper's default and our default is 2; §3.3.1
@@ -139,9 +141,6 @@ type PPB struct {
 	hot   *hotness.TwoLevelLRU
 	cold  *hotness.FreqTable
 
-	open   [numPools][2]vblock.VB // open VB per pool and speed (0 slow, 1 fast)
-	isOpen [numPools][2]bool
-
 	// GC callbacks bound once at construction (see New).
 	reprogramFn ftl.ReprogramFunc
 	slowFirstFn func(nand.OOB) bool
@@ -158,44 +157,6 @@ var _ ftl.FTL = (*PPB)(nil)
 
 // New builds a PPB FTL over the device.
 func New(dev *nand.Device, opt Options) (*PPB, error) {
-	// PPB keeps more blocks partially open than a conventional FTL (one
-	// pipeline per pool), so it wants a deeper GC reserve — but the
-	// watermarks must stay reachable: over-provisioning bounds how many
-	// blocks can ever be free, and partially-open pipeline blocks consume
-	// part of that slack.
-	if opt.FTL.GCLowWater == 0 {
-		cfg := dev.Config()
-		op := opt.FTL.OverProvision
-		if op == 0 {
-			op = 0.10
-		}
-		logicalBlocks := int((ftl.LogicalPagesFor(cfg, op) + uint64(cfg.PagesPerBlock) - 1) /
-			uint64(cfg.PagesPerBlock))
-		slack := cfg.TotalBlocks() - logicalBlocks
-		low := cfg.TotalBlocks() / 64
-		if low < 6 {
-			low = 6
-		}
-		if max := slack / 3; low > max && max >= 2 {
-			low = max
-		} else if low > slack-1 && slack > 1 {
-			low = slack - 1
-		}
-		if low < 1 {
-			low = 1
-		}
-		opt.FTL.GCLowWater = low
-		if opt.FTL.GCHighWater == 0 {
-			high := low + 3
-			if max := slack / 2; high > max {
-				high = max
-			}
-			if high <= low {
-				high = low + 1
-			}
-			opt.FTL.GCHighWater = high
-		}
-	}
 	if opt.SplitFactor == 0 {
 		opt.SplitFactor = 2
 	}
@@ -207,7 +168,8 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	// a hot/cold affinity dispatch the bulk/library/dark cold pools (and
 	// their GC erases) stay off the hot chips.
 	vbm.MarkHotPools(poolHotHost, poolHotGC)
-	base, err := ftl.NewBase(dev, vbm, opt.FTL)
+	low, high := gcWatermarks(dev.Config(), opt.FTL.OverProvision)
+	base, err := ftl.NewBase(dev, vbm, low, high, opt.FTL)
 	if err != nil {
 		return nil, err
 	}
@@ -230,6 +192,41 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	p.reprogramFn = p.reprogramGC
 	p.slowFirstFn = p.gcSlowFirst
 	return p, nil
+}
+
+// gcWatermarks returns PPB's GC watermarks. PPB keeps more blocks
+// partially open than a conventional FTL (one pipeline per pool), so it
+// wants a deeper GC reserve — but the watermarks must stay reachable:
+// over-provisioning (overProvision, 0 for the ftl default of 0.10)
+// bounds how many blocks can ever be free, and partially-open pipeline
+// blocks consume part of that slack.
+func gcWatermarks(cfg nand.Config, overProvision float64) (low, high int) {
+	if overProvision == 0 {
+		overProvision = 0.10
+	}
+	logicalBlocks := int((ftl.LogicalPagesFor(cfg, overProvision) + uint64(cfg.PagesPerBlock) - 1) /
+		uint64(cfg.PagesPerBlock))
+	slack := cfg.TotalBlocks() - logicalBlocks
+	low = cfg.TotalBlocks() / 64
+	if low < 6 {
+		low = 6
+	}
+	if max := slack / 3; low > max && max >= 2 {
+		low = max
+	} else if low > slack-1 && slack > 1 {
+		low = slack - 1
+	}
+	if low < 1 {
+		low = 1
+	}
+	high = low + 3
+	if max := slack / 2; high > max {
+		high = max
+	}
+	if high <= low {
+		high = low + 1
+	}
+	return low, high
 }
 
 // Name implements ftl.FTL.
@@ -371,21 +368,13 @@ func (p *PPB) noteMigration(oldPPN, newPPN nand.PPN) {
 // equals lvl.Fast() but GC relocation into the library pool reserves the
 // fast halves for the most re-read tier.
 func (p *PPB) programAt(pool int, lvl hotness.Level, wantFast bool, oob nand.OOB) (time.Duration, nand.PPN, error) {
-	vb, err := p.targetVB(pool, wantFast)
+	blk, err := p.target(pool, wantFast)
 	if err != nil {
 		return 0, 0, err
 	}
-	page, vbFull, _, err := p.vbm.Advance(vb.Block)
+	cost, ppn, err := p.ProgramNext(blk, oob)
 	if err != nil {
 		return 0, 0, err
-	}
-	ppn := p.Geom().PPNForBlockPage(vb.Block, page)
-	cost, err := p.Device().Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if vbFull {
-		p.closeOpenVB(vb)
 	}
 	p.ppbStats.LevelWrites[lvl].Inc()
 	return cost, ppn, nil
@@ -395,7 +384,8 @@ func (p *PPB) programAt(pool int, lvl hotness.Level, wantFast bool, oob nand.OOB
 // served from genuinely fast pages right now (an open fast VB with room,
 // or a pending fast part ready to open).
 func (p *PPB) fastSpaceAvailable(pool int) bool {
-	return p.isOpen[pool][1] || p.vbm.PendingCountGroup(pool, true) > 0
+	_, open := p.vbm.Open(pool, true)
+	return open || p.vbm.PendingCountGroup(pool, true) > 0
 }
 
 // maxPendingBacklog bounds how many allocated-but-unopened fast halves
@@ -405,32 +395,35 @@ func (p *PPB) fastSpaceAvailable(pool int) bool {
 // while VB1 still serves the iron-hot list) without stranding space.
 const maxPendingBacklog = 1
 
-// targetVB resolves the VB a write into the pool should use:
+// target resolves the block a write into the pool should program, from
+// the write points the manager keeps per pool and speed group
+// (vblock.Manager.Open):
 //
-//  1. the pool's open VB of the wanted speed;
+//  1. the pool's write point of the wanted speed;
 //  2. a pending VB of the wanted speed group (same pool);
 //  3. in pools with genuine fast-page demand, slow writes with a small
 //     pending backlog open a fresh block, keeping a pending fast part
 //     standing for the pool's fast level (Figure 8 steps 3-4: the hot
 //     list takes block N+1's slow VB while the iron-hot list is still
 //     filling block N's fast VB); bulk pools pack tight instead;
-//  4. diversion into the pool's other-speed open or pending VB
+//  4. diversion into the pool's other-speed write point or pending VB
 //     (Algorithm 1: "divert write request to the other VB list" when one
 //     list is full — free space must never be stranded);
 //  5. a freshly allocated physical block, whose slow part 0 opens as the
-//     pool's slow pipeline (lines 8-10: "allocate new VB to Hot VB list;
-//     divert write request to Hot VB list");
-//  6. under free-pool exhaustion, any open or pending VB of the same
-//     area (other pools) — utilization trumps pool separation, and the
-//     paper's area purity still holds.
-func (p *PPB) targetVB(pool int, wantFast bool) (vblock.VB, error) {
-	speed := speedIdx(wantFast)
-	if p.isOpen[pool][speed] {
-		return p.open[pool][speed], nil
+//     pool's slow write point (lines 8-10: "allocate new VB to Hot VB
+//     list; divert write request to Hot VB list");
+//  6. under free-pool exhaustion, any write point or pending VB of the
+//     same area (other pools) — utilization trumps pool separation, and
+//     the paper's area purity still holds.
+//
+// Every VB it opens becomes that pool's write point of its group, and
+// it opens one only where that write point is empty.
+func (p *PPB) target(pool int, wantFast bool) (nand.BlockID, error) {
+	if blk, ok := p.vbm.Open(pool, wantFast); ok {
+		return blk, nil
 	}
 	if vb, ok := p.vbm.OpenPendingGroup(pool, wantFast); ok {
-		p.registerOpen(pool, vb)
-		return vb, nil
+		return vb.Block, nil
 	}
 	if !wantFast && reservesFast(pool) && p.vbm.PendingCountGroup(pool, true) <= maxPendingBacklog {
 		// Keeping one standing pending fast part means the pool's fast
@@ -438,8 +431,7 @@ func (p *PPB) targetVB(pool int, wantFast bool) (vblock.VB, error) {
 		// start eating fast halves (diversion below) once the backlog is
 		// ahead of fast demand.
 		if vb, err := p.vbm.AllocateFirst(pool); err == nil {
-			p.registerOpen(pool, vb)
-			return vb, nil
+			return vb.Block, nil
 		}
 		// Free pool exhausted mid-GC: fall through to diversion.
 	}
@@ -453,55 +445,50 @@ func (p *PPB) targetVB(pool int, wantFast bool) (vblock.VB, error) {
 			if pl == pool {
 				continue
 			}
-			if p.isOpen[pl][1] {
+			if blk, ok := p.vbm.Open(pl, true); ok {
 				p.ppbStats.Diversions.Inc()
-				return p.open[pl][1], nil
+				return blk, nil
 			}
 			if vb, ok := p.vbm.OpenPendingGroup(pl, true); ok {
-				p.registerOpen(pl, vb)
 				p.ppbStats.Diversions.Inc()
-				return vb, nil
+				return vb.Block, nil
 			}
 		}
 	}
-	other := speedIdx(!wantFast)
-	if p.isOpen[pool][other] {
+	if blk, ok := p.vbm.Open(pool, !wantFast); ok {
 		p.ppbStats.Diversions.Inc()
-		return p.open[pool][other], nil
+		return blk, nil
 	}
 	if vb, ok := p.vbm.OpenPendingGroup(pool, !wantFast); ok {
-		p.registerOpen(pool, vb)
 		p.ppbStats.Diversions.Inc()
-		return vb, nil
+		return vb.Block, nil
 	}
 	if vb, err := p.vbm.AllocateFirst(pool); err == nil {
-		p.registerOpen(pool, vb)
 		if wantFast {
 			p.ppbStats.Diversions.Inc()
 		}
-		return vb, nil
+		return vb.Block, nil
 	}
-	// Free pool empty: fall back to any open or pending VB of the same
-	// area in any pool.
+	// Free pool empty: fall back to any write point or pending VB of the
+	// same area in any pool.
 	area := poolArea(pool)
 	for _, pl := range areaPools(area) {
-		for _, sp := range [2]int{speed, other} {
-			if p.isOpen[pl][sp] {
+		for _, fast := range [2]bool{wantFast, !wantFast} {
+			if blk, ok := p.vbm.Open(pl, fast); ok {
 				p.ppbStats.Diversions.Inc()
-				return p.open[pl][sp], nil
+				return blk, nil
 			}
 		}
 	}
 	for _, pl := range areaPools(area) {
 		for _, fast := range [2]bool{wantFast, !wantFast} {
 			if vb, ok := p.vbm.OpenPendingGroup(pl, fast); ok {
-				p.registerOpen(pl, vb)
 				p.ppbStats.Diversions.Inc()
-				return vb, nil
+				return vb.Block, nil
 			}
 		}
 	}
-	return vblock.VB{}, fmt.Errorf("%w (ppb: %s area)", ftl.ErrNoSpace, area)
+	return 0, fmt.Errorf("%w (ppb: %s area)", ftl.ErrNoSpace, area)
 }
 
 // reservesFast reports whether the pool hosts a level that genuinely
@@ -510,45 +497,6 @@ func (p *PPB) targetVB(pool int, wantFast bool) (vblock.VB, error) {
 // tight instead — their fast halves just absorb overflow.
 func reservesFast(pool int) bool {
 	return pool == poolHotHost || pool == poolHotGC || pool == poolColdGCLib
-}
-
-// speedIdx maps a speed-group flag to the open-slot index.
-func speedIdx(fast bool) int {
-	if fast {
-		return 1
-	}
-	return 0
-}
-
-// registerOpen records a VB as the pool's open pipeline of its speed.
-func (p *PPB) registerOpen(pool int, vb vblock.VB) {
-	sp := speedIdx(p.vbm.FastPart(vb.Part))
-	p.open[pool][sp], p.isOpen[pool][sp] = vb, true
-}
-
-// closeOpenVB clears whichever list had this VB open.
-func (p *PPB) closeOpenVB(vb vblock.VB) {
-	for lvl := range p.open {
-		for st := range p.open[lvl] {
-			if p.isOpen[lvl][st] && p.open[lvl][st] == vb {
-				p.isOpen[lvl][st] = false
-			}
-		}
-	}
-}
-
-// pairedLevel returns the other level of the same area.
-func pairedLevel(lvl hotness.Level) hotness.Level {
-	switch lvl {
-	case hotness.IronHot:
-		return hotness.Hot
-	case hotness.Hot:
-		return hotness.IronHot
-	case hotness.Cold:
-		return hotness.IcyCold
-	default:
-		return hotness.Cold
-	}
 }
 
 // gcSlowFirst orders GC relocation so slow-deserving data (hot, icy)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,29 @@ func testConfig() nand.Config {
 // for the five-pool pipeline.
 func testOptions() Options {
 	return Options{FTL: ftl.Options{OverProvision: 0.2}}
+}
+
+// checkWritePoints verifies the manager's invariants and that every
+// open block is one of its pool's write points: target opens a part only
+// where the pool's write point of that speed group is empty and returns
+// only write points, so no open block is left behind for garbage
+// collection to skip forever.
+func checkWritePoints(p *PPB) error {
+	if err := p.vbm.CheckInvariants(); err != nil {
+		return err
+	}
+	for b := nand.BlockID(0); int(b) < p.Config().TotalBlocks(); b++ {
+		if !p.vbm.IsOpen(b) {
+			continue
+		}
+		pool, owned := p.vbm.PoolOf(b)
+		slow, sok := p.vbm.Open(pool, false)
+		fast, fok := p.vbm.Open(pool, true)
+		if !owned || !(sok && slow == b || fok && fast == b) {
+			return fmt.Errorf("open block %d of pool %d is not one of its write points", b, pool)
+		}
+	}
+	return nil
 }
 
 func newPPB(t *testing.T, cfg nand.Config, opt Options) *PPB {
@@ -401,6 +425,9 @@ func TestSplitFactorFour(t *testing.T) {
 		if err := p.Write(lpn, size); err != nil {
 			t.Fatal(err)
 		}
+		if err := checkWritePoints(p); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
 	}
 	if err := p.CheckAreaPurity(); err != nil {
 		t.Fatal(err)
@@ -471,6 +498,10 @@ func TestPropertyPPBInvariants(t *testing.T) {
 					return false
 				}
 				written[lpn] = true
+			}
+			if err := checkWritePoints(p); err != nil {
+				t.Logf("op %d: %v", i, err)
+				return false
 			}
 		}
 		if err := p.CheckMapping(); err != nil {

@@ -2,19 +2,25 @@ package ftl
 
 import (
 	"fmt"
+	"time"
 
 	"ppbflash/internal/nand"
 	"ppbflash/internal/vblock"
 )
 
 // Base carries the machinery every FTL in this package shares: the
-// device, the mapping table, stats, options, and victim selection.
+// device, the mapping table, stats, options, the page-programming path
+// and victim selection.
 type Base struct {
 	dev   *nand.Device
 	cfg   nand.Config
 	opts  Options
 	table *Mapping
 	stats Stats
+
+	// gcLow and gcHigh are the GC watermarks: collection starts when the
+	// free pool falls to gcLow blocks and stops once it is back at gcHigh.
+	gcLow, gcHigh int
 
 	// vbm is the strategy's virtual-block manager; invalidations and GC
 	// victim picks go through it so its victim index stays current.
@@ -28,18 +34,22 @@ type Base struct {
 }
 
 // NewBase validates the options and builds the shared state for an FTL
-// over dev and the strategy's virtual-block manager. Strategy packages
+// over dev and the strategy's virtual-block manager, collecting garbage
+// between the gcLow and gcHigh free-block watermarks. Strategy packages
 // (internal/core) embed the result. Taking the manager at construction
 // (rather than attaching it later) guarantees Invalidate always feeds
 // the manager's GC victim index — a strategy cannot forget to wire it —
 // and lets NewBase thread the dispatch policy plus the device's chip
 // clocks into the manager, so clock-aware policies work for every
 // strategy without per-FTL wiring.
-func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) {
+func NewBase(dev *nand.Device, vbm *vblock.Manager, gcLow, gcHigh int, opts Options) (Base, error) {
 	cfg := dev.Config()
 	opts = opts.withDefaults(cfg)
-	if err := opts.Validate(cfg); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Base{}, err
+	}
+	if gcHigh >= cfg.TotalBlocks() {
+		return Base{}, fmt.Errorf("ftl: GC high water %d not below %d blocks", gcHigh, cfg.TotalBlocks())
 	}
 	if vbm == nil {
 		return Base{}, fmt.Errorf("ftl: NewBase requires a vblock manager")
@@ -67,7 +77,15 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, opts Options) (Base, error) 
 		return Base{}, fmt.Errorf("ftl: no logical space (over-provision %g on %d pages)",
 			opts.OverProvision, cfg.TotalPages())
 	}
-	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm}, nil
+	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm,
+		gcLow: gcLow, gcHigh: gcHigh}, nil
+}
+
+// gcWatermarks returns the GC watermarks of this package's FTLs: collect
+// when the free pool falls to max(blocks/64, 3) blocks, up to two more.
+func gcWatermarks(cfg nand.Config) (low, high int) {
+	low = max(cfg.TotalBlocks()/64, 3)
+	return low, low + 2
 }
 
 // Stats implements FTL.
@@ -86,9 +104,6 @@ func (b *Base) Config() nand.Config { return b.cfg }
 // (SplitPPN and friends take pointer receivers so the hot path never
 // copies the Config struct).
 func (b *Base) Geom() *nand.Config { return &b.cfg }
-
-// Opts returns the effective (defaulted) options.
-func (b *Base) Opts() Options { return b.opts }
 
 // Map returns the logical-to-physical mapping table.
 func (b *Base) Map() *Mapping { return b.table }
@@ -114,14 +129,14 @@ func (b *Base) Invalidate(ppn nand.PPN) error {
 	return nil
 }
 
-// ReadMapped serves a host read of lpn, attributing cost and the
-// fast/slow placement split. Returns false when unmapped.
-func (b *Base) ReadMapped(lpn uint64) (bool, error) {
+// Read implements FTL: it serves a host read of lpn, attributing cost
+// and the fast/slow placement split. Returns false when unmapped.
+func (b *Base) Read(lpn uint64) (bool, error) {
 	_, mapped, err := b.ReadMappedOOB(lpn)
 	return mapped, err
 }
 
-// ReadMappedOOB is ReadMapped returning the OOB metadata of the page
+// ReadMappedOOB is Read returning the OOB metadata of the page
 // that served the read, so strategies that need the stored tag (PPB's
 // level accounting) avoid a second mapping lookup per host read.
 func (b *Base) ReadMappedOOB(lpn uint64) (nand.OOB, bool, error) {
@@ -149,6 +164,25 @@ func (b *Base) ReadMappedOOB(lpn uint64) (nand.OOB, bool, error) {
 		b.stats.SlowReads.Inc()
 	}
 	return oob, true, nil
+}
+
+// ProgramNext programs one page into the next free page of blk's open
+// part and returns the device cost and the programmed PPN. It is the
+// one page-programming path of every strategy: the strategy only picks
+// blk, normally one of its pools' write points (vblock.Manager.Open),
+// and the manager's Advance closes that write point when the page fills
+// the part.
+func (b *Base) ProgramNext(blk nand.BlockID, oob nand.OOB) (time.Duration, nand.PPN, error) {
+	page, err := b.vbm.Advance(blk)
+	if err != nil {
+		return 0, 0, err
+	}
+	ppn := b.cfg.PPNForBlockPage(blk, page)
+	cost, err := b.dev.Program(ppn, oob)
+	if err != nil {
+		return 0, 0, err
+	}
+	return cost, ppn, nil
 }
 
 // CheckWrite validates the target of a host write.

@@ -35,7 +35,8 @@ func causalBase(t *testing.T) (*Base, *nand.Device, nand.BlockID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5})
+	low, high := gcWatermarks(cfg)
+	base, err := NewBase(dev, vbm, low, high, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +49,8 @@ func causalBase(t *testing.T) (*Base, *nand.Device, nand.BlockID) {
 		t.Fatalf("victim on chip %d, want chip 0", got)
 	}
 	for page := 0; page < cfg.PagesPerBlock; page++ {
-		pg, _, _, err := vbm.Advance(victim)
+		_, ppn, err := base.ProgramNext(victim, nand.OOB{LPN: uint64(page)})
 		if err != nil {
-			t.Fatal(err)
-		}
-		ppn := cfg.PPNForBlockPage(victim, pg)
-		if _, err := dev.Program(ppn, nand.OOB{LPN: uint64(page)}); err != nil {
 			t.Fatal(err)
 		}
 		base.Map().Set(uint64(page), ppn)
@@ -118,7 +115,8 @@ func TestNestedCollectScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5})
+	low, high := gcWatermarks(cfg)
+	base, err := NewBase(dev, vbm, low, high, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +131,12 @@ func TestNestedCollectScratch(t *testing.T) {
 		blk := vb.Block
 		for i := 0; i < cfg.PagesPerBlock; i++ {
 			if i == cfg.PagesPerBlock/2 {
-				if _, ok := vbm.OpenPending(0); !ok {
+				if _, ok := vbm.OpenPendingGroup(0, true); !ok {
 					t.Fatal("fast part not pending")
 				}
 			}
-			pg, _, _, err := vbm.Advance(blk)
+			_, ppn, err := base.ProgramNext(blk, nand.OOB{LPN: lpn0 + uint64(i)})
 			if err != nil {
-				t.Fatal(err)
-			}
-			ppn := cfg.PPNForBlockPage(blk, pg)
-			if _, err := dev.Program(ppn, nand.OOB{LPN: lpn0 + uint64(i)}); err != nil {
 				t.Fatal(err)
 			}
 			base.Map().Set(lpn0+uint64(i), ppn)
@@ -152,31 +146,24 @@ func TestNestedCollectScratch(t *testing.T) {
 	victimA := fill(1)
 	victimB := fill(42)
 
-	// Shared relocation destination stream, fed through the manager so
-	// the release bookkeeping at the end of each collection stays
-	// consistent.
-	var dest vblock.VB
-	var destOpen bool
+	// Shared relocation destination stream, fed through the manager's
+	// write points so the release bookkeeping at the end of each
+	// collection stays consistent: it holds one open part at a time.
 	writeOne := func(oob nand.OOB) (time.Duration, nand.PPN, error) {
-		if !destOpen {
-			if vb, ok := vbm.OpenPending(0); ok {
-				dest, destOpen = vb, true
+		dest, ok := vbm.Open(0, false)
+		if !ok {
+			dest, ok = vbm.Open(0, true)
+		}
+		if !ok {
+			if vb, ok := vbm.OpenPendingGroup(0, true); ok {
+				dest = vb.Block
 			} else if vb, err := vbm.AllocateFirst(0); err == nil {
-				dest, destOpen = vb, true
+				dest = vb.Block
 			} else {
 				t.Fatal("no destination space")
 			}
 		}
-		pg, vbFull, _, err := vbm.Advance(dest.Block)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vbFull {
-			destOpen = false
-		}
-		ppn := cfg.PPNForBlockPage(dest.Block, pg)
-		cost, err := dev.Program(ppn, oob)
-		return cost, ppn, err
+		return base.ProgramNext(dest, oob)
 	}
 	// Defer odd LPNs so the outer collection runs both passes.
 	oddLast := func(oob nand.OOB) bool { return oob.LPN%2 == 0 }

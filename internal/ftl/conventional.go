@@ -20,10 +20,10 @@ import (
 // and accidentally gifting host data the fast half.
 type Conventional struct {
 	Base
-	active [2]nand.BlockID // 0 = host stream, 1 = GC stream
-	open   [2]bool
 }
 
+// The two streams are the manager's pools, each with one slow write
+// point (k=1 has no fast group).
 const (
 	convHost = 0
 	convGC   = 1
@@ -43,7 +43,8 @@ func NewConventional(dev *nand.Device, opts Options) (*Conventional, error) {
 	// affinity dispatch the GC stream keeps its multi-ms erases off the
 	// host chips.
 	vbm.MarkHotPools(convHost)
-	b, err := NewBase(dev, vbm, opts)
+	low, high := gcWatermarks(dev.Config())
+	b, err := NewBase(dev, vbm, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -52,9 +53,6 @@ func NewConventional(dev *nand.Device, opts Options) (*Conventional, error) {
 
 // Name implements FTL.
 func (c *Conventional) Name() string { return "conventional" }
-
-// Read implements FTL.
-func (c *Conventional) Read(lpn uint64) (bool, error) { return c.ReadMapped(lpn) }
 
 // Write implements FTL.
 func (c *Conventional) Write(lpn uint64, _ int) error {
@@ -78,37 +76,21 @@ func (c *Conventional) Write(lpn uint64, _ int) error {
 	return nil
 }
 
-// program appends one page to the stream's active block, opening a new
-// block when needed, and returns the device cost and the programmed PPN.
-func (c *Conventional) program(stream int, oob nand.OOB) (cost time.Duration, ppn nand.PPN, err error) {
-	if !c.open[stream] {
+// program appends one page to the stream's write point, opening a new
+// block when it has none, and returns the device cost and the
+// programmed PPN.
+func (c *Conventional) program(stream int, oob nand.OOB) (time.Duration, nand.PPN, error) {
+	blk, ok := c.vbm.Open(stream, false)
+	if !ok {
 		vb, err := c.vbm.AllocateFirst(stream)
-		if err != nil {
-			// Free pool empty: spill into the other stream's open block
-			// rather than failing outright.
-			other := 1 - stream
-			if !c.open[other] {
-				return 0, 0, fmt.Errorf("%w (conventional)", ErrNoSpace)
-			}
-			stream = other
-		} else {
-			c.active[stream], c.open[stream] = vb.Block, true
+		if err == nil {
+			blk = vb.Block
+		} else if blk, ok = c.vbm.Open(1-stream, false); !ok {
+			// Free pool empty and no other stream's block to spill into.
+			return 0, 0, fmt.Errorf("%w (conventional)", ErrNoSpace)
 		}
 	}
-	blk := c.active[stream]
-	page, _, blockFull, err := c.vbm.Advance(blk)
-	if err != nil {
-		return 0, 0, err
-	}
-	ppn = c.cfg.PPNForBlockPage(blk, page)
-	cost, err = c.Device().Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if blockFull {
-		c.open[stream] = false
-	}
-	return cost, ppn, nil
+	return c.ProgramNext(blk, oob)
 }
 
 func (c *Conventional) programGC(oob nand.OOB) (time.Duration, nand.PPN, error) {

@@ -16,11 +16,14 @@
 // The PPB strategy itself lives in internal/core and plugs into the same
 // FTL interface.
 //
-// Every strategy allocates blocks through vblock.Manager, whose
-// dispatch policy (Options.Dispatch) decides which chip each newly
-// opened active block lands on: round-robin striping by default, the
-// idlest chip under vblock.LeastLoaded, a hot/cold chip split under
-// vblock.HotColdAffinity, or per-tenant chips under
+// Every strategy allocates blocks through vblock.Manager, which also
+// keeps each pool's write points (Manager.Open): a strategy only picks
+// which block a page goes to and programs it through Base.ProgramNext,
+// the one page-programming path, so no strategy keeps open-block state
+// of its own. The manager's dispatch policy (Options.Dispatch) decides
+// which chip each newly opened block lands on: round-robin striping by
+// default, the idlest chip under vblock.LeastLoaded, a hot/cold chip
+// split under vblock.HotColdAffinity, or per-tenant chips under
 // vblock.TenantPartition. Strategies need no chip awareness of their
 // own beyond declaring their hot-stream pools (Manager.MarkHotPools).
 package ftl
@@ -65,11 +68,6 @@ type Options struct {
 	// OverProvision is the fraction of raw capacity hidden from the
 	// logical space (default 0.10).
 	OverProvision float64
-	// GCLowWater triggers garbage collection when the free-block pool
-	// drops to it (default max(3, totalBlocks/64)).
-	GCLowWater int
-	// GCHighWater is where a GC burst stops (default GCLowWater+2).
-	GCHighWater int
 	// Dispatch is the chip-dispatch policy consulted whenever a fresh
 	// physical block is allocated — host writes, GC relocations and
 	// hot/cold stream pipelines alike. The zero value vblock.Striped is
@@ -146,15 +144,6 @@ func (o Options) withDefaults(cfg nand.Config) Options {
 	if o.OverProvision == 0 {
 		o.OverProvision = 0.10
 	}
-	if o.GCLowWater == 0 {
-		o.GCLowWater = cfg.TotalBlocks() / 64
-		if o.GCLowWater < 3 {
-			o.GCLowWater = 3
-		}
-	}
-	if o.GCHighWater == 0 {
-		o.GCHighWater = o.GCLowWater + 2
-	}
 	if cfg.PlaneCount() > 1 && o.ReorderWindow == 0 {
 		o.ReorderWindow = 4 * cfg.EraseLatency
 	}
@@ -162,15 +151,9 @@ func (o Options) withDefaults(cfg nand.Config) Options {
 }
 
 // Validate rejects nonsensical option combinations.
-func (o Options) Validate(cfg nand.Config) error {
+func (o Options) Validate() error {
 	if o.OverProvision < 0 || o.OverProvision >= 0.9 {
 		return fmt.Errorf("ftl: over-provision %g out of [0, 0.9)", o.OverProvision)
-	}
-	if o.GCHighWater < o.GCLowWater {
-		return fmt.Errorf("ftl: GC high water %d below low water %d", o.GCHighWater, o.GCLowWater)
-	}
-	if o.GCHighWater >= cfg.TotalBlocks() {
-		return fmt.Errorf("ftl: GC high water %d not below %d blocks", o.GCHighWater, cfg.TotalBlocks())
 	}
 	if o.Dispatch > vblock.TenantPartition {
 		return fmt.Errorf("ftl: unknown dispatch policy %d", o.Dispatch)

@@ -2,12 +2,14 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"ppbflash/internal/nand"
+	"ppbflash/internal/vblock"
 )
 
 // testConfig: 8 pages/block over 4 layers, 32 blocks, 2x ratio.
@@ -63,19 +65,42 @@ func TestOptionsDefaultsAndValidation(t *testing.T) {
 	if o.OverProvision != 0.10 {
 		t.Errorf("default OP = %g", o.OverProvision)
 	}
-	if o.GCLowWater < 3 || o.GCHighWater < o.GCLowWater {
-		t.Errorf("default watermarks = %d/%d", o.GCLowWater, o.GCHighWater)
-	}
 	bad := []Options{
 		{OverProvision: -0.1},
 		{OverProvision: 0.95},
-		{GCLowWater: 10, GCHighWater: 5, OverProvision: 0.1},
-		{GCLowWater: 3, GCHighWater: 99, OverProvision: 0.1},
 	}
 	for i, o := range bad {
-		if err := o.Validate(cfg); err == nil {
+		if err := o.Validate(); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
+	}
+
+	// The GC watermarks are NewBase arguments. The baselines collect from
+	// max(blocks/64, 3) free blocks up to two more, and NewBase rejects a
+	// high mark the device's block count cannot exceed.
+	big := cfg
+	big.BlocksPerChip = 640
+	for _, c := range []struct {
+		cfg            nand.Config
+		wantLo, wantHi int
+	}{{cfg, 3, 5}, {big, 10, 12}} {
+		if low, high := gcWatermarks(c.cfg); low != c.wantLo || high != c.wantHi {
+			t.Errorf("%d blocks: watermarks %d/%d, want %d/%d", c.cfg.TotalBlocks(), low, high, c.wantLo, c.wantHi)
+		}
+	}
+	newBase := func(high int) error {
+		vbm, err := vblock.NewManager(cfg, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewBase(nand.MustNewDevice(cfg), vbm, 3, high, Options{})
+		return err
+	}
+	if err := newBase(cfg.TotalBlocks()); err == nil {
+		t.Errorf("GC high water %d on %d blocks accepted", cfg.TotalBlocks(), cfg.TotalBlocks())
+	}
+	if err := newBase(cfg.TotalBlocks() - 1); err != nil {
+		t.Errorf("GC high water below the block count rejected: %v", err)
 	}
 }
 
@@ -461,16 +486,55 @@ func TestNoSpaceErrorWhenOvercommitted(t *testing.T) {
 	}
 }
 
+// baseOf returns the shared machinery of one of this package's FTLs.
+func baseOf(f FTL) *Base {
+	switch f := f.(type) {
+	case *Conventional:
+		return &f.Base
+	case *GreedySpeed:
+		return &f.Base
+	case *HotColdSplit:
+		return &f.Base
+	}
+	panic(fmt.Sprintf("unknown FTL %T", f))
+}
+
+// checkWritePoints verifies the manager's invariants and that every
+// open block is one of its pool's write points: a strategy opens a part
+// only where the pool's write point of that speed group is empty and
+// writes only into write points, so it never leaves an open block
+// behind that garbage collection would skip forever.
+func checkWritePoints(vbm *vblock.Manager, blocks int) error {
+	if err := vbm.CheckInvariants(); err != nil {
+		return err
+	}
+	for b := nand.BlockID(0); int(b) < blocks; b++ {
+		if !vbm.IsOpen(b) {
+			continue
+		}
+		pool, owned := vbm.PoolOf(b)
+		slow, sok := vbm.Open(pool, false)
+		fast, fok := vbm.Open(pool, true)
+		if !owned || !(sok && slow == b || fok && fast == b) {
+			return fmt.Errorf("open block %d of pool %d is not one of its write points", b, pool)
+		}
+	}
+	return nil
+}
+
 // Property: random workloads keep the mapping invariant (every mapped LPN
-// points at a valid page holding that LPN) and the device accounting
-// invariant (per-block counters agree with the page arrays) on every
-// FTL, and shadow-model reads agree.
+// points at a valid page holding that LPN), the device accounting
+// invariant (per-block counters agree with the page arrays) and, after
+// every operation, the virtual-block manager's invariants with every
+// open block a write point (checkWritePoints) on every FTL, and
+// shadow-model reads agree.
 func TestPropertyFTLConsistency(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			f := func(seed int64) bool {
 				ftl := newFTLQuick(kind)
+				vbm, blocks := baseOf(ftl).vbm, ftl.Device().Config().TotalBlocks()
 				rng := rand.New(rand.NewSource(seed))
 				span := int64(ftl.LogicalPages())
 				written := make(map[uint64]bool)
@@ -493,6 +557,10 @@ func TestPropertyFTLConsistency(t *testing.T) {
 							return false
 						}
 						written[lpn] = true
+					}
+					if err := checkWritePoints(vbm, blocks); err != nil {
+						t.Logf("op %d: %v", i, err)
+						return false
 					}
 				}
 				if err := ftl.CheckMapping(); err != nil {

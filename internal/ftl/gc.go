@@ -31,7 +31,7 @@ var errGCReentered = errors.New("ftl: garbage collection re-entered from a repro
 // this one makes the progressive migration converge. A nil fastFirst
 // keeps physical page order.
 func (b *Base) MaybeGC(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
-	if b.vbm.FreeBlocks() > b.opts.GCLowWater {
+	if b.vbm.FreeBlocks() > b.gcLow {
 		return nil
 	}
 	return b.gc(reprogram, fastFirst)
@@ -55,7 +55,7 @@ func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error 
 		window = wearWindow(&b.cfg)
 	}
 	b.stats.GCRuns.Inc()
-	for vbm.FreeBlocks() < b.opts.GCHighWater {
+	for vbm.FreeBlocks() < b.gcHigh {
 		victim, ok := vbm.PickVictim(true, b.dev.EraseCount, window)
 		if !ok {
 			// Desperation: consider partially filled blocks.
@@ -99,7 +99,7 @@ func (b *Base) scrubRetireCandidates(reprogram ReprogramFunc, fastFirst func(nan
 	if !b.dev.ReliabilityEnabled() {
 		return nil
 	}
-	for b.vbm.FreeBlocks() > b.opts.GCLowWater {
+	for b.vbm.FreeBlocks() > b.gcLow {
 		cand, ok := b.dev.NextRetireCandidate()
 		if !ok {
 			return nil
@@ -126,7 +126,7 @@ func (b *Base) maybeWearSwap(reprogram ReprogramFunc, fastFirst func(nand.OOB) b
 	if b.opts.Wear != WearThresholdSwap {
 		return nil
 	}
-	if b.vbm.FreeBlocks() <= b.opts.GCLowWater {
+	if b.vbm.FreeBlocks() <= b.gcLow {
 		return nil
 	}
 	max := b.dev.MaxEraseCount()
@@ -237,10 +237,8 @@ func (b *Base) collectBlock(victim nand.BlockID,
 		// above — so capacity shrinks by exactly one clean block.
 		b.dev.MarkRetired(victim)
 		err = vbm.Retire(victim)
-	} else if vbm.IsFull(victim) {
-		err = vbm.Release(victim)
 	} else {
-		err = vbm.ReleaseForce(victim)
+		err = vbm.Release(victim)
 	}
 	if err != nil {
 		return err

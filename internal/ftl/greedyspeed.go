@@ -24,9 +24,6 @@ const (
 type GreedySpeed struct {
 	Base
 	ident hotness.SizeCheck
-
-	slow, fast       vblock.VB
-	slowOpen, fastOk bool
 }
 
 var _ FTL = (*GreedySpeed)(nil)
@@ -34,14 +31,15 @@ var _ FTL = (*GreedySpeed)(nil)
 // NewGreedySpeed builds the strawman FTL, classifying writes with the
 // paper's size-check at the device page size.
 func NewGreedySpeed(dev *nand.Device, opts Options) (*GreedySpeed, error) {
-	vbm, err := vblock.NewManager(dev.Config(), 2, 2)
+	vbm, err := vblock.NewManager(dev.Config(), 2, 1)
 	if err != nil {
 		return nil, err
 	}
 	// The strawman mixes hot and cold data in one shared pool, so the
 	// whole pool counts as hot-stream for affinity dispatch purposes.
 	vbm.MarkHotPools(0)
-	b, err := NewBase(dev, vbm, opts)
+	low, high := gcWatermarks(dev.Config())
+	b, err := NewBase(dev, vbm, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -50,9 +48,6 @@ func NewGreedySpeed(dev *nand.Device, opts Options) (*GreedySpeed, error) {
 
 // Name implements FTL.
 func (g *GreedySpeed) Name() string { return "greedy-speed" }
-
-// Read implements FTL.
-func (g *GreedySpeed) Read(lpn uint64) (bool, error) { return g.ReadMapped(lpn) }
 
 // Write implements FTL.
 func (g *GreedySpeed) Write(lpn uint64, reqSize int) error {
@@ -79,71 +74,38 @@ func (g *GreedySpeed) Write(lpn uint64, reqSize int) error {
 	return nil
 }
 
-// program places the page by its tag: hot data goes to the open fast VB
-// (when one exists), cold data to the open slow VB. When the preferred VB
-// is unavailable the write spills into the other — the strawman has no
-// pairing discipline to protect.
+// program places the page by its tag: hot data goes to the pool's fast
+// write point (when one can be opened), cold data to its slow one. When
+// the preferred one is unavailable the write spills into the other — the
+// strawman has no pairing discipline to protect.
 func (g *GreedySpeed) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
-	var vb *vblock.VB
-	if oob.Tag == tagHot {
-		if err := g.ensureFast(); err == nil {
-			vb = &g.fast
-		} else if err := g.ensureSlow(); err == nil {
-			vb = &g.slow
-		} else {
-			return 0, 0, err
-		}
-	} else {
-		if err := g.ensureSlow(); err == nil {
-			vb = &g.slow
-		} else if err := g.ensureFast(); err == nil {
-			vb = &g.fast
-		} else {
+	hot := oob.Tag == tagHot
+	blk, err := g.writePoint(hot)
+	if err != nil {
+		if blk, err = g.writePoint(!hot); err != nil {
 			return 0, 0, err
 		}
 	}
-	page, vbFull, _, err := g.vbm.Advance(vb.Block)
-	if err != nil {
-		return 0, 0, err
+	return g.ProgramNext(blk, oob)
+}
+
+// writePoint returns the single shared pool's write point of the speed
+// group, opening one when there is none: the slow part 0 of a fresh
+// block, or the fast half of a pending block whose slow half filled.
+func (g *GreedySpeed) writePoint(fast bool) (nand.BlockID, error) {
+	if blk, ok := g.vbm.Open(0, fast); ok {
+		return blk, nil
 	}
-	ppn := g.cfg.PPNForBlockPage(vb.Block, page)
-	cost, err := g.dev.Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if vbFull {
-		if vb == &g.slow {
-			g.slowOpen = false
-		} else {
-			g.fastOk = false
+	if !fast {
+		vb, err := g.vbm.AllocateFirst(0)
+		if err != nil {
+			return 0, fmt.Errorf("%w (greedy-speed)", ErrNoSpace)
 		}
+		return vb.Block, nil
 	}
-	return cost, ppn, nil
-}
-
-// ensureSlow opens a slow VB (part 0 of a fresh block) if none is open.
-func (g *GreedySpeed) ensureSlow() error {
-	if g.slowOpen {
-		return nil
-	}
-	vb, err := g.vbm.AllocateFirst(0) // single shared pool
-	if err != nil {
-		return fmt.Errorf("%w (greedy-speed)", ErrNoSpace)
-	}
-	g.slow, g.slowOpen = vb, true
-	return nil
-}
-
-// ensureFast opens a fast VB from the pending queue (a block whose slow
-// half already filled) if none is open.
-func (g *GreedySpeed) ensureFast() error {
-	if g.fastOk {
-		return nil
-	}
-	vb, ok := g.vbm.OpenPending(0)
+	vb, ok := g.vbm.OpenPendingGroup(0, true)
 	if !ok {
-		return fmt.Errorf("%w (greedy-speed: no fast half ready)", ErrNoSpace)
+		return 0, fmt.Errorf("%w (greedy-speed: no fast half ready)", ErrNoSpace)
 	}
-	g.fast, g.fastOk = vb, true
-	return nil
+	return vb.Block, nil
 }

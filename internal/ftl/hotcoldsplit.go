@@ -17,9 +17,6 @@ import (
 type HotColdSplit struct {
 	Base
 	ident hotness.SizeCheck
-
-	active [2]nand.BlockID // per area
-	open   [2]bool
 }
 
 var _ FTL = (*HotColdSplit)(nil)
@@ -32,7 +29,8 @@ func NewHotColdSplit(dev *nand.Device, opts Options) (*HotColdSplit, error) {
 		return nil, err
 	}
 	vbm.MarkHotPools(int(hotness.AreaHot))
-	b, err := NewBase(dev, vbm, opts)
+	low, high := gcWatermarks(dev.Config())
+	b, err := NewBase(dev, vbm, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -41,9 +39,6 @@ func NewHotColdSplit(dev *nand.Device, opts Options) (*HotColdSplit, error) {
 
 // Name implements FTL.
 func (h *HotColdSplit) Name() string { return "hotcold-split" }
-
-// Read implements FTL.
-func (h *HotColdSplit) Read(lpn uint64) (bool, error) { return h.ReadMapped(lpn) }
 
 // Write implements FTL.
 func (h *HotColdSplit) Write(lpn uint64, reqSize int) error {
@@ -71,31 +66,19 @@ func (h *HotColdSplit) Write(lpn uint64, reqSize int) error {
 	return nil
 }
 
-// program appends to the active block of the page's area.
+// program appends to the write point of the page's area.
 func (h *HotColdSplit) program(oob nand.OOB) (time.Duration, nand.PPN, error) {
-	area := hotness.AreaCold
+	area := int(hotness.AreaCold)
 	if oob.Tag == tagHot {
-		area = hotness.AreaHot
+		area = int(hotness.AreaHot)
 	}
-	if !h.open[area] {
-		vb, err := h.vbm.AllocateFirst(int(area))
+	blk, ok := h.vbm.Open(area, false)
+	if !ok {
+		vb, err := h.vbm.AllocateFirst(area)
 		if err != nil {
 			return 0, 0, fmt.Errorf("%w (hotcold-split)", ErrNoSpace)
 		}
-		h.active[area], h.open[area] = vb.Block, true
+		blk = vb.Block
 	}
-	blk := h.active[area]
-	page, _, blockFull, err := h.vbm.Advance(blk)
-	if err != nil {
-		return 0, 0, err
-	}
-	ppn := h.cfg.PPNForBlockPage(blk, page)
-	cost, err := h.dev.Program(ppn, oob)
-	if err != nil {
-		return 0, 0, err
-	}
-	if blockFull {
-		h.open[area] = false
-	}
-	return cost, ppn, nil
+	return h.ProgramNext(blk, oob)
 }

@@ -96,7 +96,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 		writeOne := func() {
 			if len(writable) == 0 {
 				pool := rng.Intn(2)
-				if vb, ok := vbm.OpenPending(pool); ok {
+				if vb, ok := vbm.OpenPendingGroup(pool, true); ok {
 					writable = append(writable, openVB{vb, pool})
 				} else if vb, err := vbm.AllocateFirst(pool); err == nil {
 					writable = append(writable, openVB{vb, pool})
@@ -106,7 +106,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			}
 			i := rng.Intn(len(writable))
 			w := writable[i]
-			page, vbFull, _, err := vbm.Advance(w.vb.Block)
+			page, err := vbm.Advance(w.vb.Block)
 			if err != nil {
 				t.Fatalf("advance: %v", err)
 			}
@@ -115,7 +115,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 				t.Fatalf("program: %v", err)
 			}
 			valid = append(valid, ppn)
-			if vbFull {
+			if page+1 == w.vb.End { // the VB's last page: it is full
 				writable = append(writable[:i], writable[i+1:]...)
 			}
 		}
@@ -157,14 +157,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			if _, err := dev.Erase(victim); err != nil {
 				t.Fatalf("erase: %v", err)
 			}
-			full := vbm.IsFull(victim)
-			vbm.UnqueuePending(victim)
-			if full {
-				err = vbm.Release(victim)
-			} else {
-				err = vbm.ReleaseForce(victim)
-			}
-			if err != nil {
+			if err := vbm.Release(victim); err != nil {
 				t.Fatalf("release: %v", err)
 			}
 		}
@@ -241,7 +234,7 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := 0; p < n; p++ {
-			if _, _, _, err := vbm.Advance(vb.Block); err != nil {
+			if _, err := vbm.Advance(vb.Block); err != nil {
 				t.Fatal(err)
 			}
 			ppn := cfg.PPNForBlockPage(vb.Block, p)
@@ -287,7 +280,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, Options{OverProvision: 0.5, GCLowWater: 8, GCHighWater: 9})
+	base, err := NewBase(dev, vbm, 8, 9, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +300,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	}
 	victim := vb.Block
 	for lpn := uint64(0); lpn < 4; lpn++ {
-		page, _, _, err := vbm.Advance(victim)
+		_, ppn, err := base.ProgramNext(victim, nand.OOB{LPN: lpn})
 		if err != nil {
-			t.Fatal(err)
-		}
-		ppn := cfg.PPNForBlockPage(victim, page)
-		if _, err := dev.Program(ppn, nand.OOB{LPN: lpn}); err != nil {
 			t.Fatal(err)
 		}
 		base.Map().Set(lpn, ppn)
@@ -324,8 +313,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vbm.PendingCount(0) != 1 {
-		t.Fatalf("pending count = %d, want 1", vbm.PendingCount(0))
+	if vbm.PendingCountGroup(0, true) != 1 {
+		t.Fatalf("pending count = %d, want 1", vbm.PendingCountGroup(0, true))
 	}
 	if _, ok := vbm.PickVictim(true, dev.EraseCount, 0); ok {
 		t.Fatal("full-only pick should find nothing (no full blocks)")
@@ -343,13 +332,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 			}
 			target, haveTarget = nvb, true
 		}
-		page, _, _, err := vbm.Advance(target.Block)
-		if err != nil {
-			return 0, 0, err
-		}
-		ppn := cfg.PPNForBlockPage(target.Block, page)
-		cost, err := dev.Program(ppn, oob)
-		return cost, ppn, err
+		return base.ProgramNext(target.Block, oob)
 	}
 	if err := base.MaybeGC(reprogram, nil); err != nil {
 		t.Fatal(err)

@@ -49,12 +49,12 @@ func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 		{OverProvision: 0.1, Reliability: &nand.ReliabilityConfig{Enabled: true}},
 	}
 	for i, o := range bad {
-		if err := o.Validate(cfg); err == nil {
+		if err := o.Validate(); err == nil {
 			t.Errorf("bad options %d accepted: %+v", i, o)
 		}
 	}
 	good := Options{OverProvision: 0.1, Wear: WearThresholdSwap, Reliability: &nand.ReliabilityConfig{}}
-	if err := good.Validate(cfg); err != nil {
+	if err := good.Validate(); err != nil {
 		t.Errorf("valid wear options rejected: %v", err)
 	}
 }

@@ -98,7 +98,7 @@ func TestFreedBlockReturnsToItsChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < cfg.PagesPerBlock; p++ {
-		if _, _, _, err := m.Advance(vb.Block); err != nil {
+		if _, err := m.Advance(vb.Block); err != nil {
 			t.Fatal(err)
 		}
 	}

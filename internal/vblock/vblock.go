@@ -14,6 +14,11 @@
 //     be allocated after the earlier VB of the same block is fully used
 //     (Figure 9's lifecycle: Free -> VB 2n allocated -> VB 2n filled ->
 //     VB 2n+1 allocatable -> block full -> waiting for GC).
+//   - Each pool fills one open VB per speed group at a time (§3.3's VB
+//     lists): the manager keeps that write point (Open), sets it when a
+//     part opens (AllocateFirst, OpenPendingGroup) and clears it when
+//     Advance fills the part, so strategies keep no open-block state of
+//     their own.
 //   - Free blocks are handed out lowest-numbered first ("arranged
 //     according to their original physical block number") within a chip;
 //     on multi-chip devices the DispatchPolicy picks the chip of each
@@ -82,7 +87,6 @@ type blockInfo struct {
 var (
 	ErrNoFreeBlocks = errors.New("vblock: no free blocks")
 	ErrBadPool      = errors.New("vblock: pool index out of range")
-	ErrNotFull      = errors.New("vblock: releasing a block that is not full")
 	ErrBlockFull    = errors.New("vblock: advancing a full block")
 	ErrNoOpenPart   = errors.New("vblock: advancing past the open part")
 )
@@ -96,6 +100,10 @@ var (
 // top instead of scanning every block. Invalidations are reported by the
 // FTL through NoteInvalidated; erase/release maintenance is automatic.
 //
+// It is also the one record of each pool's write points: per pool, the
+// block whose open part it is filling in the slow and in the fast speed
+// group (Open).
+//
 // The flashvet:boundsafe marker below makes cmd/flashvet verify that
 // every exported introspection accessor bounds-checks its pool and
 // block indices explicitly.
@@ -107,8 +115,12 @@ type Manager struct {
 	partLen  int
 	blocks   []blockInfo
 	pendingQ [][]nand.BlockID // FIFO of blocks whose next part is allocatable, per pool
-	fullCnt  int
-	retired  int // blocks permanently removed via Retire
+	// open holds each pool's write points, indexed by speed group (0
+	// slow, 1 fast): the block whose open part of that group the pool
+	// opened last and has not yet filled, nilBlock when there is none.
+	open    [][2]int32
+	fullCnt int
+	retired int // blocks permanently removed via Retire
 
 	// Free pool, one lowest-first heap per chip. Which chip serves the
 	// next allocation is the dispatch policy's call; nextChip is the
@@ -161,8 +173,12 @@ func NewManager(cfg nand.Config, k, pools int) (*Manager, error) {
 		partLen:  cfg.PagesPerBlock / k,
 		blocks:   make([]blockInfo, cfg.TotalBlocks()),
 		pendingQ: make([][]nand.BlockID, pools),
+		open:     make([][2]int32, pools),
 		buckets:  make([]int32, cfg.PagesPerBlock+1),
 		hotPool:  make([]bool, pools),
+	}
+	for i := range m.open {
+		m.open[i] = [2]int32{nilBlock, nilBlock}
 	}
 	for i := range m.buckets {
 		m.buckets[i] = nilBlock
@@ -266,6 +282,14 @@ func (m *Manager) FastPart(part int) bool {
 	return part >= m.k/2
 }
 
+// group returns the write-point index of a speed group: 0 slow, 1 fast.
+func group(fast bool) int {
+	if fast {
+		return 1
+	}
+	return 0
+}
+
 // vb builds the VB value for a block and part.
 func (m *Manager) vb(b nand.BlockID, part int) VB {
 	s, e := m.PartRange(part)
@@ -280,15 +304,6 @@ func (m *Manager) checkPool(pool int) error {
 		return fmt.Errorf("%w: %d of %d", ErrBadPool, pool, len(m.pendingQ))
 	}
 	return nil
-}
-
-// PendingCount returns how many blocks of the pool have a part ready to
-// open; 0 for out-of-range pools.
-func (m *Manager) PendingCount(pool int) int {
-	if pool < 0 || pool >= len(m.pendingQ) {
-		return 0
-	}
-	return len(m.pendingQ[pool])
 }
 
 // PendingCountGroup returns how many pending blocks of the pool have a
@@ -319,21 +334,12 @@ func (m *Manager) PoolOf(b nand.BlockID) (int, bool) {
 	return bi.pool, true
 }
 
-// IsFull reports whether the block is fully programmed; false for
-// out-of-range block IDs.
-func (m *Manager) IsFull(b nand.BlockID) bool {
-	if uint64(b) >= uint64(len(m.blocks)) {
-		return false
-	}
-	return m.blocks[b].phase == phaseFull
-}
-
 // AllocateFirst takes a free block, assigns it to the pool and returns
-// its slow part 0 VB. The dispatch policy picks the chip (the default
-// Striped rotates round-robin across chips — channel striping); within a
-// chip the lowest-numbered free block is handed out first. With a single
-// chip every policy degenerates to the original lowest-numbered-first
-// order.
+// its slow part 0 VB, which becomes the pool's slow write point. The
+// dispatch policy picks the chip (the default Striped rotates
+// round-robin across chips — channel striping); within a chip the
+// lowest-numbered free block is handed out first. With a single chip
+// every policy degenerates to the original lowest-numbered-first order.
 func (m *Manager) AllocateFirst(pool int) (VB, error) {
 	if err := m.checkPool(pool); err != nil {
 		return VB{}, err
@@ -352,33 +358,16 @@ func (m *Manager) AllocateFirst(pool int) (VB, error) {
 	m.freeCnt--
 	bi := &m.blocks[b]
 	*bi = blockInfo{phase: phaseOwned, pool: pool, allocated: 1, cursor: 0}
+	m.open[pool][0] = int32(b) // part 0 is slow at every k
 	return m.vb(b, 0), nil
 }
 
-// OpenPending pops the oldest block of the pool whose next part became
-// allocatable and opens that part. ok is false when no block is pending.
-func (m *Manager) OpenPending(pool int) (VB, bool) {
-	if pool < 0 || pool >= len(m.pendingQ) {
-		return VB{}, false
-	}
-	q := m.pendingQ[pool]
-	if len(q) == 0 {
-		return VB{}, false
-	}
-	b := q[0]
-	m.pendingQ[pool] = q[1:]
-	bi := &m.blocks[b]
-	bi.pending = false
-	part := bi.allocated
-	bi.allocated++
-	return m.vb(b, part), true
-}
-
-// OpenPendingGroup behaves like OpenPending but only considers blocks
-// whose next part belongs to the requested speed group (fast or slow).
-// With k=2 a pending part is always fast, so this matters only for k>2
-// where a block's second slow part is also reached through the pending
-// queue.
+// OpenPendingGroup pops the oldest block of the pool whose next part
+// became allocatable and belongs to the requested speed group, opens
+// that part and makes it the pool's write point of the group. ok is
+// false when no such block is pending. With k=2 a pending part is
+// always fast; with k>2 a block's second slow part is also reached
+// through the pending queue.
 func (m *Manager) OpenPendingGroup(pool int, fast bool) (VB, bool) {
 	if pool < 0 || pool >= len(m.pendingQ) {
 		return VB{}, false
@@ -393,40 +382,42 @@ func (m *Manager) OpenPendingGroup(pool int, fast bool) (VB, bool) {
 		bi.pending = false
 		part := bi.allocated
 		bi.allocated++
+		m.open[pool][group(fast)] = int32(b)
 		return m.vb(b, part), true
 	}
 	return VB{}, false
 }
 
-// Advance consumes the next programmable page of the block's open part.
-// It returns the page index to program, whether this fills the open part
-// (vbFull) and whether it fills the whole block (blockFull). When a part
-// fills and later parts remain, the block joins its area's pending queue.
-func (m *Manager) Advance(b nand.BlockID) (page int, vbFull, blockFull bool, err error) {
+// Advance consumes the next programmable page of the block's open part
+// and returns its index. When that page fills the part, the part stops
+// being its pool's write point, and the block either becomes full or,
+// while later parts remain, joins its pool's pending queue.
+func (m *Manager) Advance(b nand.BlockID) (page int, err error) {
 	bi := &m.blocks[b]
 	switch {
 	case bi.phase == phaseFree:
-		return 0, false, false, fmt.Errorf("vblock: advancing free block %d", b)
+		return 0, fmt.Errorf("vblock: advancing free block %d", b)
 	case bi.phase == phaseFull:
-		return 0, false, false, fmt.Errorf("%w: block %d", ErrBlockFull, b)
+		return 0, fmt.Errorf("%w: block %d", ErrBlockFull, b)
 	case bi.cursor >= bi.allocated*m.partLen:
-		return 0, false, false, fmt.Errorf("%w: block %d cursor %d, %d parts allocated",
+		return 0, fmt.Errorf("%w: block %d cursor %d, %d parts allocated",
 			ErrNoOpenPart, b, bi.cursor, bi.allocated)
 	}
 	page = bi.cursor
 	bi.cursor++
 	if bi.cursor%m.partLen == 0 { // the open part just filled
-		vbFull = true
+		if wp := &m.open[bi.pool][group(m.FastPart(m.PartOf(page)))]; *wp == int32(b) {
+			*wp = nilBlock
+		}
 		if bi.allocated == m.k && bi.cursor == m.cfg.PagesPerBlock {
 			bi.phase = phaseFull
 			m.fullCnt++
-			blockFull = true
 		} else if !bi.pending {
 			bi.pending = true
 			m.pendingQ[bi.pool] = append(m.pendingQ[bi.pool], b)
 		}
 	}
-	return page, vbFull, blockFull, nil
+	return page, nil
 }
 
 // UnqueuePending removes the block from its area's pending queue without
@@ -448,54 +439,28 @@ func (m *Manager) UnqueuePending(b nand.BlockID) {
 	bi.pending = false
 }
 
-// Release returns an erased block to the free pool. Only full blocks are
-// released in normal operation; use ReleaseForce for partially used
-// blocks (GC under free-space starvation).
+// Release returns an erased block to the free pool. Any owned block may
+// be released: GC collects full blocks, and partially used ones when
+// free space is starved. Releasing a free or retired block is an error.
 func (m *Manager) Release(b nand.BlockID) error {
 	bi := &m.blocks[b]
-	if bi.phase != phaseFull {
-		return fmt.Errorf("%w: block %d phase %d", ErrNotFull, b, bi.phase)
+	if bi.phase == phaseFree || bi.phase == phaseRetired {
+		return fmt.Errorf("vblock: releasing unowned block %d (phase %d)", b, bi.phase)
 	}
-	m.fullCnt--
-	m.idxRemove(b)
-	*bi = blockInfo{}
-	m.freePush(b)
-	return nil
-}
-
-// ReleaseForce returns any owned block to the free pool, scrubbing it
-// from the pending queue if necessary.
-func (m *Manager) ReleaseForce(b nand.BlockID) error {
-	bi := &m.blocks[b]
-	if bi.phase == phaseFree {
-		return fmt.Errorf("vblock: releasing free block %d", b)
-	}
-	if bi.phase == phaseFull {
-		m.fullCnt--
-	}
-	if bi.pending {
-		q := m.pendingQ[bi.pool]
-		for i, blk := range q {
-			if blk == b {
-				m.pendingQ[bi.pool] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
-	m.idxRemove(b)
+	m.leave(b)
 	*bi = blockInfo{}
 	m.freePush(b)
 	return nil
 }
 
 // Retire permanently removes an owned or full block from the lifecycle:
-// it leaves its pool, pending queue and the victim index, and is never
-// returned to the free pool — the usable capacity honestly shrinks. The
-// FTL calls it after relocating the block's
-// surviving valid pages; retiring an already-retired block is a no-op,
-// and retiring a free block is an error (pull it from the free heap by
-// allocating it first, which never happens in practice because the
-// device only flags blocks at erase or read time).
+// it leaves its pool, write points, pending queue and the victim index,
+// and is never returned to the free pool — the usable capacity honestly
+// shrinks. The FTL calls it after relocating the block's surviving valid
+// pages; retiring an already-retired block is a no-op, and retiring a
+// free block is an error (pull it from the free heap by allocating it
+// first, which never happens in practice because the device only flags
+// blocks at erase or read time).
 func (m *Manager) Retire(b nand.BlockID) error {
 	bi := &m.blocks[b]
 	switch bi.phase {
@@ -503,22 +468,28 @@ func (m *Manager) Retire(b nand.BlockID) error {
 		return nil
 	case phaseFree:
 		return fmt.Errorf("vblock: retiring free block %d", b)
-	case phaseFull:
-		m.fullCnt--
 	}
-	if bi.pending {
-		q := m.pendingQ[bi.pool]
-		for i, blk := range q {
-			if blk == b {
-				m.pendingQ[bi.pool] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
-	}
-	m.idxRemove(b)
+	m.leave(b)
 	*bi = blockInfo{phase: phaseRetired}
 	m.retired++
 	return nil
+}
+
+// leave takes an owned or full block out of the full count, its pool's
+// pending queue and write points, and the victim index: the exit Release
+// and Retire share.
+func (m *Manager) leave(b nand.BlockID) {
+	bi := &m.blocks[b]
+	if bi.phase == phaseFull {
+		m.fullCnt--
+	}
+	m.UnqueuePending(b)
+	for g, wp := range m.open[bi.pool] {
+		if wp == int32(b) {
+			m.open[bi.pool][g] = nilBlock
+		}
+	}
+	m.idxRemove(b)
 }
 
 // NoteInvalidated records that one page of the block was invalidated on
@@ -577,12 +548,12 @@ func (m *Manager) idxRemove(b nand.BlockID) {
 }
 
 // IsOpen reports whether the block has an allocated part with pages
-// still unprogrammed: a write pipeline some strategy is filling. Every
-// strategy opens parts only through AllocateFirst or OpenPending(Group)
-// and stops writing one exactly when Advance reports it full, so this
-// is the manager's own record of the blocks garbage collection must not
-// touch. A full, pending, free or retired block is not open; neither is
-// an out-of-range block ID.
+// still unprogrammed: a part some strategy is filling. Every strategy
+// writes only into its pools' write points (Open), so each open block is
+// one of them; tests may hold several open blocks per pool. IsOpen is
+// derived from the block's own state, and garbage collection reads it
+// to skip the blocks it must not touch. A full, pending, free or retired
+// block is not open; neither is an out-of-range block ID.
 func (m *Manager) IsOpen(b nand.BlockID) bool {
 	if uint64(b) >= uint64(len(m.blocks)) {
 		return false
@@ -592,6 +563,17 @@ func (m *Manager) IsOpen(b nand.BlockID) bool {
 
 func (m *Manager) isOpen(bi *blockInfo) bool {
 	return bi.phase == phaseOwned && bi.cursor < bi.allocated*m.partLen
+}
+
+// Open returns the pool's write point in the speed group: the block
+// whose open part of that group the pool opened last and has not yet
+// filled. ok is false when there is none, and for out-of-range pools.
+func (m *Manager) Open(pool int, fast bool) (nand.BlockID, bool) {
+	if pool < 0 || pool >= len(m.open) {
+		return 0, false
+	}
+	b := m.open[pool][group(fast)]
+	return nand.BlockID(b), b != nilBlock
 }
 
 // PickVictim returns the garbage-collection victim, never an open block
@@ -658,8 +640,25 @@ func (m *Manager) ForEachOwned(fn func(nand.BlockID) bool) {
 
 // CheckInvariants validates internal consistency (used by property
 // tests): cursor within allocated parts, pending flags matching queues,
-// and pool counts summing to the block count.
+// every write point an open part of its pool and speed group, and pool
+// counts summing to the block count.
 func (m *Manager) CheckInvariants() error {
+	for pool, wps := range m.open {
+		for g, wp := range wps {
+			if wp == nilBlock {
+				continue
+			}
+			speed := [2]string{"slow", "fast"}[g]
+			if wp < 0 || int(wp) >= len(m.blocks) {
+				return fmt.Errorf("vblock: pool %d %s write point is block %d, out of range", pool, speed, wp)
+			}
+			bi := &m.blocks[wp]
+			if !m.isOpen(bi) || bi.pool != pool || group(m.FastPart(m.PartOf(bi.cursor))) != g {
+				return fmt.Errorf("vblock: pool %d %s write point is block %d, not an open %s part of that pool (state %+v)",
+					pool, speed, wp, speed, *bi)
+			}
+		}
+	}
 	inQueue := make(map[nand.BlockID]int)
 	for pool, q := range m.pendingQ {
 		for _, b := range q {

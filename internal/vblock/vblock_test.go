@@ -132,16 +132,23 @@ func TestAllocateFirstExhaustion(t *testing.T) {
 }
 
 // fill programs n pages through Advance, asserting no error.
-func fill(t *testing.T, m *Manager, b nand.BlockID, n int) (lastVBFull, lastBlockFull bool) {
+func fill(t *testing.T, m *Manager, b nand.BlockID, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		_, vbFull, blockFull, err := m.Advance(b)
-		if err != nil {
+		if _, err := m.Advance(b); err != nil {
 			t.Fatal(err)
 		}
-		lastVBFull, lastBlockFull = vbFull, blockFull
 	}
-	return lastVBFull, lastBlockFull
+}
+
+// wantWritePoint asserts the pool's write point of the speed group: the
+// block when ok, none otherwise.
+func wantWritePoint(t *testing.T, m *Manager, pool int, fast bool, b nand.BlockID, ok bool) {
+	t.Helper()
+	got, gotOK := m.Open(pool, fast)
+	if gotOK != ok || (ok && got != b) {
+		t.Fatalf("Open(%d, fast=%v) = %d %v, want %d %v", pool, fast, got, gotOK, b, ok)
+	}
 }
 
 func TestLifecycleFigureNine(t *testing.T) {
@@ -154,37 +161,39 @@ func TestLifecycleFigureNine(t *testing.T) {
 
 	// While VB 2n is filling, VB 2n+1 must not be allocatable.
 	fill(t, m, b, 3)
-	if _, ok := m.OpenPending(poolHot); ok {
+	if _, ok := m.OpenPendingGroup(poolHot, true); ok {
 		t.Fatal("fast VB opened before slow VB was full")
 	}
-	// Advancing past the open part without allocating the next one fails.
-	vbFull, blockFull := fill(t, m, b, 1) // page 3 fills part 0
-	if !vbFull || blockFull {
-		t.Fatalf("part 0 fill: vbFull=%v blockFull=%v", vbFull, blockFull)
+	// Page 3 fills part 0: the slow write point closes and the block
+	// waits in the pending queue, not full.
+	fill(t, m, b, 1)
+	wantWritePoint(t, m, poolHot, false, 0, false)
+	if m.blocks[b].phase == phaseFull || m.IsOpen(b) {
+		t.Fatalf("part 0 fill: full=%v open=%v, want pending", m.blocks[b].phase == phaseFull, m.IsOpen(b))
 	}
-	if _, _, _, err := m.Advance(b); !errors.Is(err, ErrNoOpenPart) {
+	// Advancing past the open part without allocating the next one fails.
+	if _, err := m.Advance(b); !errors.Is(err, ErrNoOpenPart) {
 		t.Fatalf("advance without open part: %v", err)
 	}
 	// Now the fast VB is pending for the same area only.
-	if _, ok := m.OpenPending(poolCold); ok {
+	if _, ok := m.OpenPendingGroup(poolCold, true); ok {
 		t.Fatal("fast VB must only be allocatable by the owning area")
 	}
-	if m.PendingCount(poolHot) != 1 {
-		t.Fatalf("pending = %d", m.PendingCount(poolHot))
+	if m.PendingCountGroup(poolHot, true) != 1 {
+		t.Fatalf("pending = %d", m.PendingCountGroup(poolHot, true))
 	}
-	fast, ok := m.OpenPending(poolHot)
+	fast, ok := m.OpenPendingGroup(poolHot, true)
 	if !ok || fast.Block != b || fast.Part != 1 {
 		t.Fatalf("pending open = %v %v", fast, ok)
 	}
+	wantWritePoint(t, m, poolHot, true, b, true)
 	// Filling the fast part completes the block.
-	vbFull, blockFull = fill(t, m, b, 4)
-	if !vbFull || !blockFull {
-		t.Fatalf("block fill: vbFull=%v blockFull=%v", vbFull, blockFull)
-	}
-	if !m.IsFull(b) || m.fullCnt != 1 {
+	fill(t, m, b, 4)
+	wantWritePoint(t, m, poolHot, true, 0, false)
+	if m.blocks[b].phase != phaseFull || m.fullCnt != 1 {
 		t.Fatal("block should be full")
 	}
-	if _, _, _, err := m.Advance(b); !errors.Is(err, ErrBlockFull) {
+	if _, err := m.Advance(b); !errors.Is(err, ErrBlockFull) {
 		t.Fatalf("advance full block: %v", err)
 	}
 	// Release after (simulated) GC returns it to the free pool.
@@ -201,39 +210,51 @@ func TestLifecycleFigureNine(t *testing.T) {
 
 func TestAdvanceErrors(t *testing.T) {
 	m := newTestManager(t, 2)
-	if _, _, _, err := m.Advance(0); err == nil {
+	if _, err := m.Advance(0); err == nil {
 		t.Error("advance on free block should fail")
 	}
 }
 
-func TestReleaseRequiresFull(t *testing.T) {
+// TestReleasePartialBlock: Release takes any owned block, full or not.
+// Releasing a block still open for writes frees it and clears its
+// write point; releasing it again, or releasing a retired block, fails.
+func TestReleasePartialBlock(t *testing.T) {
 	m := newTestManager(t, 2)
 	vb, _ := m.AllocateFirst(poolHot)
-	if err := m.Release(vb.Block); !errors.Is(err, ErrNotFull) {
+	fill(t, m, vb.Block, 2)
+	if err := m.Release(vb.Block); err != nil {
 		t.Fatalf("release partial block: %v", err)
 	}
-	if err := m.ReleaseForce(vb.Block); err != nil {
-		t.Fatalf("force release: %v", err)
-	}
 	if m.FreeBlocks() != 6 {
-		t.Error("force release did not free block")
+		t.Error("release did not free block")
 	}
-	if err := m.ReleaseForce(vb.Block); err == nil {
+	wantWritePoint(t, m, poolHot, false, 0, false)
+	if err := m.Release(vb.Block); err == nil {
 		t.Error("double release should fail")
+	}
+	vb, _ = m.AllocateFirst(poolHot)
+	if err := m.Retire(vb.Block); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release(vb.Block); err == nil {
+		t.Error("releasing a retired block should fail")
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestReleaseForceScrubsPendingQueue(t *testing.T) {
+func TestReleaseScrubsPendingQueue(t *testing.T) {
 	m := newTestManager(t, 2)
 	vb, _ := m.AllocateFirst(poolCold)
 	fill(t, m, vb.Block, 4) // part 0 full -> pending
-	if m.PendingCount(poolCold) != 1 {
+	if m.PendingCountGroup(poolCold, true) != 1 {
 		t.Fatal("not pending")
 	}
-	if err := m.ReleaseForce(vb.Block); err != nil {
+	if err := m.Release(vb.Block); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingCount(poolCold) != 0 {
+	if m.PendingCountGroup(poolCold, true) != 0 {
 		t.Error("pending queue not scrubbed")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -245,7 +266,7 @@ func TestReusedBlockStartsClean(t *testing.T) {
 	m := newTestManager(t, 2)
 	vb, _ := m.AllocateFirst(poolHot)
 	fill(t, m, vb.Block, 4)
-	fast, _ := m.OpenPending(poolHot)
+	fast, _ := m.OpenPendingGroup(poolHot, true)
 	fill(t, m, fast.Block, 4)
 	if err := m.Release(vb.Block); err != nil {
 		t.Fatal(err)
@@ -275,13 +296,18 @@ func TestKEqualsFourOrdering(t *testing.T) {
 	}
 	for part := 1; part < 4; part++ {
 		fill(t, m, b, 2)
-		next, ok := m.OpenPending(poolHot)
+		fast := m.FastPart(part)
+		if _, ok := m.OpenPendingGroup(poolHot, !fast); ok {
+			t.Fatalf("part %d opened from the wrong speed group", part)
+		}
+		next, ok := m.OpenPendingGroup(poolHot, fast)
 		if !ok || next.Part != part {
 			t.Fatalf("expected part %d pending, got %v %v", part, next, ok)
 		}
+		wantWritePoint(t, m, poolHot, fast, b, true)
 	}
-	_, blockFull := fill(t, m, b, 2)
-	if !blockFull {
+	fill(t, m, b, 2)
+	if m.blocks[b].phase != phaseFull {
 		t.Fatal("block should be full after all parts")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -293,7 +319,7 @@ func TestForEachFullAndOwned(t *testing.T) {
 	m := newTestManager(t, 2)
 	a, _ := m.AllocateFirst(poolHot)
 	fill(t, m, a.Block, 4)
-	f, _ := m.OpenPending(poolHot)
+	f, _ := m.OpenPendingGroup(poolHot, true)
 	fill(t, m, f.Block, 4)
 	b, _ := m.AllocateFirst(poolCold)
 	_ = b
@@ -351,7 +377,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 				}
 			case 1:
 				area := rng.Intn(2)
-				if vb, ok := m.OpenPending(area); ok {
+				if vb, ok := m.OpenPendingGroup(area, true); ok {
 					if got, _ := m.PoolOf(vb.Block); got != area {
 						t.Logf("pending open crossed areas")
 						return false
@@ -360,8 +386,8 @@ func TestPropertyManagerInvariants(t *testing.T) {
 			case 2:
 				if len(active) > 0 {
 					b := active[rng.Intn(len(active))]
-					if !m.IsFull(b) {
-						_, _, _, err := m.Advance(b)
+					if m.blocks[b].phase != phaseFull {
+						_, err := m.Advance(b)
 						if err != nil && !errors.Is(err, ErrNoOpenPart) {
 							t.Logf("advance: %v", err)
 							return false
@@ -372,7 +398,7 @@ func TestPropertyManagerInvariants(t *testing.T) {
 				if len(active) > 0 {
 					i := rng.Intn(len(active))
 					b := active[i]
-					if m.IsFull(b) {
+					if m.blocks[b].phase == phaseFull {
 						if err := m.Release(b); err != nil {
 							t.Logf("release: %v", err)
 							return false
@@ -403,7 +429,7 @@ func fullFill(t *testing.T, m *Manager, pool int) nand.BlockID {
 		t.Fatal(err)
 	}
 	fill(t, m, vb.Block, 4)
-	fast, ok := m.OpenPending(pool)
+	fast, ok := m.OpenPendingGroup(pool, true)
 	if !ok || fast.Block != vb.Block {
 		t.Fatalf("pending after slow fill = %v %v", fast, ok)
 	}
@@ -455,13 +481,13 @@ func TestRetireLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, m, vb.Block, 4)
-	if m.PendingCount(poolCold) != 1 {
+	if m.PendingCountGroup(poolCold, true) != 1 {
 		t.Fatal("setup: fast part not pending")
 	}
 	if err := m.Retire(vb.Block); err != nil {
 		t.Fatal(err)
 	}
-	if m.PendingCount(poolCold) != 0 {
+	if m.PendingCountGroup(poolCold, true) != 0 {
 		t.Error("pending queue not scrubbed on retire")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -524,7 +550,7 @@ func TestPickVictimWearAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, m, vb.Block, 4)
-	if _, ok := m.OpenPending(poolHot); !ok {
+	if _, ok := m.OpenPendingGroup(poolHot, true); !ok {
 		t.Fatal("setup: fast part not pending")
 	}
 	fill(t, m, vb.Block, 2)
@@ -560,17 +586,17 @@ func TestIsOpen(t *testing.T) {
 		t.Error("part 0 partly programmed: want open")
 	}
 	fill(t, m, b, 1)
-	if m.IsOpen(b) || m.PendingCount(poolHot) != 1 {
+	if m.IsOpen(b) || m.PendingCountGroup(poolHot, true) != 1 {
 		t.Error("part 0 full and pending: want not open")
 	}
-	if _, ok := m.OpenPending(poolHot); !ok {
+	if _, ok := m.OpenPendingGroup(poolHot, true); !ok {
 		t.Fatal("fast part not pending")
 	}
 	if !m.IsOpen(b) {
 		t.Error("part 1 opened: want open")
 	}
 	fill(t, m, b, 4)
-	if m.IsOpen(b) || !m.IsFull(b) {
+	if m.IsOpen(b) || m.blocks[b].phase != phaseFull {
 		t.Error("full block: want not open")
 	}
 	if err := m.Release(b); err != nil {
@@ -581,5 +607,78 @@ func TestIsOpen(t *testing.T) {
 	}
 	if m.IsOpen(nand.BlockID(m.cfg.TotalBlocks())) {
 		t.Error("out-of-range block reported open")
+	}
+}
+
+// TestWritePoints pins the write-point semantics: AllocateFirst sets the
+// pool's slow write point and OpenPendingGroup the write point of the
+// part's group, each to the block opened last; Advance clears a write
+// point only when it fills that block's part, so an older open block of
+// the same pool filling leaves the newer write point alone.
+func TestWritePoints(t *testing.T) {
+	m := newTestManager(t, 2)
+	wantWritePoint(t, m, poolHot, false, 0, false)
+	wantWritePoint(t, m, poolHot, true, 0, false)
+	for _, pool := range []int{-1, 2} {
+		if b, ok := m.Open(pool, false); ok {
+			t.Errorf("Open(%d) = %d, want none for an out-of-range pool", pool, b)
+		}
+	}
+	older, _ := m.AllocateFirst(poolHot)
+	wantWritePoint(t, m, poolHot, false, older.Block, true)
+	newer, _ := m.AllocateFirst(poolHot)
+	wantWritePoint(t, m, poolHot, false, newer.Block, true)
+	wantWritePoint(t, m, poolCold, false, 0, false)
+
+	fill(t, m, older.Block, 4) // the older block's slow part fills
+	wantWritePoint(t, m, poolHot, false, newer.Block, true)
+	fast, ok := m.OpenPendingGroup(poolHot, true)
+	if !ok || fast.Block != older.Block {
+		t.Fatalf("pending open = %v %v, want block %d", fast, ok, older.Block)
+	}
+	wantWritePoint(t, m, poolHot, true, older.Block, true)
+	fill(t, m, newer.Block, 4)
+	wantWritePoint(t, m, poolHot, false, 0, false)
+	wantWritePoint(t, m, poolHot, true, older.Block, true)
+	fill(t, m, older.Block, 4)
+	wantWritePoint(t, m, poolHot, true, 0, false)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsReportsCorruptWritePoint: every way a write point
+// can stop describing an open part of its pool and speed group is
+// reported.
+func TestCheckInvariantsReportsCorruptWritePoint(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(m *Manager, b nand.BlockID)
+	}{
+		{"other pool", func(m *Manager, b nand.BlockID) { m.open[poolCold][0] = int32(b) }},
+		{"other group", func(m *Manager, b nand.BlockID) { m.open[poolHot] = [2]int32{nilBlock, int32(b)} }},
+		{"free block", func(m *Manager, b nand.BlockID) { m.open[poolHot][0] = int32(b) + 1 }},
+		{"out of range", func(m *Manager, b nand.BlockID) { m.open[poolHot][0] = int32(len(m.blocks)) }},
+		{"filled part", func(m *Manager, b nand.BlockID) {
+			for m.IsOpen(b) {
+				m.Advance(b)
+			}
+			m.open[poolHot][0] = int32(b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestManager(t, 2)
+			vb, err := m.AllocateFirst(poolHot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(m, vb.Block)
+			if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "write point") {
+				t.Fatalf("CheckInvariants() = %v, want a write point error", err)
+			}
+		})
 	}
 }
