@@ -224,7 +224,7 @@ func BenchmarkEventLoop(b *testing.B) {
 
 // BenchmarkCompositorEventLoop measures the multi-tenant replay stack:
 // each iteration is one request merged out of a four-child stream
-// compositor (closed-loop shares, per-tenant address regions), issued
+// compositor (round-robin, per-tenant address regions), issued
 // through the event loop with per-tenant latency attribution and
 // tenant-partition dispatch on a four-chip device. The delta over
 // BenchmarkEventLoop is the compositor merge plus the tenant

@@ -28,12 +28,12 @@
 //
 // -tenants N replays the trace as N tenants: each tenant streams its own
 // copy of the trace into its own 1/N slice of the logical space, merged
-// round-robin with equal closed-loop shares by a stream compositor, and
-// the report breaks latency percentiles down per tenant. Combine with
-// -dispatch tenant-partition to confine each tenant's allocations (and
-// the GC they trigger) to its own chips. With -tenants the synthetic
-// share order replaces the trace's own arrival timestamps, so -openloop
-// issues at the compositor's interleaving, not the original trace times.
+// round-robin by a stream compositor, and the report breaks latency
+// percentiles down per tenant. Combine with -dispatch tenant-partition
+// to confine each tenant's allocations (and the GC they trigger) to its
+// own chips. With -tenants the compositor stamps each tenant's n-th
+// request at n µs in place of the trace's own arrival timestamps, so
+// -openloop replays that stamp, not the original trace times.
 //
 // -planes splits each chip into N planes: operations on blocks of
 // distinct planes of one chip may overlap within a bounded reordering
@@ -169,11 +169,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var specs []ppbflash.RunSpec
 	var streams []*traceStream
+	var clocks []*replayClock
 	for _, name := range strings.Split(*ftlNames, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
+		clock := &replayClock{}
+		clocks = append(clocks, clock)
 		spec := ppbflash.RunSpec{
 			Name:       *path + "/" + name,
 			Device:     cfg,
@@ -200,11 +203,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 					kids[t] = ppbflash.CompositorChild{
 						Stream:     st,
 						Tenant:     uint8(t),
-						Share:      1,
 						AddrOffset: uint64(t) * region,
 					}
 				}
-				return &tenantGen{comp: ppbflash.NewCompositor(kids...), bytes: logicalBytes}
+				return clock.wrap(&tenantGen{comp: ppbflash.NewCompositor(kids...), bytes: logicalBytes})
 			}
 		} else {
 			// One stream per strategy: RunAll replays strategies
@@ -214,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			streams = append(streams, st)
 			spec.Workload = func(logicalBytes uint64) ppbflash.Generator {
 				st.bytes = logicalBytes
-				return st
+				return clock.wrap(st)
 			}
 		}
 		specs = append(specs, spec)
@@ -263,8 +265,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "host:   %d page reads (%d unmapped), %d page writes\n",
 			res.HostReadPages, res.UnmappedReads, res.HostWritePage)
 		fmt.Fprintf(stdout, "time:   read total %v, write total %v, makespan %v\n", res.ReadTotal, res.WriteTotal, res.Makespan)
+		wall := clocks[i].wall
+		var eventsPerSec float64
+		if s := wall.Seconds(); s > 0 {
+			eventsPerSec = float64(res.ReplayEvents) / s
+		}
 		fmt.Fprintf(stdout, "speed:  %.0f device-ops/s simulated (%d ops over the makespan); %d events replayed in %v (%.0f events/s wall)\n",
-			res.SimOpsPerSec, res.DeviceOps, res.ReplayEvents, res.ReplayWall.Round(time.Millisecond), res.WallEventsPerSec)
+			res.SimOpsPerSec, res.DeviceOps, res.ReplayEvents, wall.Round(time.Millisecond), eventsPerSec)
 		fmt.Fprintf(stdout, "lat:    read p50/p95/p99 %v/%v/%v, write p50/p95/p99 %v/%v/%v\n",
 			res.ReadP50, res.ReadP95, res.ReadP99, res.WriteP50, res.WriteP95, res.WriteP99)
 		fmt.Fprintf(stdout, "queue:  delay p50/p95/p99 %v/%v/%v\n",
@@ -511,6 +518,32 @@ func (t *traceStream) Next() (ppbflash.Request, bool) {
 // Err reports the first open or parse error that ended the stream, if
 // any. A clean end-of-trace returns nil.
 func (t *traceStream) Err() error { return t.err }
+
+// replayClock times one replay on the host: from the harness's first
+// pull of the generator it wraps to that generator's end of stream. The
+// simulation itself never reads the wall clock.
+type replayClock struct {
+	ppbflash.Generator
+	start time.Time
+	wall  time.Duration
+}
+
+// wrap makes the clock measure gen's replay.
+func (c *replayClock) wrap(gen ppbflash.Generator) ppbflash.Generator {
+	c.Generator = gen
+	return c
+}
+
+func (c *replayClock) Next() (ppbflash.Request, bool) {
+	if c.start.IsZero() {
+		c.start = time.Now()
+	}
+	r, ok := c.Generator.Next()
+	if !ok && c.wall == 0 {
+		c.wall = time.Since(c.start)
+	}
+	return r, ok
+}
 
 // tenantGen adapts a per-tenant stream compositor to the Generator the
 // harness replays. The merged stream spans the whole logical space even

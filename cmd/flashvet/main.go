@@ -3,8 +3,10 @@
 // folds in simulation packages), hotpath (no allocation-prone
 // constructs reachable from //flashvet:hotpath functions), boundsafe
 // (exported accessors on //flashvet:boundsafe types bounds-check
-// parameter-derived indices) and registry (every registered experiment
-// is golden-pinned or justified).
+// parameter-derived indices), registry (every registered experiment
+// is golden-pinned or justified) and testonly (every exported name
+// under internal/ has a non-test reader or a //flashvet:testonly
+// reason).
 //
 // Usage:
 //
@@ -27,10 +29,11 @@ import (
 	"ppbflash/internal/analysis/flashvet"
 	"ppbflash/internal/analysis/hotpath"
 	"ppbflash/internal/analysis/registry"
+	"ppbflash/internal/analysis/testonly"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer subset (determinism,hotpath,boundsafe,registry)")
+	only := flag.String("only", "", "comma-separated analyzer subset (determinism,hotpath,boundsafe,registry,testonly)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: flashvet [-only a,b] [packages]\n")
 		flag.PrintDefaults()
@@ -47,6 +50,7 @@ func main() {
 		hotpath.New(),
 		boundsafe.New(),
 		registry.Default(),
+		testonly.Default(),
 	}
 	analyzers := all
 	if *only != "" {
@@ -58,7 +62,7 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "flashvet: unknown analyzer %q (have determinism, hotpath, boundsafe, registry)\n", name)
+				fmt.Fprintf(os.Stderr, "flashvet: unknown analyzer %q (have determinism, hotpath, boundsafe, registry, testonly)\n", name)
 				os.Exit(2)
 			}
 			analyzers = append(analyzers, a)

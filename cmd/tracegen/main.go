@@ -71,17 +71,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		w = f
 	}
 
-	reqs := collect(gen)
-	if *format == "msr" {
-		err = trace.WriteMSR(w, gen.Name(), 0, reqs)
-	} else {
-		err = trace.WriteSimple(w, reqs)
+	// Each request is written as it is generated, so memory stays flat
+	// however long the trace.
+	var tw interface {
+		Write(trace.Request) error
+		Flush() error
 	}
-	if err != nil {
+	if *format == "msr" {
+		tw = trace.NewMSRWriter(w, gen.Name(), 0)
+	} else {
+		tw = trace.NewSimpleWriter(w)
+	}
+	var st trace.Stats
+	for r, ok := gen.Next(); ok; r, ok = gen.Next() {
+		if err := tw.Write(r); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		st.Observe(r)
+	}
+	if err := tw.Flush(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	st := trace.Summarize(reqs)
 	fmt.Fprintf(stderr, "tracegen: %d requests (%.0f%% reads), %.1f MiB read, %.1f MiB written, span %.1f MiB\n",
 		st.Requests, st.ReadRatio()*100,
 		float64(st.ReadBytes)/(1<<20), float64(st.WriteBytes)/(1<<20), float64(st.MaxEnd)/(1<<20))
@@ -121,16 +133,5 @@ func buildGenerator(name string, logicalBytes uint64, requests int, seed int64) 
 		}), nil
 	default:
 		return nil, fmt.Errorf("tracegen: unknown workload %q (want websql, mediaserver or uniform)", name)
-	}
-}
-
-func collect(g ppbflash.Generator) []ppbflash.Request {
-	var out []ppbflash.Request
-	for {
-		r, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
 	}
 }

@@ -88,3 +88,42 @@ func TestRunWritesTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestRunOutputGolden pins tracegen's output for fixed flags byte for
+// byte: the trace in both formats and the stderr summary line, against
+// testdata/<case>.trace and testdata/<case>.stderr.
+func TestRunOutputGolden(t *testing.T) {
+	for _, tc := range []struct{ name, workload, format string }{
+		{"websql-msr", "websql", "msr"},
+		{"websql-simple", "websql", "simple"},
+		{"mediaserver-msr", "mediaserver", "msr"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "trace")
+			var stdout, stderr bytes.Buffer
+			args := []string{"-workload", tc.workload, "-requests", "300", "-logical-mb", "64", "-seed", "7",
+				"-format", tc.format, "-o", out}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchGolden(t, tc.name+".trace", got)
+			matchGolden(t, tc.name+".stderr", stderr.Bytes())
+		})
+	}
+}
+
+// matchGolden compares got with the fixture testdata/name.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from testdata/%s:\n--- got\n%.400s\n--- want\n%.400s", name, got, want)
+	}
+}

@@ -35,6 +35,8 @@ type want struct {
 
 // Run loads the fixture directory as one package, applies the analyzer,
 // and reports any mismatch between diagnostics and want comments.
+//
+//flashvet:testonly every analyzer's fixture test calls it
 func Run(t *testing.T, fixtureDir string, analyzer *flashvet.Analyzer) {
 	t.Helper()
 	prog, err := flashvet.LoadFixture(fixtureDir)

@@ -9,11 +9,9 @@
 // parallelism-1-vs-8 determinism tests assert after the fact. This
 // analyzer moves the same contract to compile time:
 //
-//   - time.Now / time.Since are flagged unless the call site carries a
-//     //flashvet:wallclock annotation (same line or the line above).
-//     The only sanctioned sites are the ReplayWall speed metrics in
-//     internal/harness/run.go — wall-clock numbers that Result.Canonical
-//     masks out of every determinism comparison.
+//   - time.Now / time.Since are flagged, with no exception: host-speed
+//     timing belongs to the commands that report it (flashsim's speed
+//     line), outside the simulation packages.
 //   - Package-level math/rand (and math/rand/v2) calls are flagged:
 //     the global source is seeded per-process and shared across
 //     goroutines, so equal configs would stop producing equal replays.
@@ -37,9 +35,6 @@ import (
 
 	"ppbflash/internal/analysis/flashvet"
 )
-
-// WallclockAnnotation whitelists an intentional wall-clock call site.
-const WallclockAnnotation = "flashvet:wallclock"
 
 // DefaultPaths lists the deterministic simulation packages: everything
 // whose numbers feed figures, goldens, or replay scheduling. Workload
@@ -110,11 +105,8 @@ func checkCall(pass *flashvet.Pass, call *ast.CallExpr) {
 	switch fn.Pkg().Path() {
 	case "time":
 		if fn.Name() == "Now" || fn.Name() == "Since" {
-			if pass.Pkg.HasLineAnnotation(pass.Prog.Fset, call.Pos(), WallclockAnnotation) {
-				return
-			}
 			pass.Reportf(call.Pos(),
-				"wall clock read (time.%s) in deterministic package %s; simulated time must come from the device clocks (annotate //flashvet:wallclock if intentional)",
+				"wall clock read (time.%s) in deterministic package %s; simulated time must come from the device clocks",
 				fn.Name(), pass.Pkg.Path)
 		}
 	case "math/rand", "math/rand/v2":

@@ -14,10 +14,6 @@ var stamp time.Time
 func wallClock() {
 	stamp = time.Now()    // want `wall clock read \(time\.Now\)`
 	_ = time.Since(stamp) // want `wall clock read \(time\.Since\)`
-
-	//flashvet:wallclock — fixture's sanctioned site (annotation on the line above)
-	stamp = time.Now()
-	stamp = time.Now() //flashvet:wallclock — same-line form
 }
 
 func globalRand() int {

@@ -50,7 +50,7 @@ type Package struct {
 	Info  *types.Info
 
 	// commentLines maps "filename:line" to the comment texts on that
-	// line, for line-level annotations like //flashvet:wallclock.
+	// line, for line-level annotations like //flashvet:nogolden.
 	commentLines map[lineKey][]string
 }
 
@@ -156,7 +156,7 @@ func (p *Package) indexComments(fset *token.FileSet) {
 
 // HasLineAnnotation reports whether the line of pos, or the line right
 // above it, carries a comment containing the given flashvet annotation
-// (e.g. "flashvet:wallclock").
+// (e.g. "flashvet:nogolden").
 func (p *Package) HasLineAnnotation(fset *token.FileSet, pos token.Pos, annotation string) bool {
 	at := fset.Position(pos)
 	for _, line := range []int{at.Line, at.Line - 1} {
@@ -220,12 +220,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPkgFunc reports whether fn is the named package-level function (or
-// method-free function) of the given import path.
-func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // MentionsObject reports whether expr references the given object.
 func MentionsObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
 	found := false
@@ -234,20 +228,6 @@ func MentionsObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
 			found = true
 		}
 		return !found
-	})
-	return found
-}
-
-// MentionsAny reports whether expr references any object of the set.
-func MentionsAny(info *types.Info, expr ast.Expr, objs map[types.Object]bool) types.Object {
-	var found types.Object
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && objs[obj] {
-				found = obj
-			}
-		}
-		return found == nil
 	})
 	return found
 }

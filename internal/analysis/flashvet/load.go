@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -22,7 +23,6 @@ type listPackage struct {
 	GoFiles    []string
 	Standard   bool
 	Export     string
-	DepOnly    bool
 }
 
 // Load builds and type-checks the module packages matched by the
@@ -32,7 +32,7 @@ type listPackage struct {
 // interpreted in.
 func Load(dir string, patterns []string) (*Program, error) {
 	args := append([]string{"list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Standard,Export,DepOnly"}, patterns...)
+		"-json=ImportPath,Dir,GoFiles,Standard,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -165,6 +165,8 @@ func indexFuncs(prog *Program, pkg *Package) {
 // LoadFixture parses and type-checks a single analysistest fixture
 // directory as one package. Fixture packages may import only the
 // standard library; the package path is the fixture's package name.
+// Like Load, it skips _test.go files, so a fixture can model a name that
+// only a test reads.
 func LoadFixture(dir string) (*Program, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -176,7 +178,7 @@ func LoadFixture(dir string) (*Program, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".go" || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(prog.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -197,13 +197,11 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 // gcWatermarks returns PPB's GC watermarks. PPB keeps more blocks
 // partially open than a conventional FTL (one pipeline per pool), so it
 // wants a deeper GC reserve — but the watermarks must stay reachable:
-// over-provisioning (overProvision, 0 for the ftl default of 0.10)
-// bounds how many blocks can ever be free, and partially-open pipeline
-// blocks consume part of that slack.
+// over-provisioning (overProvision, 0 for the ftl default) bounds how
+// many blocks can ever be free, and partially-open pipeline blocks
+// consume part of that slack. The slack comes from ftl.LogicalPagesFor,
+// the function NewBase sizes the logical space with.
 func gcWatermarks(cfg nand.Config, overProvision float64) (low, high int) {
-	if overProvision == 0 {
-		overProvision = 0.10
-	}
 	logicalBlocks := int((ftl.LogicalPagesFor(cfg, overProvision) + uint64(cfg.PagesPerBlock) - 1) /
 		uint64(cfg.PagesPerBlock))
 	slack := cfg.TotalBlocks() - logicalBlocks
@@ -234,9 +232,6 @@ func (p *PPB) Name() string { return "ppb" }
 
 // PPBStats returns the strategy-specific counters.
 func (p *PPB) PPBStats() *Stats { return &p.ppbStats }
-
-// SplitFactor returns the virtual-block split factor in use.
-func (p *PPB) SplitFactor() int { return p.vbm.K() }
 
 // Read implements ftl.FTL. Reads update the hotness trackers (promote on
 // read) but never move data: migration is progressive.
@@ -572,7 +567,9 @@ func (p *PPB) readSinceWrite(lpn uint64) bool {
 }
 
 // CheckAreaPurity verifies the area-purity invariant: no physical block
-// holds both hot-area and cold-area data. Exposed for tests and examples.
+// holds both hot-area and cold-area data.
+//
+//flashvet:testonly test oracle: core's property tests call it after every operation
 func (p *PPB) CheckAreaPurity() error {
 	dev := p.Device()
 	cfg := p.Config()

@@ -75,8 +75,8 @@ const (
 
 func TestOptionsDefaults(t *testing.T) {
 	p := newPPB(t, testConfig(), Options{})
-	if p.SplitFactor() != 2 {
-		t.Errorf("split = %d, want 2", p.SplitFactor())
+	if last := p.vbm.PartOf(testConfig().PagesPerBlock - 1); last != 1 {
+		t.Errorf("a block's last page is in part %d, want 1 (split factor 2)", last)
 	}
 	if p.ident == nil || p.ident.Name() != "size-check" {
 		t.Error("default identifier should be size-check")
@@ -92,6 +92,24 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if p.Name() != "ppb" {
 		t.Error("name")
+	}
+}
+
+// TestDefaultOverProvisionWatermarks: OverProvision 0 means the ftl
+// default, so PPB's GC reserve and logical space at 0 equal those at an
+// explicit 0.10 on every device size probed.
+func TestDefaultOverProvisionWatermarks(t *testing.T) {
+	for _, cfg := range []nand.Config{testConfig(), nand.TableOneConfig().Scaled(128), nand.TableOneConfig().Scaled(8)} {
+		low0, high0 := gcWatermarks(cfg, 0)
+		low, high := gcWatermarks(cfg, 0.10)
+		if low0 != low || high0 != high {
+			t.Errorf("%d blocks: watermarks %d/%d at OverProvision 0, %d/%d at 0.10", cfg.TotalBlocks(), low0, high0, low, high)
+		}
+		p0 := newPPB(t, cfg, Options{})
+		p10 := newPPB(t, cfg, Options{FTL: ftl.Options{OverProvision: 0.10}})
+		if p0.LogicalPages() != p10.LogicalPages() {
+			t.Errorf("%d blocks: %d logical pages at OverProvision 0, %d at 0.10", cfg.TotalBlocks(), p0.LogicalPages(), p10.LogicalPages())
+		}
 	}
 }
 

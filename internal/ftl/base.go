@@ -45,7 +45,7 @@ type Base struct {
 func NewBase(dev *nand.Device, vbm *vblock.Manager, gcLow, gcHigh int, opts Options) (Base, error) {
 	cfg := dev.Config()
 	opts = opts.withDefaults(cfg)
-	if err := opts.Validate(); err != nil {
+	if err := opts.validate(); err != nil {
 		return Base{}, err
 	}
 	if gcHigh >= cfg.TotalBlocks() {
@@ -204,8 +204,9 @@ func (b *Base) InvalidateOld(lpn uint64) error {
 }
 
 // CheckMapping verifies that every mapped LPN points at a valid page
-// holding that LPN (read-your-writes at the metadata level). Exposed for
-// tests via the concrete FTL types.
+// holding that LPN (read-your-writes at the metadata level).
+//
+//flashvet:testonly test oracle: ftl and core property tests call it after every operation
 func (b *Base) CheckMapping() error {
 	for lpn := uint64(0); lpn < b.table.Pages(); lpn++ {
 		ppn, ok := b.table.Lookup(lpn)

@@ -141,17 +141,14 @@ const (
 func wearWindow(cfg *nand.Config) int { return max(cfg.PagesPerBlock/8, 1) }
 
 func (o Options) withDefaults(cfg nand.Config) Options {
-	if o.OverProvision == 0 {
-		o.OverProvision = 0.10
-	}
 	if cfg.PlaneCount() > 1 && o.ReorderWindow == 0 {
 		o.ReorderWindow = 4 * cfg.EraseLatency
 	}
 	return o
 }
 
-// Validate rejects nonsensical option combinations.
-func (o Options) Validate() error {
+// validate rejects nonsensical option combinations.
+func (o Options) validate() error {
 	if o.OverProvision < 0 || o.OverProvision >= 0.9 {
 		return fmt.Errorf("ftl: over-provision %g out of [0, 0.9)", o.OverProvision)
 	}
@@ -225,8 +222,14 @@ func (s *Stats) WAF() float64 {
 }
 
 // LogicalPagesFor returns the logical space (in pages) exported over a
-// device with the given over-provisioning.
+// device with the given over-provisioning, where 0 means the default
+// 0.10 (Options.OverProvision). It is the one place that default lives:
+// NewBase builds the mapping from it and PPB sizes its GC reserve from
+// it.
 func LogicalPagesFor(cfg nand.Config, overProvision float64) uint64 {
+	if overProvision == 0 {
+		overProvision = 0.10
+	}
 	return uint64(float64(cfg.TotalPages()) * (1 - overProvision))
 }
 

@@ -61,16 +61,12 @@ var allKinds = []string{"conventional", "greedy-speed", "hotcold-split"}
 
 func TestOptionsDefaultsAndValidation(t *testing.T) {
 	cfg := testConfig()
-	o := Options{}.withDefaults(cfg)
-	if o.OverProvision != 0.10 {
-		t.Errorf("default OP = %g", o.OverProvision)
-	}
 	bad := []Options{
 		{OverProvision: -0.1},
 		{OverProvision: 0.95},
 	}
 	for i, o := range bad {
-		if err := o.Validate(); err == nil {
+		if err := o.validate(); err == nil {
 			t.Errorf("bad options %d accepted", i)
 		}
 	}
@@ -109,8 +105,8 @@ func TestLogicalPagesFor(t *testing.T) {
 	if got := LogicalPagesFor(cfg, 0.10); got != 230 {
 		t.Errorf("logical pages = %d, want 230", got)
 	}
-	if got := LogicalPagesFor(cfg, 0); got != 256 {
-		t.Errorf("no OP = %d, want 256", got)
+	if got := LogicalPagesFor(cfg, 0); got != 230 {
+		t.Errorf("default OP = %d, want 230 (0.10)", got)
 	}
 }
 

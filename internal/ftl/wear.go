@@ -41,10 +41,6 @@ func (w WearPolicy) String() string {
 	}
 }
 
-// WearPolicyNames lists the built-in wear policies in presentation
-// order (the a9 sweep's wear axis).
-var WearPolicyNames = []string{WearNone.String(), WearAware.String(), WearThresholdSwap.String()}
-
 // WearByName resolves a wear policy from its name — the spelling
 // flashsim -wear accepts. The empty string means the default (none).
 func WearByName(name string) (WearPolicy, error) {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestWearByNameRoundtrip(t *testing.T) {
-	for _, name := range WearPolicyNames {
+	for _, name := range []string{"none", "wear-aware", "threshold-swap"} {
 		w, err := WearByName(name)
 		if err != nil {
 			t.Fatalf("WearByName(%q): %v", name, err)
@@ -49,12 +49,12 @@ func TestWearOptionsDefaultsAndValidation(t *testing.T) {
 		{OverProvision: 0.1, Reliability: &nand.ReliabilityConfig{Enabled: true}},
 	}
 	for i, o := range bad {
-		if err := o.Validate(); err == nil {
+		if err := o.validate(); err == nil {
 			t.Errorf("bad options %d accepted: %+v", i, o)
 		}
 	}
 	good := Options{OverProvision: 0.1, Wear: WearThresholdSwap, Reliability: &nand.ReliabilityConfig{}}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("valid wear options rejected: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func TestDispatchRunsDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range specs {
-		if serial[i].Canonical() != wide[i].Canonical() {
+		if serial[i] != wide[i] {
 			t.Errorf("%s: parallelism 1 result %+v != parallelism 8 %+v", specs[i].Name, serial[i], wide[i])
 		}
 	}

@@ -114,7 +114,7 @@ func TestRunAllMatchesSequentialRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel[i].Canonical() != seq.Canonical() {
+		if parallel[i] != seq {
 			t.Errorf("spec %d (%s): parallel result %+v != sequential %+v", i, spec.Name, parallel[i], seq)
 		}
 	}

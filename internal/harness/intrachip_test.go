@@ -120,7 +120,7 @@ func TestPlanesOffBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Name = def.Name
-	if res.Canonical() != def.Canonical() {
+	if res != def {
 		t.Errorf("single-plane run with a reorder window differs from baseline:\n got %+v\nwant %+v", res, def)
 	}
 }

@@ -173,7 +173,7 @@ func TestMultiChipRunsDeterministicUnderRunAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel[i].Canonical() != seq.Canonical() {
+		if parallel[i] != seq {
 			t.Errorf("spec %d (%s): parallel %+v != sequential %+v", i, spec.Name, parallel[i], seq)
 		}
 	}

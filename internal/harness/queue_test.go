@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"ppbflash/internal/ftl"
+	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
 	"ppbflash/internal/trace"
 	"ppbflash/internal/workload"
@@ -54,21 +56,12 @@ func buildQueueTestFTL(t *testing.T, cfg nand.Config, kind FTLKind) ftl.FTL {
 	return f
 }
 
-func histogramsEqual(t *testing.T, name string, a, b interface {
-	Buckets() ([]time.Duration, []uint64)
-	Sum() time.Duration
-	Count() uint64
-}) {
+// histogramsEqual requires two histograms to hold the same samples:
+// equal bounds, bucket counts, count, sum and extremes.
+func histogramsEqual(t *testing.T, name string, a, b *metrics.Histogram) {
 	t.Helper()
-	if a.Count() != b.Count() || a.Sum() != b.Sum() {
-		t.Errorf("%s: count/sum %d/%v != %d/%v", name, a.Count(), a.Sum(), b.Count(), b.Sum())
-	}
-	_, ca := a.Buckets()
-	_, cb := b.Buckets()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Errorf("%s: bucket %d count %d != %d", name, i, ca[i], cb[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: histograms differ: count/sum %d/%v vs %d/%v", name, a.Count(), a.Sum(), b.Count(), b.Sum())
 	}
 }
 
@@ -339,7 +332,7 @@ func TestQueuedRunsDeterministicUnderRunAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel[i].Canonical() != seq.Canonical() {
+		if parallel[i] != seq {
 			t.Errorf("spec %d (%s): parallel %+v != sequential %+v", i, spec.Name, parallel[i], seq)
 		}
 	}

@@ -81,7 +81,6 @@ type RunSpec struct {
 type Result struct {
 	Name          string
 	Kind          FTLKind
-	WorkloadName  string
 	ReadTotal     time.Duration
 	WriteTotal    time.Duration // host programs + GC work
 	HostReadPages uint64
@@ -128,19 +127,13 @@ type Result struct {
 
 	// Throughput of the measured replay. DeviceOps counts the device page
 	// reads, programs and erases of the trace era; SimOpsPerSec divides
-	// them by the simulated makespan — the device-ops-per-simulated-second
-	// speed signal ROADMAP item 1 asks for, deterministic like every other
-	// simulated number. ReplayEvents counts the discrete events the event
-	// loop processed (arrivals, issues, completions, erase commits,
-	// suspend/resume marks) — also
-	// deterministic — while ReplayWall and WallEventsPerSec measure the
-	// simulator's own host-side speed and are NOT deterministic: equality
-	// comparisons must go through Canonical().
-	DeviceOps        uint64
-	SimOpsPerSec     float64
-	ReplayEvents     uint64
-	ReplayWall       time.Duration
-	WallEventsPerSec float64
+	// them by the simulated makespan. ReplayEvents counts the discrete
+	// events the event loop processed (arrivals, issues, completions,
+	// erase commits, suspend/resume marks). All three are deterministic,
+	// like every field of a Result, so results compare with ==.
+	DeviceOps    uint64
+	SimOpsPerSec float64
+	ReplayEvents uint64
 
 	// Reliability outcomes of the measured trace (all zero with the
 	// model off — see FTLOptions.Reliability). RetiredBlocks is cumulative
@@ -180,8 +173,7 @@ type Result struct {
 // percentiles Result reports globally, computed over that tenant's
 // requests alone. The per-tenant histograms behind it use the same
 // bounds as the global ones, so a tenant's percentile is directly
-// comparable to the run-wide figure. All fields are simulated numbers —
-// deterministic, covered by Canonical() comparisons unchanged.
+// comparable to the run-wide figure. All fields are simulated numbers.
 type TenantResult struct {
 	// Tenant is the tenant ID (the slot index; folded IDs land in the
 	// last slot, see trace.MaxTenants).
@@ -201,17 +193,6 @@ type TenantResult struct {
 	QueueDelayP50 time.Duration
 	QueueDelayP95 time.Duration
 	QueueDelayP99 time.Duration
-}
-
-// Canonical returns the result with its wall-clock-derived fields
-// (ReplayWall, WallEventsPerSec) zeroed: the deterministic projection of
-// a run. Tests comparing results across host parallelism or scheduler
-// implementations compare Canonical() values — everything else in a
-// Result is a simulated number and must match exactly.
-func (r Result) Canonical() Result {
-	r.ReplayWall = 0
-	r.WallEventsPerSec = 0
-	return r
 }
 
 // buildFTL constructs the FTL for a spec.
@@ -500,13 +481,8 @@ type ReplayMetrics struct {
 
 	// Events counts the discrete events the replay's event loop popped
 	// (arrivals, issues, completions, erase commits, suspend/resume
-	// marks) and Wall accumulates
-	// the host wall-clock time the measured replay took. Events is a
-	// deterministic property of the simulation; Wall is not — Result
-	// derives WallEventsPerSec from the pair and Canonical() masks the
-	// wall-clock side for equality comparisons.
+	// marks).
 	Events uint64
-	Wall   time.Duration
 
 	// tenants holds the per-tenant histogram sets of a multi-tenant
 	// replay, nil on single-tenant runs so the classic path never pays
@@ -663,11 +639,11 @@ type ReplayOptions struct {
 // on.
 //
 // m is required: it receives every completed request's latency and
-// queueing delay, plus the replay's event count and wall time. When
-// m.EnableTenants is active, every issue first announces the request's
-// tenant to the FTL (through the optional SetTenant method ftl.Base
-// provides), so tenant-aware dispatch sees the owner of every allocation
-// the request triggers.
+// queueing delay, plus the replay's event count. When m.EnableTenants
+// is active, every issue first announces the request's tenant to the
+// FTL (through the optional SetTenant method ftl.Base provides), so
+// tenant-aware dispatch sees the owner of every allocation the request
+// triggers.
 func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOptions) error {
 	dev := f.Device()
 	pageSize := dev.Config().PageSize
@@ -684,7 +660,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 	if m.TenantCount() > 0 {
 		setTenant, _ = f.(interface{ SetTenant(int) })
 	}
-	wallStart := time.Now() //flashvet:wallclock — host-speed metric only; Canonical() masks Wall out of determinism comparisons
 	var (
 		events      sched.Queue
 		pending     int           // outstanding requests (completion events in flight)
@@ -792,7 +767,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 		dev.FlushDeferredErases()
 	}
 	m.Events += popped
-	m.Wall += time.Since(wallStart) //flashvet:wallclock — host-speed metric only; Canonical() masks Wall out of determinism comparisons
 	return nil
 }
 
@@ -846,10 +820,6 @@ func collect(spec RunSpec, f ftl.FTL, eraseBase uint64, relBase nand.Reliability
 		res.SimOpsPerSec = float64(res.DeviceOps) / s
 	}
 	res.ReplayEvents = rm.Events
-	res.ReplayWall = rm.Wall
-	if s := rm.Wall.Seconds(); s > 0 {
-		res.WallEventsPerSec = float64(rm.Events) / s
-	}
 	if n := rm.TenantCount(); n > 0 {
 		res.TenantCount = n
 		for t := 0; t < n; t++ {

@@ -162,51 +162,34 @@ func (s Scale) tenantGenerator(i int, regionBytes uint64) workload.Generator {
 // TenantWorkloads returns a builder for an n-tenant composite workload:
 // the logical space is carved into n equal aligned regions, tenant i
 // replays its own generator (see tenantGenerator's roster) inside region
-// i, and a trace.Compositor merges the streams closed-loop with equal
-// shares — round-robin interleaving, each request stamped with its
-// tenant ID and shifted into its region. Pair it with
+// i, and a trace.Compositor merges the streams round-robin, each request
+// stamped with its tenant ID and shifted into its region. Pair it with
 // FTLOptions.Tenants = n so the replay and FTL see the population.
 //
-// n <= 1 wraps the plain websql trace (full space, the scale's seed) in
-// a compositor-of-one with no transforms: the emitted stream is
-// byte-identical to WebSQLWorkload's, which is the identity the
-// single-tenant bit-compatibility ladder pins. n is capped at
+// n <= 1 returns the plain websql builder (WebSQLWorkload), the rung the
+// single-tenant ladder compares against. n is capped at
 // trace.MaxTenants.
 func (s Scale) TenantWorkloads(n int) WorkloadBuilder {
+	if n <= 1 {
+		return s.WebSQLWorkload()
+	}
 	if n > trace.MaxTenants {
 		n = trace.MaxTenants
 	}
 	return func(logicalBytes uint64) workload.Generator {
-		var children []trace.CompositorChild
-		if n <= 1 {
-			children = []trace.CompositorChild{{
-				Stream: workload.NewWebSQL(workload.WebSQLConfig{
-					LogicalBytes: logicalBytes,
-					Requests:     s.requestsFor(logicalBytes, websqlWriteBytesPerReq),
-					Seed:         s.Seed,
-				}),
-			}}
-		} else {
-			region := (logicalBytes / uint64(n)) &^ (tenantRegionAlign - 1)
-			children = make([]trace.CompositorChild, n)
-			for i := 0; i < n; i++ {
-				children[i] = trace.CompositorChild{
-					Stream:     s.tenantGenerator(i, region),
-					Tenant:     uint8(i),
-					Share:      1,
-					AddrOffset: uint64(i) * region,
-				}
+		region := (logicalBytes / uint64(n)) &^ (tenantRegionAlign - 1)
+		children := make([]trace.CompositorChild, n)
+		for i := range children {
+			children[i] = trace.CompositorChild{
+				Stream:     s.tenantGenerator(i, region),
+				Tenant:     uint8(i),
+				AddrOffset: uint64(i) * region,
 			}
 		}
-		comp := trace.NewCompositor(children...)
-		name := "websql"
-		if n > 1 {
-			name = fmt.Sprintf("tenant-mix-%d", n)
-		}
 		return &workload.Func{
-			WorkloadName: name,
+			WorkloadName: fmt.Sprintf("tenant-mix-%d", n),
 			Bytes:        logicalBytes,
-			NextFunc:     comp.Next,
+			NextFunc:     trace.NewCompositor(children...).Next,
 		}
 	}
 }

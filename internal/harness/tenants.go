@@ -55,8 +55,8 @@ const compositorEventLoopTenants = 4
 
 // RunCompositorEventLoop is RunEventLoop's multi-tenant sibling: n
 // synthetic single-page requests pulled through a four-child
-// trace.Compositor (equal closed-loop shares, per-tenant address
-// regions via AddrOffset) and replayed by ReplayQueued with per-tenant
+// trace.Compositor (round-robin, per-tenant address regions via
+// AddrOffset) and replayed by ReplayQueued with per-tenant
 // attribution and dispatch active. The delta over BenchmarkEventLoop is
 // the compositor merge plus the tenant bookkeeping per request; its
 // steady state must stay at 0 allocs/op (the CI alloc smoke checks).
@@ -90,7 +90,6 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 				},
 			},
 			Tenant:     uint8(t),
-			Share:      1,
 			AddrOffset: uint64(t) * region * uint64(pageSize),
 		}
 	}
@@ -109,7 +108,7 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 // TenantSweep (experiment a10) measures multi-tenant fairness and
 // isolation: tenant count x dispatch policy x queue depth on the 4-chip
 // device under PPB, replaying the composite tenant workload
-// (Scale.TenantWorkloads — equal closed-loop shares, per-tenant address
+// (Scale.TenantWorkloads — round-robin merge, per-tenant address
 // regions). Every cell reports the global makespan and erases plus each
 // tenant's own read p99, queue-delay p99 and completed requests, the
 // numbers the fairness shape test bounds: under striping a

@@ -9,11 +9,10 @@ import (
 )
 
 // TestTenantLadderSingleTenantIdentity pins the bottom rung of the
-// multi-tenant ladder: a Tenants=1 run over the compositor-wrapped
-// workload (TenantWorkloads(1)) must be bit-identical to the classic
-// single-stream websql run — the compositor, the tenant plumbing in the
-// replay and the tenant fields in the FTL options all have to vanish
-// when only one tenant exists.
+// multi-tenant ladder: a Tenants=1 run over TenantWorkloads(1) must be
+// bit-identical to the classic single-stream websql run — the tenant
+// plumbing in the replay and the tenant fields in the FTL options all
+// have to vanish when only one tenant exists.
 func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 	dev := testScale.DeviceConfig(16<<10, 2).WithChips(4)
 	base := RunSpec{
@@ -33,7 +32,7 @@ func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Name = def.Name
-	if res.Canonical() != def.Canonical() {
+	if res != def {
 		t.Errorf("Tenants=1 composite run differs from single-stream run:\n got %+v\nwant %+v", res, def)
 	}
 	if res.TenantCount != 0 {
@@ -58,7 +57,7 @@ func TestTenantLadderSingleTenantIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	pres.Name = lres.Name
-	if pres.Canonical() != lres.Canonical() {
+	if pres != lres {
 		t.Errorf("single-tenant tenant-partition differs from least-loaded:\n got %+v\nwant %+v", pres, lres)
 	}
 }
@@ -141,7 +140,7 @@ func TestMultiTenantDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range seq {
-		if seq[i].Canonical() != par[i].Canonical() {
+		if seq[i] != par[i] {
 			t.Errorf("%s: parallel result differs from sequential:\n got %+v\nwant %+v",
 				specs[i].Name, par[i], seq[i])
 		}

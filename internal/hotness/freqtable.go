@@ -16,7 +16,6 @@ package hotness
 type FreqTable struct {
 	promoteAt uint32
 	dense     []uint32
-	size      int // tracked entries
 }
 
 // NewFreqTable builds a table covering the LPN range [0, span) with the
@@ -54,9 +53,6 @@ func (f *FreqTable) get(lpn uint64) (uint32, bool) {
 func (f *FreqTable) set(lpn uint64, c uint32) {
 	if lpn >= uint64(len(f.dense)) {
 		return
-	}
-	if f.dense[lpn] == 0 {
-		f.size++
 	}
 	if c == ^uint32(0) {
 		c-- // keep count+1 from wrapping to "untracked"
@@ -98,11 +94,7 @@ func (f *FreqTable) ReadCount(lpn uint64) uint32 {
 
 // Remove forgets lpn.
 func (f *FreqTable) Remove(lpn uint64) {
-	if lpn < uint64(len(f.dense)) && f.dense[lpn] != 0 {
+	if lpn < uint64(len(f.dense)) {
 		f.dense[lpn] = 0
-		f.size--
 	}
 }
-
-// Len returns the number of tracked chunks.
-func (f *FreqTable) Len() int { return f.size }

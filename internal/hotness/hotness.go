@@ -67,17 +67,6 @@ func (a Area) String() string {
 	return "cold"
 }
 
-// EntryLevel returns the level newly written data starts at in the area:
-// hot-area data enters the hot list (slow pages) and cold-area data enters
-// as icy-cold (slow pages); both are promoted to the fast level of their
-// area by re-reads.
-func (a Area) EntryLevel() Level {
-	if a == AreaHot {
-		return Hot
-	}
-	return IcyCold
-}
-
 // Identifier is the pluggable first-stage hot/cold mechanism. Classify is
 // consulted once per host write that is not already tracked by an area.
 type Identifier interface {

@@ -134,12 +134,6 @@ func (t *refTwoLevel) Demote(lpn uint64) (Demotion, bool) {
 	return Demotion{}, false
 }
 
-func (t *refTwoLevel) Remove(lpn uint64) {
-	if !t.iron.remove(lpn) {
-		t.hot.remove(lpn)
-	}
-}
-
 func (t *refTwoLevel) LastWrite(lpn uint64) (uint64, bool) {
 	if v, ok := t.iron.value(lpn); ok {
 		return v, true
@@ -196,7 +190,7 @@ func TestTwoLevelMatchesReference(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			lpn, seq := pickLPN(rng, span), uint64(step)
 			var g, w opResult
-			op := rng.Intn(6)
+			op := rng.Intn(5)
 			switch op {
 			case 0:
 				g.lvl, g.dem, g.demoted = got.OnWrite(lpn, seq)
@@ -208,16 +202,13 @@ func TestTwoLevelMatchesReference(t *testing.T) {
 				g.dem, g.demoted = got.Demote(lpn)
 				w.dem, w.demoted = want.Demote(lpn)
 			case 3:
-				got.Remove(lpn)
-				want.Remove(lpn)
-			case 4:
 				g.lvl, g.ok = got.Level(lpn)
 				w.lvl, w.ok = want.Level(lpn)
-			case 5:
+			case 4:
 				g.seq, g.ok = got.LastWrite(lpn)
 				w.seq, w.ok = want.LastWrite(lpn)
 			}
-			g.hotLen, g.ironLen = got.HotLen(), got.IronLen()
+			g.hotLen, g.ironLen = got.hot.size, got.iron.size
 			w.hotLen, w.ironLen = want.hot.order.Len(), want.iron.order.Len()
 			if g != w {
 				t.Fatalf("seed %d step %d op %d lpn %d (span %d, caps %d/%d): got %+v, want %+v",
@@ -269,10 +260,9 @@ func TestTwoLevelBeyondSpan(t *testing.T) {
 		if dem, demoted := tr.Demote(lpn); demoted {
 			t.Errorf("Demote(%d) = %+v", lpn, dem)
 		}
-		tr.Remove(lpn)
 	}
-	if tr.HotLen() != 1 || tr.IronLen() != 0 {
-		t.Fatalf("lens = %d/%d, want 1/0", tr.HotLen(), tr.IronLen())
+	if tr.hot.size != 1 || tr.iron.size != 0 {
+		t.Fatalf("lens = %d/%d, want 1/0", tr.hot.size, tr.iron.size)
 	}
 	if lvl, _, demoted := tr.OnWrite(span+3, 2); lvl != Hot || demoted {
 		t.Fatalf("write past the span = %v (demoted %v)", lvl, demoted)

@@ -127,13 +127,6 @@ func (t *TwoLevelLRU) Demote(lpn uint64) (dem Demotion, demoted bool) {
 	return Demotion{LPN: ev.lpn, LastWrite: ev.val}, true
 }
 
-// Remove forgets lpn entirely (e.g. the logical page was trimmed).
-func (t *TwoLevelLRU) Remove(lpn uint64) {
-	if n := t.slab.lookup(lpn); n != nilNode {
-		t.slab.drop(t.list(n), n)
-	}
-}
-
 // LastWrite returns the sequence number recorded for the entry's most
 // recent write. Used by the "demote if not modified" GC rule.
 func (t *TwoLevelLRU) LastWrite(lpn uint64) (uint64, bool) {
@@ -142,9 +135,3 @@ func (t *TwoLevelLRU) LastWrite(lpn uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// HotLen returns the number of tracked hot-list entries.
-func (t *TwoLevelLRU) HotLen() int { return t.hot.size }
-
-// IronLen returns the number of tracked iron-hot entries.
-func (t *TwoLevelLRU) IronLen() int { return t.iron.size }

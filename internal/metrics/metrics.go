@@ -18,9 +18,6 @@ type Counter uint64
 // Inc adds one to the counter.
 func (c *Counter) Inc() { *c++ }
 
-// Add adds n to the counter.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
 // Value returns the current count.
 func (c Counter) Value() uint64 { return uint64(c) }
 
@@ -43,15 +40,6 @@ func (l Latency) Mean() time.Duration {
 		return 0
 	}
 	return l.Total / time.Duration(l.Ops)
-}
-
-// Seconds returns the accumulated total in seconds.
-func (l Latency) Seconds() float64 { return l.Total.Seconds() }
-
-// Merge adds the contents of other into l.
-func (l *Latency) Merge(other Latency) {
-	l.Total += other.Total
-	l.Ops += other.Ops
 }
 
 // Enhancement returns the relative improvement of measured against a
@@ -86,15 +74,6 @@ func NewHistogram(bounds ...time.Duration) *Histogram {
 	b := make([]time.Duration, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, counts: make([]uint64, len(bounds)+1)}
-}
-
-// DefaultReadHistogram covers the microsecond range typical for NAND reads.
-func DefaultReadHistogram() *Histogram {
-	return NewHistogram(
-		10*time.Microsecond, 20*time.Microsecond, 40*time.Microsecond,
-		80*time.Microsecond, 160*time.Microsecond, 320*time.Microsecond,
-		640*time.Microsecond, 1280*time.Microsecond,
-	)
 }
 
 // DefaultLatencyHistogram covers per-request completion latencies: a
@@ -149,24 +128,24 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Count returns the number of observed samples.
+//
+//flashvet:testonly perfbench (a separate module) checks its captured latencies against it
 func (h *Histogram) Count() uint64 { return h.total }
 
 // Sum returns the total of all observed samples.
+//
+//flashvet:testonly perfbench (a separate module) checks its captured latencies against it
 func (h *Histogram) Sum() time.Duration { return h.sum }
 
 // Min returns the smallest observed sample (zero when empty).
+//
+//flashvet:testonly harness replay tests check that no recorded latency is zero or negative
 func (h *Histogram) Min() time.Duration { return h.min }
 
 // Max returns the largest observed sample (zero when empty).
+//
+//flashvet:testonly harness queueing tests check exact largest queue delays
 func (h *Histogram) Max() time.Duration { return h.max }
-
-// Mean returns the average sample (zero when empty).
-func (h *Histogram) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) using
 // bucket upper bounds; the overflow bucket reports the observed max.
@@ -199,41 +178,4 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// Buckets returns copies of the bucket bounds and counts (the final count
-// is the overflow bucket).
-func (h *Histogram) Buckets() ([]time.Duration, []uint64) {
-	b := make([]time.Duration, len(h.bounds))
-	copy(b, h.bounds)
-	c := make([]uint64, len(h.counts))
-	copy(c, h.counts)
-	return b, c
-}
-
-// Merge adds all samples of other into h. Both histograms must have been
-// created with identical bounds.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("metrics: merging histograms with %d vs %d bounds", len(h.bounds), len(other.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != other.bounds[i] {
-			return fmt.Errorf("metrics: merging histograms with different bound %d", i)
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	if other.total > 0 {
-		if h.total == 0 || other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	h.total += other.total
-	h.sum += other.sum
-	return nil
 }

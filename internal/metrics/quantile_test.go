@@ -72,7 +72,7 @@ func TestQuantileCeilDoesNotOvershoot(t *testing.T) {
 
 func TestDefaultLatencyHistogramRange(t *testing.T) {
 	h := DefaultLatencyHistogram()
-	bounds, _ := h.Buckets()
+	bounds := h.bounds
 	if len(bounds) == 0 {
 		t.Fatal("no buckets")
 	}

@@ -11,7 +11,6 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-	Notes   []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -33,11 +32,6 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-}
-
-// AddNote appends a free-form footnote rendered under the table.
-func (t *Table) AddNote(format string, args ...any) {
-	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
 // FormatFloat renders floats compactly: large magnitudes in scientific
@@ -97,11 +91,6 @@ func (t *Table) String() string {
 	sb.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		sb.WriteString("  note: ")
-		sb.WriteString(n)
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

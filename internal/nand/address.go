@@ -22,16 +22,6 @@ func (a Address) String() string {
 	return fmt.Sprintf("c%d/b%d/p%d", a.Chip, a.Block, a.Page)
 }
 
-// BlockOf returns the flat block id of an address under config c.
-func (c Config) BlockOf(a Address) BlockID {
-	return BlockID(a.Chip*c.BlocksPerChip + a.Block)
-}
-
-// PPNOf converts chip/block/page coordinates to a flat physical page number.
-func (c Config) PPNOf(a Address) PPN {
-	return PPN(uint64(c.BlockOf(a))*uint64(c.PagesPerBlock) + uint64(a.Page))
-}
-
 // AddressOf converts a flat physical page number back to coordinates.
 func (c Config) AddressOf(p PPN) Address {
 	block := uint64(p) / uint64(c.PagesPerBlock)
@@ -41,19 +31,6 @@ func (c Config) AddressOf(p PPN) Address {
 		Block: int(block) % c.BlocksPerChip,
 		Page:  int(page),
 	}
-}
-
-// BlockAddress returns the chip-local coordinates of a flat block id.
-func (c Config) BlockAddress(b BlockID) (chip, block int) {
-	return int(b) / c.BlocksPerChip, int(b) % c.BlocksPerChip
-}
-
-// PlaneOf returns the plane a block lives on: blocks interleave over the
-// planes of their chip (chip-local block index modulo PlaneCount), the
-// standard multi-plane NAND layout where consecutive blocks land on
-// alternating planes. Always zero for single-plane configs.
-func (c Config) PlaneOf(b BlockID) int {
-	return (int(b) % c.BlocksPerChip) % c.PlaneCount()
 }
 
 // PPNForBlockPage builds a flat PPN from a flat block id and page index.

@@ -33,9 +33,9 @@ type Config struct {
 	// spanning all chips.
 	Chips int
 	// Planes is the number of planes per chip. Blocks interleave over the
-	// planes of their chip (chip-local block index modulo Planes — see
-	// PlaneOf), and operations on distinct planes of one chip may overlap
-	// within the device's reordering window (see Device.SetReorderWindow).
+	// planes of their chip (chip-local block index modulo Planes), and
+	// operations on distinct planes of one chip may overlap within the
+	// device's reordering window (see Device.SetReorderWindow).
 	// Zero or one means the chip is a single serial execution unit, which
 	// is bit-identical to the pre-plane model.
 	Planes int

@@ -144,13 +144,14 @@ func TestAddressRoundTrip(t *testing.T) {
 		for block := 0; block < cfg.BlocksPerChip; block += 5 {
 			for page := 0; page < cfg.PagesPerBlock; page++ {
 				a := Address{Chip: chip, Block: block, Page: page}
-				p := cfg.PPNOf(a)
+				flat := BlockID(chip*cfg.BlocksPerChip + block)
+				p := cfg.PPNForBlockPage(flat, page)
 				if back := cfg.AddressOf(p); back != a {
 					t.Fatalf("round trip %v -> %d -> %v", a, p, back)
 				}
 				b, pg := cfg.SplitPPN(p)
-				if b != cfg.BlockOf(a) || pg != page {
-					t.Fatalf("SplitPPN(%d) = %d,%d want %d,%d", p, b, pg, cfg.BlockOf(a), page)
+				if b != flat || pg != page {
+					t.Fatalf("SplitPPN(%d) = %d,%d want %d,%d", p, b, pg, flat, page)
 				}
 				if cfg.PPNForBlockPage(b, pg) != p {
 					t.Fatalf("PPNForBlockPage mismatch at %v", a)
@@ -160,12 +161,14 @@ func TestAddressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockAddress: a flat block id past the first chip maps to its
+// chip-local coordinates.
 func TestBlockAddress(t *testing.T) {
 	cfg := testConfig()
 	cfg.Chips = 2
-	chip, block := cfg.BlockAddress(BlockID(cfg.BlocksPerChip + 3))
-	if chip != 1 || block != 3 {
-		t.Errorf("BlockAddress = %d,%d want 1,3", chip, block)
+	a := cfg.AddressOf(cfg.PPNForBlockPage(BlockID(cfg.BlocksPerChip+3), 0))
+	if a.Chip != 1 || a.Block != 3 {
+		t.Errorf("block %d = chip %d block %d, want 1,3", cfg.BlocksPerChip+3, a.Chip, a.Block)
 	}
 }
 

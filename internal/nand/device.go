@@ -47,7 +47,6 @@ var (
 	ErrProgramOrder   = errors.New("nand: page programmed out of order")
 	ErrAlreadyWritten = errors.New("nand: page already programmed (erase-before-write)")
 	ErrReadFree       = errors.New("nand: reading a free page")
-	ErrEraseOpen      = errors.New("nand: erase validity bookkeeping broken")
 	ErrBlockRetired   = errors.New("nand: block retired")
 )
 
@@ -119,9 +118,9 @@ type DeviceStats struct {
 // # Intra-chip parallelism
 //
 // With Config.Planes > 1 each chip splits into plane execution units:
-// blocks interleave over planes (Config.PlaneOf) and ops on distinct
-// planes of one chip may overlap, bounded by the reordering window
-// (SetReorderWindow) — an op may start at most the window before the
+// blocks interleave over planes (chip-local block index modulo Planes)
+// and ops on distinct planes of one chip may overlap, bounded by the
+// reordering window (SetReorderWindow) — an op may start at most the window before the
 // chip's busiest plane drains, so window 0 keeps the chip serial and the
 // plane model inert. SetSuspend additionally lets an incoming read
 // preempt its plane's in-flight erase (or program) at configurable
@@ -232,8 +231,9 @@ func NewDevice(cfg Config) (*Device, error) {
 	return d, nil
 }
 
-// MustNewDevice is NewDevice that panics on config errors; intended for
-// tests and examples with literal configs.
+// MustNewDevice is NewDevice that panics on config errors.
+//
+//flashvet:testonly tests of nand, ftl, core, vblock and harness build devices from literal configs with it
 func MustNewDevice(cfg Config) *Device {
 	d, err := NewDevice(cfg)
 	if err != nil {
@@ -471,6 +471,8 @@ func (d *Device) LastFinish() time.Duration { return d.lastFinish }
 // operation — the moment its chip actually began it, after issue-clock,
 // ready-floor and chip-queue gating. Tests use it to verify dependency
 // ordering (an op's start never precedes its predecessor's finish).
+//
+//flashvet:testonly test oracle: nand and ftl causality tests check op start times with it
 func (d *Device) LastStart() time.Duration { return d.lastStart }
 
 // Makespan returns the simulated time at which every chip has drained its
@@ -775,6 +777,8 @@ func (d *Device) PeekOOB(p PPN) OOB {
 
 // ValidPages returns how many pages of the block are valid (zero when b
 // is out of range).
+//
+//flashvet:testonly test oracle: nand and ftl tests check per-block page accounting with it
 func (d *Device) ValidPages(b BlockID) int {
 	blk := d.blockAt(b)
 	if blk == nil {
@@ -785,6 +789,8 @@ func (d *Device) ValidPages(b BlockID) int {
 
 // InvalidPages returns how many pages of the block are invalid (zero when
 // b is out of range).
+//
+//flashvet:testonly test oracle: ftl's full-scan victim oracle scores blocks with it
 func (d *Device) InvalidPages(b BlockID) int {
 	blk := d.blockAt(b)
 	if blk == nil {
@@ -814,7 +820,9 @@ func (d *Device) MaxEraseCount() uint32 { return d.maxWear }
 
 // CheckAccounting verifies the device accounting invariant: per-block
 // page-state counters agree with the page arrays. It returns the first
-// inconsistency found and is used by property tests.
+// inconsistency found.
+//
+//flashvet:testonly test oracle: nand, ftl and core property tests call it after every operation
 func (d *Device) CheckAccounting() error {
 	for bi := range d.blocks {
 		blk := &d.blocks[bi]

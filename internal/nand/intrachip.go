@@ -51,10 +51,6 @@ func (p SuspendPolicy) String() string {
 	}
 }
 
-// SuspendPolicyNames lists the names SuspendByName accepts, in ladder
-// order (off first).
-var SuspendPolicyNames = []string{"off", "erase", "full"}
-
 // SuspendByName resolves a policy name — the spelling flashsim -suspend
 // accepts. The empty string means SuspendOff, mirroring the other
 // *ByName resolvers.

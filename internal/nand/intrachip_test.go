@@ -19,6 +19,7 @@ func planeConfig(planes int) Config {
 func TestPlaneOfGeometry(t *testing.T) {
 	cfg := planeConfig(2)
 	cfg.Chips = 2
+	d := MustNewDevice(cfg)
 	for _, tc := range []struct {
 		block BlockID
 		plane int
@@ -26,13 +27,13 @@ func TestPlaneOfGeometry(t *testing.T) {
 		{0, 0}, {1, 1}, {2, 0}, {15, 1}, // chip 0
 		{16, 0}, {17, 1}, {31, 1}, // chip 1: chip-local index restarts
 	} {
-		if got := cfg.PlaneOf(tc.block); got != tc.plane {
-			t.Errorf("PlaneOf(%d) = %d, want %d", tc.block, got, tc.plane)
+		if got := d.planeOf(tc.block); got != tc.plane {
+			t.Errorf("planeOf(%d) = %d, want %d", tc.block, got, tc.plane)
 		}
 	}
-	serial := testConfig()
-	if got := serial.PlaneOf(7); got != 0 {
-		t.Errorf("single-plane PlaneOf(7) = %d, want 0", got)
+	serial := MustNewDevice(testConfig())
+	if got := serial.planeOf(7); got != 0 {
+		t.Errorf("single-plane planeOf(7) = %d, want 0", got)
 	}
 }
 
@@ -258,7 +259,7 @@ func TestSuspendCommittedDeferredErase(t *testing.T) {
 // policy whose String round-trips, the empty string means off, and an
 // unknown name is rejected.
 func TestSuspendByNameRoundTrip(t *testing.T) {
-	for _, name := range SuspendPolicyNames {
+	for _, name := range []string{"off", "erase", "full"} {
 		p, err := SuspendByName(name)
 		if err != nil {
 			t.Errorf("SuspendByName(%q): %v", name, err)

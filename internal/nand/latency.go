@@ -68,28 +68,6 @@ func (c *Config) ProgramCost(page int) time.Duration {
 	return c.ProgramLatencyOf(page) + c.TransferTime()
 }
 
-// MeanReadCost returns the expected read cost of a page chosen uniformly
-// at random within a block — the effective page read cost a speed-oblivious
-// FTL pays in steady state.
-func (c Config) MeanReadCost() time.Duration {
-	var sum time.Duration
-	for p := 0; p < c.PagesPerBlock; p++ {
-		sum += c.ReadCost(p)
-	}
-	return sum / time.Duration(c.PagesPerBlock)
-}
-
-// FastHalfMeanReadCost returns the expected read cost over the last half
-// of a block's pages (the paper's fast virtual block with a 2-way split).
-func (c Config) FastHalfMeanReadCost() time.Duration {
-	var sum time.Duration
-	half := c.PagesPerBlock / 2
-	for p := half; p < c.PagesPerBlock; p++ {
-		sum += c.ReadCost(p)
-	}
-	return sum / time.Duration(c.PagesPerBlock-half)
-}
-
 func scaleLatency(base time.Duration, speed float64) time.Duration {
 	if speed <= 1 {
 		return base

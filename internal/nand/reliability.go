@@ -112,10 +112,6 @@ func (r ReliabilityConfig) Validate() error {
 	return nil
 }
 
-// ReliabilityProfileNames lists the built-in reliability presets in
-// presentation order (the a9 sweep's profile axis).
-var ReliabilityProfileNames = []string{"off", "low", "high"}
-
 // ReliabilityProfileByName resolves a built-in reliability preset from
 // its name — the spelling flashsim -reliability accepts. "off" (or
 // empty) disables the model; "low" models a healthy early-life part;

@@ -134,12 +134,6 @@ func (q *Queue) Push(e Event) {
 	q.heap = h
 }
 
-// Min returns the earliest pending event without removing it (q must be
-// non-empty).
-//
-//flashvet:hotpath
-func (q *Queue) Min() Event { return q.heap[0] }
-
 // Pop removes and returns the earliest pending event (q must be
 // non-empty). Among equal times, events pop in push order.
 //
@@ -168,9 +162,3 @@ func (q *Queue) Pop() Event {
 	q.heap = h
 	return min
 }
-
-// Reset discards all pending events but keeps the backing array, so a
-// reused queue stays allocation-free. The FIFO sequence counter is NOT
-// reset: sequences only ever grow, which keeps the tie-break total even
-// across reuse.
-func (q *Queue) Reset() { q.heap = q.heap[:0] }

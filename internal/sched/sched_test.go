@@ -18,10 +18,10 @@ func TestQueueOrdersByTime(t *testing.T) {
 	if q.Len() != len(times) {
 		t.Fatalf("Len() = %d, want %d", q.Len(), len(times))
 	}
-	if min := q.Min(); min.Time != 0 {
-		t.Fatalf("Min().Time = %v, want 0", min.Time)
+	if e := q.Pop(); e.Time != 0 {
+		t.Fatalf("first pop at %v, want the earliest time 0", e.Time)
 	}
-	prev := time.Duration(-1)
+	prev := time.Duration(0)
 	for q.Len() > 0 {
 		e := q.Pop()
 		if e.Time < prev {
@@ -65,28 +65,6 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 	for i, w := range want {
 		if e := q.Pop(); e.Chip != w {
 			t.Fatalf("pop %d = push index %d, want %d", i, e.Chip, w)
-		}
-	}
-}
-
-// TestQueueResetKeepsFIFOTotal pins Reset's contract: pending events
-// are dropped, the backing array survives, and the sequence counter
-// keeps growing so the tie-break stays total across reuse.
-func TestQueueResetKeepsFIFOTotal(t *testing.T) {
-	var q Queue
-	for i := 0; i < 8; i++ {
-		q.Push(Event{Time: 1, Chip: int32(i)})
-	}
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len() after Reset = %d, want 0", q.Len())
-	}
-	for i := 0; i < 4; i++ {
-		q.Push(Event{Time: 1, Chip: int32(100 + i)})
-	}
-	for i := 0; i < 4; i++ {
-		if e := q.Pop(); e.Chip != int32(100+i) {
-			t.Fatalf("post-Reset pop %d = push index %d, want %d", i, e.Chip, 100+i)
 		}
 	}
 }

@@ -1,13 +1,8 @@
 package trace
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// CompositorChild configures one tenant stream of a Compositor: the
-// child's request source plus the arrival process that places its
-// requests on the composite timeline.
+// CompositorChild configures one tenant stream of a Compositor.
 type CompositorChild struct {
 	// Stream supplies the child's requests. Like every Stream it is
 	// one-shot; if it can fail mid-stream (an ErrStream over a file
@@ -20,25 +15,6 @@ type CompositorChild struct {
 	// accounting and dispatch.
 	Tenant uint8
 
-	// RateScale scales the child's arrival rate in timed mode: an
-	// emitted arrival is the source time divided by RateScale, so 2
-	// replays the child twice as fast. Zero means 1 (source times
-	// unchanged). Ignored in share mode.
-	RateScale float64
-
-	// Offset delays the child's first arrival: every emitted time is
-	// shifted by Offset, so tenants can enter the composite staggered.
-	Offset time.Duration
-
-	// Share switches the child from timed to closed-loop share mode:
-	// when positive, source times are ignored and arrivals are placed
-	// at Offset + n*(quantum/Share) for the n-th request, so children
-	// interleave in weighted round-robin order (a child with Share 2
-	// emits twice per turn of a Share-1 sibling). This is the natural
-	// mode for closed-loop replay, which consumes merge order and
-	// ignores Request.Time entirely.
-	Share int
-
 	// AddrOffset shifts the child's logical byte addresses, carving the
 	// composite logical space into per-tenant regions: the caller sizes
 	// each child to its region and offsets region i by the sum of the
@@ -46,133 +22,64 @@ type CompositorChild struct {
 	AddrOffset uint64
 }
 
-// shareQuantum is the synthetic inter-arrival unit of share mode: a
-// Share-s child emits every shareQuantum/s on the composite timeline.
-// Its absolute value is meaningless (closed-loop replay never reads the
-// times); only the ratios between shares matter.
-const shareQuantum = time.Microsecond
-
 // compositorSlot is the per-child merge state.
 type compositorSlot struct {
-	cfg     CompositorChild
-	pending Request       // next unemitted request, transformed
-	have    bool          // pending holds a request
-	done    bool          // child stream ended
-	lastSrc time.Duration // monotone clamp over raw source times (timed mode)
-	emitted int64         // requests emitted so far (share mode arrival index)
+	cfg  CompositorChild
+	done bool // child stream ended
 }
 
-// Compositor merges N child streams into one multi-tenant Stream,
-// ordered by arrival time on the composite timeline with a
-// deterministic tie-break (lowest child index first). Each child is
-// wrapped with its own arrival process — timed (source times, optionally
-// rate-scaled and offset) or closed-loop share (weighted round-robin) —
-// and its requests are stamped with the child's tenant ID and shifted
-// into its address region. The merged output is therefore a stable
-// arrival-time sort of the transformed children: non-decreasing times,
-// ties broken by child index, per-child request order preserved.
-//
-// Timed children must supply non-decreasing, non-negative source times,
-// the same contract open-loop replay puts on any Stream. Like
-// MSRReader, the compositor clamps an offending time to the child's
-// previous one (the floor starts at zero, so times also never go
-// negative) and keeps streaming, latching the first offense for Err —
-// a broken child degrades the arrival process, it does not kill the
-// replay.
+// Compositor merges child streams into one multi-tenant Stream,
+// round-robin: the children take turns in index order, one request per
+// turn, and a child whose stream ends drops out of the turn. Each
+// request is stamped with its child's tenant ID, shifted into the
+// child's address region, and given the arrival time n µs for the
+// child's n-th request (counting from 0), so the merged times never
+// decrease and ties fall to the lower child index. Closed-loop replay
+// consumes the merge order; open-loop replay issues at the stamped
+// times, one round per microsecond.
 //
 // All merge state is allocated at construction; Next is allocation-free
 // (it is on the replay hot path of every multi-tenant run).
 type Compositor struct {
-	slots    []compositorSlot
-	badChild int // first child caught with a regressing source time, -1 if none
-	badTime  time.Duration
-	badLast  time.Duration
+	slots []compositorSlot
+	live  int           // children whose stream has not ended
+	next  int           // child whose turn comes next
+	round time.Duration // arrival time of the current round
 }
 
-// NewCompositor builds a compositor over the given children. Children
-// are merged in slice order on time ties, so child order is part of the
-// deterministic contract. With no children the stream is empty.
+// NewCompositor builds a compositor over the given children, which take
+// their turns in slice order. With no children the stream is empty.
 func NewCompositor(children ...CompositorChild) *Compositor {
-	c := &Compositor{slots: make([]compositorSlot, len(children)), badChild: -1}
+	c := &Compositor{slots: make([]compositorSlot, len(children)), live: len(children)}
 	for i, ch := range children {
 		c.slots[i].cfg = ch
 	}
 	return c
 }
 
-// Next returns the earliest pending request across the children,
-// breaking time ties toward the lowest child index.
+// Next returns the request of the next child in turn that still has
+// one.
 //
 //flashvet:hotpath
 func (c *Compositor) Next() (Request, bool) {
-	best := -1
-	for i := range c.slots {
-		s := &c.slots[i]
-		if !s.have && !s.done {
-			c.refill(i)
+	for c.live > 0 {
+		s, at := &c.slots[c.next], c.round
+		if c.next++; c.next == len(c.slots) {
+			c.next, c.round = 0, c.round+time.Microsecond
 		}
-		if !s.have {
+		if s.done {
 			continue
 		}
-		if best < 0 || s.pending.Time < c.slots[best].pending.Time {
-			best = i
+		r, ok := s.cfg.Stream.Next()
+		if !ok {
+			s.done = true
+			c.live--
+			continue
 		}
+		r.Time = at
+		r.Tenant = s.cfg.Tenant
+		r.Offset += s.cfg.AddrOffset
+		return r, true
 	}
-	if best < 0 {
-		return Request{}, false
-	}
-	s := &c.slots[best]
-	s.have = false
-	return s.pending, true
-}
-
-// refill pulls child i's next request and places it on the composite
-// timeline: share mode synthesizes the arrival from the emission count,
-// timed mode clamps the source time monotone (latching the first
-// regression for Err), rate-scales it and applies the offset. The
-// tenant stamp and address shift happen here too.
-func (c *Compositor) refill(i int) {
-	s := &c.slots[i]
-	r, ok := s.cfg.Stream.Next()
-	if !ok {
-		s.done = true
-		return
-	}
-	var eff time.Duration
-	if s.cfg.Share > 0 {
-		eff = s.cfg.Offset + time.Duration(s.emitted)*shareQuantum/time.Duration(s.cfg.Share)
-	} else {
-		t := r.Time
-		if t < s.lastSrc {
-			if c.badChild < 0 {
-				c.badChild = i
-				c.badTime = t
-				c.badLast = s.lastSrc
-			}
-			t = s.lastSrc
-		}
-		s.lastSrc = t
-		if s.cfg.RateScale > 0 && s.cfg.RateScale != 1 {
-			t = time.Duration(float64(t) / s.cfg.RateScale)
-		}
-		eff = s.cfg.Offset + t
-	}
-	s.emitted++
-	r.Time = eff
-	r.Tenant = s.cfg.Tenant
-	r.Offset += s.cfg.AddrOffset
-	s.pending = r
-	s.have = true
-}
-
-// Err reports the first non-monotone source time a timed child handed
-// the compositor (nil if every child kept its contract). The offending
-// request was clamped and the stream kept going — this is diagnostic,
-// mirroring MSRReader's treatment of non-monotonic trace stamps.
-func (c *Compositor) Err() error {
-	if c.badChild < 0 {
-		return nil
-	}
-	return fmt.Errorf("trace: compositor child %d (tenant %d): non-monotone source time %v after %v (clamped)",
-		c.badChild, c.slots[c.badChild].cfg.Tenant, c.badTime, c.badLast)
+	return Request{}, false
 }

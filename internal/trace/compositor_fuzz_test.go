@@ -5,71 +5,67 @@ import (
 	"time"
 )
 
-// FuzzCompositor feeds the compositor adversarial child streams decoded
-// from the fuzz input — byte pairs of (child selector, signed time
-// delta), so negative deltas manufacture exactly the non-monotone
-// source times real traces occasionally carry — and checks the
-// invariants every replay depends on: no panic, request-count
-// conservation, globally non-decreasing merged times, and Err latched
-// if and only if some child's raw times regressed.
+// FuzzCompositor builds child streams from the fuzz input — the first
+// byte picks the child count (1 to MaxTenants), every later byte adds
+// one request to child byte%count — and checks the invariants every
+// multi-tenant replay depends on: no panic, request-count conservation,
+// per-child order, round-robin order (round r emits the r-th request of
+// every child that has one, in child order), the tenant and address
+// stamps, and non-decreasing arrival times, r µs in round r.
 func FuzzCompositor(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 0, 3, 2, 1})
-	f.Add([]byte{0, 5, 0, 0x80, 0, 5}) // 0x80 = -128: a regression
-	f.Add([]byte{1, 0, 1, 0, 0, 0})    // all-tie merge
+	f.Add([]byte{2, 0, 1, 1, 0, 1})
+	f.Add([]byte{3, 0, 0, 0, 2})    // child 1 empty
+	f.Add([]byte{7, 6, 5, 4, 3, 2}) // more children than requests
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const kids = 3
-		var (
-			reqs    [kids][]Request
-			clock   [kids]time.Duration
-			maxSeen [kids]time.Duration
-			badRaw  bool
-		)
-		for i := 0; i+1 < len(data); i += 2 {
-			k := int(data[i]) % kids
-			delta := time.Duration(int8(data[i+1])) * time.Millisecond
-			clock[k] += delta
-			// maxSeen starts at 0, matching the compositor's clamp floor:
-			// a negative first time is a contract violation too.
-			if clock[k] < maxSeen[k] {
-				badRaw = true
-			}
-			if clock[k] > maxSeen[k] {
-				maxSeen[k] = clock[k]
-			}
+		if len(data) == 0 {
+			return
+		}
+		kids := 1 + int(data[0])%MaxTenants
+		reqs := make([][]Request, kids)
+		for i, b := range data[1:] {
+			k := int(b) % kids
 			reqs[k] = append(reqs[k], Request{
-				Time:   clock[k],
-				Op:     Op(data[i] % 2),
+				Time:   time.Duration(i) * time.Second, // replaced by the arrival stamp
+				Op:     Op(int(b) / kids % 2),
 				Offset: uint64(len(reqs[k])) * 4096,
 				Size:   4096,
 			})
 		}
-		total := 0
 		children := make([]CompositorChild, kids)
-		for k := 0; k < kids; k++ {
-			children[k] = CompositorChild{Stream: NewSliceStream(reqs[k]), Tenant: uint8(k)}
-			total += len(reqs[k])
+		for k := range children {
+			children[k] = CompositorChild{Stream: NewSliceStream(reqs[k]), Tenant: uint8(k), AddrOffset: uint64(k) << 40}
 		}
 		comp := NewCompositor(children...)
-		var (
-			got  int
-			last time.Duration
-		)
-		for {
-			r, ok := comp.Next()
-			if !ok {
+		var last time.Duration
+		for round := 0; ; round++ {
+			emitted := false
+			for k := range reqs {
+				if round >= len(reqs[k]) {
+					continue
+				}
+				r, ok := comp.Next()
+				if !ok {
+					t.Fatalf("stream ended before child %d's request %d", k, round)
+				}
+				want := reqs[k][round]
+				want.Time = time.Duration(round) * time.Microsecond
+				want.Tenant = uint8(k)
+				want.Offset += uint64(k) << 40
+				if r != want {
+					t.Fatalf("round %d: got %+v, want child %d's request %+v", round, r, k, want)
+				}
+				if r.Time < last {
+					t.Fatalf("merged output went back in time: %v after %v", r.Time, last)
+				}
+				last = r.Time
+				emitted = true
+			}
+			if !emitted {
 				break
 			}
-			if got > 0 && r.Time < last {
-				t.Fatalf("merged output went back in time: %v after %v", r.Time, last)
-			}
-			last = r.Time
-			got++
 		}
-		if got != total {
-			t.Fatalf("merged %d requests, children held %d", got, total)
-		}
-		if gotErr := comp.Err() != nil; gotErr != badRaw {
-			t.Fatalf("Err() = %v, but raw regression = %v", comp.Err(), badRaw)
+		if r, ok := comp.Next(); ok {
+			t.Fatalf("extra request %+v after every child's requests were merged", r)
 		}
 	})
 }

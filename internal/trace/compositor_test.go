@@ -30,23 +30,13 @@ func makeTimedChild(rng *rand.Rand, n int, tenant uint8) []Request {
 	return reqs
 }
 
-// transform applies a child's arrival process the way the compositor
-// documents it, for building expected outputs independently.
+// transform applies the compositor's documented per-child stamps, for
+// building expected outputs independently: the n-th request arrives at
+// n µs, carries the child's tenant and moves into its address region.
 func transform(reqs []Request, c CompositorChild) []Request {
 	out := make([]Request, len(reqs))
-	var last time.Duration
 	for i, r := range reqs {
-		t := r.Time
-		if t < last {
-			t = last
-		}
-		last = t
-		if c.Share > 0 {
-			t = time.Duration(i) * shareQuantum / time.Duration(c.Share)
-		} else if c.RateScale > 0 && c.RateScale != 1 {
-			t = time.Duration(float64(t) / c.RateScale)
-		}
-		r.Time = c.Offset + t
+		r.Time = time.Duration(i) * time.Microsecond
 		r.Tenant = c.Tenant
 		r.Offset += c.AddrOffset
 		out[i] = r
@@ -66,12 +56,10 @@ func TestCompositorIsStableSort(t *testing.T) {
 		children := make([]CompositorChild, k)
 		var expected []Request
 		for i := 0; i < k; i++ {
-			reqs := makeTimedChild(rng, 1+rng.Intn(40), uint8(i))
+			reqs := makeTimedChild(rng, rng.Intn(40), uint8(i))
 			children[i] = CompositorChild{
 				Stream:     NewSliceStream(reqs),
-				Tenant:     uint8(i),
-				RateScale:  []float64{0, 1, 2, 0.5}[rng.Intn(4)],
-				Offset:     time.Duration(rng.Intn(3)) * time.Millisecond,
+				Tenant:     uint8(rng.Intn(MaxTenants)),
 				AddrOffset: uint64(i) << 30,
 			}
 			expected = append(expected, transform(reqs, children[i])...)
@@ -90,9 +78,6 @@ func TestCompositorIsStableSort(t *testing.T) {
 			}
 			got = append(got, r)
 		}
-		if err := comp.Err(); err != nil {
-			t.Fatalf("trial %d: unexpected compositor error: %v", trial, err)
-		}
 		if len(got) != len(expected) {
 			t.Fatalf("trial %d: merged %d requests, want %d", trial, len(got), len(expected))
 		}
@@ -104,50 +89,10 @@ func TestCompositorIsStableSort(t *testing.T) {
 	}
 }
 
-// TestCompositorShareMode checks weighted round-robin interleaving:
-// a Share-2 child emits twice per turn of a Share-1 child, and the
-// merged stream is still time-ordered with the index tie-break.
-func TestCompositorShareMode(t *testing.T) {
-	mk := func(n int, size uint32) []Request {
-		reqs := make([]Request, n)
-		for i := range reqs {
-			reqs[i] = Request{Op: OpWrite, Offset: uint64(i) * 4096, Size: size}
-		}
-		return reqs
-	}
-	comp := NewCompositor(
-		CompositorChild{Stream: NewSliceStream(mk(4, 1000)), Tenant: 0, Share: 2},
-		CompositorChild{Stream: NewSliceStream(mk(4, 2000)), Tenant: 1, Share: 1},
-	)
-	var tenants []uint8
-	var lastTime time.Duration
-	for {
-		r, ok := comp.Next()
-		if !ok {
-			break
-		}
-		if r.Time < lastTime {
-			t.Fatalf("share-mode output went back in time: %v after %v", r.Time, lastTime)
-		}
-		lastTime = r.Time
-		tenants = append(tenants, r.Tenant)
-	}
-	// Child 0 (share 2) arrives at 0, q/2, q, 3q/2; child 1 (share 1)
-	// at 0, q, 2q, 3q. Ties (t=0, t=q) go to child 0.
-	want := []uint8{0, 1, 0, 0, 1, 0, 1, 1}
-	if len(tenants) != len(want) {
-		t.Fatalf("merged %d requests, want %d", len(tenants), len(want))
-	}
-	for i := range want {
-		if tenants[i] != want[i] {
-			t.Fatalf("emission order %v, want %v", tenants, want)
-		}
-	}
-}
-
-// TestCompositorClampsNonMonotone checks the MSRReader-style handling
-// of a child whose source times regress: the time is clamped, the
-// stream keeps going, and the first offense is latched for Err.
+// TestCompositorClampsNonMonotone: a child whose source times regress
+// still yields every request, in order, on a non-decreasing timeline —
+// the compositor's arrival stamps replace the source times, so a broken
+// trace cannot send an open-loop replay back in time.
 func TestCompositorClampsNonMonotone(t *testing.T) {
 	bad := []Request{
 		{Time: 10 * time.Millisecond, Op: OpWrite, Offset: 0, Size: 4096},
@@ -155,36 +100,24 @@ func TestCompositorClampsNonMonotone(t *testing.T) {
 		{Time: 12 * time.Millisecond, Op: OpWrite, Offset: 8192, Size: 4096},
 	}
 	comp := NewCompositor(CompositorChild{Stream: NewSliceStream(bad), Tenant: 3})
-	var times []time.Duration
-	for {
+	for i, src := range bad {
 		r, ok := comp.Next()
 		if !ok {
-			break
+			t.Fatalf("stream ended after %d requests, want %d (nothing may be dropped)", i, len(bad))
 		}
-		times = append(times, r.Time)
-	}
-	if len(times) != len(bad) {
-		t.Fatalf("clamped stream yielded %d requests, want %d (clamp must not drop)", len(times), len(bad))
-	}
-	wantTimes := []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 12 * time.Millisecond}
-	for i, w := range wantTimes {
-		if times[i] != w {
-			t.Fatalf("times = %v, want %v", times, wantTimes)
+		if want := time.Duration(i) * time.Microsecond; r.Time != want || r.Offset != src.Offset || r.Tenant != 3 {
+			t.Fatalf("request %d = %+v, want offset %d of tenant 3 at %v", i, r, src.Offset, want)
 		}
 	}
-	err := comp.Err()
-	if err == nil {
-		t.Fatal("Err() = nil after a non-monotone source time")
-	}
-	if got := err.Error(); got != "trace: compositor child 0 (tenant 3): non-monotone source time 2ms after 10ms (clamped)" {
-		t.Fatalf("unexpected error text: %q", got)
+	if _, ok := comp.Next(); ok {
+		t.Fatal("stream yielded extra requests")
 	}
 }
 
-// TestCompositorSingleChildIdentity checks the Tenants=1 degenerate
-// case: one timed child with no scaling, offset or address shift emits
-// the source stream unchanged (the bit-identity anchor the harness
-// ladder test builds on).
+// TestCompositorSingleChildIdentity checks the one-child composite with
+// tenant 0 and no address shift: it emits the source requests in order
+// with every field unchanged except the arrival stamp, n µs for the
+// n-th request.
 func TestCompositorSingleChildIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	reqs := makeTimedChild(rng, 100, 0)
@@ -194,15 +127,14 @@ func TestCompositorSingleChildIdentity(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream ended at %d, want %d requests", i, len(reqs))
 		}
-		if r != reqs[i] {
-			t.Fatalf("request %d = %+v, want %+v", i, r, reqs[i])
+		want := reqs[i]
+		want.Time = time.Duration(i) * time.Microsecond
+		if r != want {
+			t.Fatalf("request %d = %+v, want %+v", i, r, want)
 		}
 	}
 	if _, ok := comp.Next(); ok {
 		t.Fatal("stream yielded extra requests")
-	}
-	if err := comp.Err(); err != nil {
-		t.Fatalf("Err() = %v, want nil", err)
 	}
 }
 
@@ -245,5 +177,46 @@ func TestStatsTenantRequests(t *testing.T) {
 	}
 	if s.Requests != 9 {
 		t.Fatalf("Requests = %d, want 9", s.Requests)
+	}
+}
+
+// TestCompositorRoundRobin pins the merged stream of a three-child
+// composite with unequal child lengths (3, 1 and 2 requests): children
+// take turns in index order, an exhausted child drops out of the turn,
+// every request carries its child's tenant and address shift, and a
+// child's n-th request arrives at n µs.
+func TestCompositorRoundRobin(t *testing.T) {
+	child := func(n int, base uint64) Stream {
+		reqs := make([]Request, n)
+		for i := range reqs {
+			reqs[i] = Request{Time: time.Hour, Op: Op(i % 2), Offset: base + uint64(i)*4096, Size: 4096}
+		}
+		return NewSliceStream(reqs)
+	}
+	comp := NewCompositor(
+		CompositorChild{Stream: child(3, 0), Tenant: 5, AddrOffset: 1 << 20},
+		CompositorChild{Stream: child(1, 100<<10), Tenant: 6, AddrOffset: 2 << 20},
+		CompositorChild{Stream: child(2, 200<<10), Tenant: 7, AddrOffset: 3 << 20},
+	)
+	us := time.Microsecond
+	want := []Request{
+		{Time: 0, Op: OpRead, Offset: 1<<20 + 0, Size: 4096, Tenant: 5},
+		{Time: 0, Op: OpRead, Offset: 2<<20 + 100<<10, Size: 4096, Tenant: 6},
+		{Time: 0, Op: OpRead, Offset: 3<<20 + 200<<10, Size: 4096, Tenant: 7},
+		{Time: us, Op: OpWrite, Offset: 1<<20 + 4096, Size: 4096, Tenant: 5},
+		{Time: us, Op: OpWrite, Offset: 3<<20 + 200<<10 + 4096, Size: 4096, Tenant: 7},
+		{Time: 2 * us, Op: OpRead, Offset: 1<<20 + 8192, Size: 4096, Tenant: 5},
+	}
+	for i, w := range want {
+		r, ok := comp.Next()
+		if !ok {
+			t.Fatalf("stream ended after %d requests, want %d", i, len(want))
+		}
+		if r != w {
+			t.Fatalf("request %d = %+v, want %+v", i, r, w)
+		}
+	}
+	if r, ok := comp.Next(); ok {
+		t.Fatalf("extra request %+v after the children ended", r)
 	}
 }

@@ -106,28 +106,12 @@ func (m *MSRReader) Next() (MSRRecord, error) {
 // Stream adapts the reader into a pull-based Stream for replay: each
 // Next yields one record's Request, a parse or I/O error ends the stream
 // and is reported by the returned stream's Err (io.EOF reads as a clean
-// end). This is the replay-path entry point; ReadAll remains for callers
-// that genuinely want the trace in memory (tracegen, tests).
+// end).
 func (m *MSRReader) Stream() *ErrStream {
 	return NewErrStream(func() (Request, error) {
 		rec, err := m.Next()
 		return rec.Request, err
 	})
-}
-
-// ReadAll consumes the stream into a request slice.
-func (m *MSRReader) ReadAll() ([]Request, error) {
-	var out []Request
-	for {
-		rec, err := m.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec.Request)
-	}
 }
 
 // parseLine parses one trimmed, non-comment line without allocating:
@@ -262,14 +246,3 @@ func (w *MSRWriter) Write(r Request) error {
 
 // Flush flushes buffered output.
 func (w *MSRWriter) Flush() error { return w.w.Flush() }
-
-// WriteMSR writes all requests and flushes.
-func WriteMSR(w io.Writer, hostname string, disk int, reqs []Request) error {
-	mw := NewMSRWriter(w, hostname, disk)
-	for _, r := range reqs {
-		if err := mw.Write(r); err != nil {
-			return err
-		}
-	}
-	return mw.Flush()
-}

@@ -55,22 +55,6 @@ func (p *SimpleReader) Stream() *ErrStream {
 	return NewErrStream(p.Next)
 }
 
-// ParseSimple reads the whole simple-format stream into a slice.
-func ParseSimple(r io.Reader) ([]Request, error) {
-	p := NewSimpleReader(r)
-	var out []Request
-	for {
-		req, err := p.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, req)
-	}
-}
-
 func parseSimpleLine(text string) (Request, error) {
 	fields := strings.Fields(text)
 	if len(fields) != 3 {
@@ -96,17 +80,26 @@ func parseSimpleLine(text string) (Request, error) {
 	return Request{Op: op, Offset: off, Size: uint32(size)}, nil
 }
 
-// WriteSimple writes requests in the simple format.
-func WriteSimple(w io.Writer, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range reqs {
-		op := "R"
-		if r.Op == OpWrite {
-			op = "W"
-		}
-		if _, err := fmt.Fprintf(bw, "%s %d %d\n", op, r.Offset, r.Size); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// SimpleWriter serializes requests in the simple format, one line per
+// Write, mirroring MSRWriter.
+type SimpleWriter struct {
+	w *bufio.Writer
 }
+
+// NewSimpleWriter creates a buffered simple-format writer.
+func NewSimpleWriter(w io.Writer) *SimpleWriter {
+	return &SimpleWriter{w: bufio.NewWriter(w)}
+}
+
+// Write emits one request as an "R|W offset size" line.
+func (w *SimpleWriter) Write(r Request) error {
+	op := "R"
+	if r.Op == OpWrite {
+		op = "W"
+	}
+	_, err := fmt.Fprintf(w.w, "%s %d %d\n", op, r.Offset, r.Size)
+	return err
+}
+
+// Flush flushes buffered output.
+func (w *SimpleWriter) Flush() error { return w.w.Flush() }

@@ -26,6 +26,8 @@ type SliceStream struct {
 
 // NewSliceStream returns a stream yielding reqs in order. The slice is
 // not copied; the caller must not mutate it while streaming.
+//
+//flashvet:testonly tests across the module replay hand-built request slices through it
 func NewSliceStream(reqs []Request) *SliceStream {
 	return &SliceStream{reqs: reqs}
 }

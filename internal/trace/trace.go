@@ -95,13 +95,15 @@ func (r Request) Pages(pageSize int) (first, last uint64) {
 }
 
 // PageCount returns how many pages of the given size the request touches.
+//
+//flashvet:testonly perfbench (a separate module) counts the pages each replayed request settles
 func (r Request) PageCount(pageSize int) int {
 	first, last := r.Pages(pageSize)
 	return int(last - first + 1)
 }
 
-// Stats summarizes a request stream; used by workload tests and by
-// cmd/tracegen to describe generated traces.
+// Stats summarizes a request stream, one Observe per request; cmd/tracegen
+// prints it for the traces it writes.
 type Stats struct {
 	Requests    int
 	Reads       int
@@ -149,13 +151,4 @@ func (s Stats) ReadRatio() float64 {
 		return 0
 	}
 	return float64(s.Reads) / float64(s.Requests)
-}
-
-// Summarize consumes all requests of a slice into Stats.
-func Summarize(reqs []Request) Stats {
-	var s Stats
-	for _, r := range reqs {
-		s.Observe(r)
-	}
-	return s
 }

@@ -71,7 +71,10 @@ func TestStats(t *testing.T) {
 		{Op: OpWrite, Offset: 100, Size: 4 * 1024},
 		{Op: OpWrite, Offset: 1 << 20, Size: 64 * 1024},
 	}
-	s := Summarize(reqs)
+	var s Stats
+	for _, r := range reqs {
+		s.Observe(r)
+	}
 	if s.Requests != 3 || s.Reads != 1 || s.Writes != 2 {
 		t.Errorf("counts = %+v", s)
 	}
@@ -137,7 +140,7 @@ func TestMSRReaderParsesSample(t *testing.T) {
 
 func TestMSRReaderDiskFilter(t *testing.T) {
 	r := NewMSRReader(strings.NewReader(msrSample)).FilterDisk(1)
-	reqs, err := r.ReadAll()
+	reqs, err := drain(r.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +182,10 @@ func TestMSRRoundTrip(t *testing.T) {
 		{Time: 5 * time.Millisecond, Op: OpWrite, Offset: 1 << 30, Size: 128 * 1024},
 	}
 	var buf bytes.Buffer
-	if err := WriteMSR(&buf, "synth", 0, reqs); err != nil {
+	if err := writeAll(NewMSRWriter(&buf, "synth", 0), reqs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewMSRReader(&buf).ReadAll()
+	got, err := drain(NewMSRReader(&buf).Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +224,10 @@ func TestPropertyMSRRoundTrip(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteMSR(&buf, "p", 3, reqs); err != nil {
+		if err := writeAll(NewMSRWriter(&buf, "p", 3), reqs); err != nil {
 			return false
 		}
-		got, err := NewMSRReader(&buf).ReadAll()
+		got, err := drain(NewMSRReader(&buf).Stream())
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -254,7 +257,7 @@ func TestMSRReaderClampsNonMonotonicTimestamps(t *testing.T) {
 		"500,hm,0,Read,4096,4096,0\n" + // before base: would be -50µs
 		"1500,hm,0,Read,8192,4096,0\n" + // +50µs
 		"400,hm,0,Read,12288,4096,0\n" // backwards again
-	reqs, err := NewMSRReader(strings.NewReader(in)).ReadAll()
+	reqs, err := drain(NewMSRReader(strings.NewReader(in)).Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,7 @@ R 0 4096
 write 8192 100
 READ 8192 100
 `
-	reqs, err := ParseSimple(strings.NewReader(in))
+	reqs, err := drain(NewSimpleReader(strings.NewReader(in)).Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +298,10 @@ READ 8192 100
 		t.Errorf("ops = %v", reqs)
 	}
 	var buf bytes.Buffer
-	if err := WriteSimple(&buf, reqs); err != nil {
+	if err := writeAll(NewSimpleWriter(&buf), reqs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSimple(&buf)
+	back, err := drain(NewSimpleReader(&buf).Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestSimpleFormatErrors(t *testing.T) {
 		"wraps":    "W 18446744073709551615 4096\n",
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, err := ParseSimple(strings.NewReader(in))
+			_, err := drain(NewSimpleReader(strings.NewReader(in)).Stream())
 			if err == nil {
 				t.Fatal("want error")
 			}
@@ -328,4 +331,27 @@ func TestSimpleFormatErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// drain reads a stream to its end and returns its requests and the error
+// that ended it, if any.
+func drain(s *ErrStream) ([]Request, error) {
+	var out []Request
+	for r, ok := s.Next(); ok; r, ok = s.Next() {
+		out = append(out, r)
+	}
+	return out, s.Err()
+}
+
+// writeAll writes every request through w and flushes it.
+func writeAll(w interface {
+	Write(Request) error
+	Flush() error
+}, reqs []Request) error {
+	for _, r := range reqs {
+		if err := w.Write(r); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }

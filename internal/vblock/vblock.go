@@ -46,9 +46,6 @@ type VB struct {
 	End   int // last page (exclusive)
 }
 
-// ID returns the paper's virtual block number (block*K + part).
-func (v VB) ID(k int) uint64 { return uint64(v.Block)*uint64(k) + uint64(v.Part) }
-
 // String renders the VB for diagnostics.
 func (v VB) String() string {
 	return fmt.Sprintf("vb(b%d/p%d pages %d-%d)", v.Block, v.Part, v.Start, v.End-1)
@@ -262,11 +259,8 @@ func (m *Manager) freePush(b nand.BlockID) {
 	m.freeCnt++
 }
 
-// K returns the split factor.
-func (m *Manager) K() int { return m.k }
-
-// PartRange returns the page span [start, end) of a part.
-func (m *Manager) PartRange(part int) (start, end int) {
+// partRange returns the page span [start, end) of a part.
+func (m *Manager) partRange(part int) (start, end int) {
 	return part * m.partLen, (part + 1) * m.partLen
 }
 
@@ -292,7 +286,7 @@ func group(fast bool) int {
 
 // vb builds the VB value for a block and part.
 func (m *Manager) vb(b nand.BlockID, part int) VB {
-	s, e := m.PartRange(part)
+	s, e := m.partRange(part)
 	return VB{Block: b, Part: part, Start: s, End: e}
 }
 
@@ -508,6 +502,8 @@ func (m *Manager) NoteInvalidated(b nand.BlockID) {
 // InvalidCount returns how many pages of the block were reported invalid
 // through NoteInvalidated since it was last released; 0 for out-of-range
 // block IDs.
+//
+//flashvet:testonly test oracle: ftl's victim-index test checks it against the device's count
 func (m *Manager) InvalidCount(b nand.BlockID) int {
 	if uint64(b) >= uint64(len(m.blocks)) {
 		return 0
@@ -626,8 +622,9 @@ func (m *Manager) ForEachFull(fn func(nand.BlockID) bool) {
 }
 
 // ForEachOwned calls fn for every owned or full block until fn returns
-// false (free and retired blocks are skipped). Used by starved GC to
-// consider partially used victims.
+// false (free and retired blocks are skipped).
+//
+//flashvet:testonly test oracle: ftl's full-scan victim oracle walks partially used victims with it
 func (m *Manager) ForEachOwned(fn func(nand.BlockID) bool) {
 	for i := range m.blocks {
 		if p := m.blocks[i].phase; p == phaseOwned || p == phaseFull {
@@ -638,10 +635,12 @@ func (m *Manager) ForEachOwned(fn func(nand.BlockID) bool) {
 	}
 }
 
-// CheckInvariants validates internal consistency (used by property
-// tests): cursor within allocated parts, pending flags matching queues,
-// every write point an open part of its pool and speed group, and pool
-// counts summing to the block count.
+// CheckInvariants validates internal consistency: cursor within
+// allocated parts, pending flags matching queues, every write point an
+// open part of its pool and speed group, and pool counts summing to the
+// block count.
+//
+//flashvet:testonly test oracle: vblock, ftl and core property tests and FuzzManager call it after every operation
 func (m *Manager) CheckInvariants() error {
 	for pool, wps := range m.open {
 		for g, wp := range wps {

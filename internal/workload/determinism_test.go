@@ -29,7 +29,7 @@ func TestGeneratorsDeterministicUnderConcurrency(t *testing.T) {
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			want := Collect(build())
+			want := collect(build())
 			const replicas = 8
 			got := make([][]trace.Request, replicas)
 			var wg sync.WaitGroup
@@ -37,7 +37,7 @@ func TestGeneratorsDeterministicUnderConcurrency(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					got[i] = Collect(build())
+					got[i] = collect(build())
 				}(i)
 			}
 			wg.Wait()

@@ -36,19 +36,6 @@ type Generator interface {
 	trace.Stream
 }
 
-// Collect drains a generator into a slice (tests and tracegen only; the
-// harness replays streams directly).
-func Collect(g Generator) []trace.Request {
-	var out []trace.Request
-	for {
-		r, ok := g.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
 // Func adapts a closure into a Generator.
 type Func struct {
 	WorkloadName string

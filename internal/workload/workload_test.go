@@ -8,8 +8,8 @@ import (
 
 func TestMediaServerDeterministic(t *testing.T) {
 	cfg := MediaConfig{LogicalBytes: 64 << 20, Requests: 5000, Seed: 42}
-	a := Collect(NewMediaServer(cfg))
-	b := Collect(NewMediaServer(cfg))
+	a := collect(NewMediaServer(cfg))
+	b := collect(NewMediaServer(cfg))
 	if len(a) != 5000 {
 		t.Fatalf("got %d requests, want 5000", len(a))
 	}
@@ -18,7 +18,7 @@ func TestMediaServerDeterministic(t *testing.T) {
 			t.Fatalf("streams diverge at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := Collect(NewMediaServer(MediaConfig{LogicalBytes: 64 << 20, Requests: 5000, Seed: 43}))
+	c := collect(NewMediaServer(MediaConfig{LogicalBytes: 64 << 20, Requests: 5000, Seed: 43}))
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -32,8 +32,8 @@ func TestMediaServerDeterministic(t *testing.T) {
 
 func TestMediaServerShape(t *testing.T) {
 	g := NewMediaServer(MediaConfig{LogicalBytes: 256 << 20, Requests: 50_000, Seed: 7})
-	reqs := Collect(g)
-	s := trace.Summarize(reqs)
+	reqs := collect(g)
+	s := summarize(reqs)
 	if got := s.ReadRatio(); got < 0.80 || got > 0.90 {
 		t.Errorf("read ratio = %v, want ~0.85 (read-dominated media server)", got)
 	}
@@ -81,7 +81,7 @@ func TestMediaServerPopularitySkew(t *testing.T) {
 
 func TestMediaServerStreamsAreSequential(t *testing.T) {
 	g := NewMediaServer(MediaConfig{LogicalBytes: 128 << 20, Requests: 20_000, Seed: 5})
-	reqs := Collect(g)
+	reqs := collect(g)
 	sequential := 0
 	var prev *trace.Request
 	for i := range reqs {
@@ -102,14 +102,14 @@ func TestMediaServerStreamsAreSequential(t *testing.T) {
 
 func TestWebSQLDeterministicAndShape(t *testing.T) {
 	cfg := WebSQLConfig{LogicalBytes: 256 << 20, Requests: 50_000, Seed: 11}
-	a := Collect(NewWebSQL(cfg))
-	b := Collect(NewWebSQL(cfg))
+	a := collect(NewWebSQL(cfg))
+	b := collect(NewWebSQL(cfg))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("streams diverge at %d", i)
 		}
 	}
-	s := trace.Summarize(a)
+	s := summarize(a)
 	if got := s.ReadRatio(); got < 0.55 || got > 0.65 {
 		t.Errorf("read ratio = %v, want ~0.60", got)
 	}
@@ -196,8 +196,8 @@ func TestWebSQLRegionsDisjoint(t *testing.T) {
 func TestUniformControl(t *testing.T) {
 	cfg := UniformConfig{LogicalBytes: 16 << 20, Requests: 20_000, Seed: 9, ReadFraction: 0.5}
 	g := NewUniform(cfg)
-	reqs := Collect(g)
-	s := trace.Summarize(reqs)
+	reqs := collect(g)
+	s := summarize(reqs)
 	if len(reqs) != cfg.Requests {
 		t.Fatalf("len = %d", len(reqs))
 	}
@@ -229,7 +229,7 @@ func TestFuncAdapter(t *testing.T) {
 	if f.Name() != "three" || f.LogicalBytes() != 99 {
 		t.Error("metadata passthrough broken")
 	}
-	if got := len(Collect(f)); got != 3 {
+	if got := len(collect(f)); got != 3 {
 		t.Errorf("collected %d", got)
 	}
 }
@@ -283,8 +283,8 @@ func TestGeneratorsRespectLogicalBounds(t *testing.T) {
 func TestGeneratorsTagHotStreams(t *testing.T) {
 	t.Run("websql", func(t *testing.T) {
 		w := NewWebSQL(WebSQLConfig{LogicalBytes: 64 << 20, Requests: 20000, Seed: 11})
-		reqs := Collect(w)
-		st := trace.Summarize(reqs)
+		reqs := collect(w)
+		st := summarize(reqs)
 		if st.HotTagged == 0 {
 			t.Fatal("websql tagged no hot-stream requests")
 		}
@@ -299,8 +299,8 @@ func TestGeneratorsTagHotStreams(t *testing.T) {
 	})
 	t.Run("mediaserver", func(t *testing.T) {
 		m := NewMediaServer(MediaConfig{LogicalBytes: 64 << 20, Requests: 20000, Seed: 11})
-		reqs := Collect(m)
-		st := trace.Summarize(reqs)
+		reqs := collect(m)
+		st := summarize(reqs)
 		if st.HotTagged == 0 {
 			t.Fatal("mediaserver tagged no hot-stream requests")
 		}
@@ -313,4 +313,22 @@ func TestGeneratorsTagHotStreams(t *testing.T) {
 			}
 		}
 	})
+}
+
+// collect drains a generator into a slice.
+func collect(g Generator) []trace.Request {
+	var out []trace.Request
+	for r, ok := g.Next(); ok; r, ok = g.Next() {
+		out = append(out, r)
+	}
+	return out
+}
+
+// summarize folds requests into trace.Stats.
+func summarize(reqs []trace.Request) trace.Stats {
+	var s trace.Stats
+	for _, r := range reqs {
+		s.Observe(r)
+	}
+	return s
 }

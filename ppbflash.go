@@ -167,10 +167,9 @@ type (
 	MediaServerConfig = workload.MediaConfig
 	// WebSQLConfig parameterizes the web/SQL stand-in trace.
 	WebSQLConfig = workload.WebSQLConfig
-	// Compositor merges N tenant streams into one multi-tenant Stream,
-	// ordered by arrival time with a deterministic tie-break; each child
-	// carries its own arrival process (timed, rate-scaled, offset, or
-	// closed-loop weighted shares) and address region.
+	// Compositor merges tenant streams round-robin into one
+	// multi-tenant Stream; each child carries its tenant ID and address
+	// region, and its n-th request arrives at n µs.
 	Compositor = trace.Compositor
 	// CompositorChild configures one tenant stream of a Compositor.
 	CompositorChild = trace.CompositorChild
@@ -181,7 +180,7 @@ type (
 const MaxTenants = trace.MaxTenants
 
 // NewCompositor builds a multi-tenant stream compositor over the given
-// children (merged in slice order on arrival-time ties).
+// children, which take their turns in slice order.
 func NewCompositor(children ...CompositorChild) *Compositor {
 	return trace.NewCompositor(children...)
 }
