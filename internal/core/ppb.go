@@ -545,7 +545,7 @@ func (p *PPB) reprogramGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 		}
 	}
 	oldPPN, _ := p.Map().Lookup(oob.LPN)
-	cost, ppn, err := p.programAt(pool, lvl, wantFast, nand.OOB{LPN: oob.LPN, Stamp: oob.Stamp, Tag: uint8(lvl)})
+	cost, ppn, err := p.programAt(pool, lvl, wantFast, nand.OOB{LPN: oob.LPN, Tag: uint8(lvl)})
 	if err != nil {
 		return 0, 0, err
 	}

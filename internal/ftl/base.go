@@ -95,7 +95,7 @@ func (b *Base) Stats() *Stats { return &b.stats }
 func (b *Base) Device() *nand.Device { return b.dev }
 
 // LogicalPages implements FTL.
-func (b *Base) LogicalPages() uint64 { return b.table.Pages() }
+func (b *Base) LogicalPages() uint64 { return b.table.pages() }
 
 // Config returns the device geometry the FTL was built over.
 func (b *Base) Config() nand.Config { return b.cfg }
@@ -140,8 +140,8 @@ func (b *Base) Read(lpn uint64) (bool, error) {
 // that served the read, so strategies that need the stored tag (PPB's
 // level accounting) avoid a second mapping lookup per host read.
 func (b *Base) ReadMappedOOB(lpn uint64) (nand.OOB, bool, error) {
-	if !b.table.InRange(lpn) {
-		return nand.OOB{}, false, fmt.Errorf("ftl: read of lpn %d beyond logical space %d", lpn, b.table.Pages())
+	if !b.table.inRange(lpn) {
+		return nand.OOB{}, false, fmt.Errorf("ftl: read of lpn %d beyond logical space %d", lpn, b.table.pages())
 	}
 	ppn, ok := b.table.Lookup(lpn)
 	if !ok {
@@ -187,8 +187,8 @@ func (b *Base) ProgramNext(blk nand.BlockID, oob nand.OOB) (time.Duration, nand.
 
 // CheckWrite validates the target of a host write.
 func (b *Base) CheckWrite(lpn uint64) error {
-	if !b.table.InRange(lpn) {
-		return fmt.Errorf("ftl: write of lpn %d beyond logical space %d", lpn, b.table.Pages())
+	if !b.table.inRange(lpn) {
+		return fmt.Errorf("ftl: write of lpn %d beyond logical space %d", lpn, b.table.pages())
 	}
 	return nil
 }
@@ -208,7 +208,7 @@ func (b *Base) InvalidateOld(lpn uint64) error {
 //
 //flashvet:testonly test oracle: ftl and core property tests call it after every operation
 func (b *Base) CheckMapping() error {
-	for lpn := uint64(0); lpn < b.table.Pages(); lpn++ {
+	for lpn := uint64(0); lpn < b.table.pages(); lpn++ {
 		ppn, ok := b.table.Lookup(lpn)
 		if !ok {
 			continue

@@ -233,25 +233,27 @@ func LogicalPagesFor(cfg nand.Config, overProvision float64) uint64 {
 	return uint64(float64(cfg.TotalPages()) * (1 - overProvision))
 }
 
-const unmapped = ^nand.PPN(0)
+// unmapped marks a logical page with no physical page. nand.Config.Validate
+// caps a device below 2^32 pages, so every PPN is below it.
+const unmapped = ^uint32(0)
 
-// Mapping is a dense logical-to-physical page map with a reverse check
-// hook for consistency tests.
+// Mapping is a dense logical-to-physical page map: one 32-bit PPN per
+// logical page, 4 bytes each, with unmapped marking a page never written.
 type Mapping struct {
-	table []nand.PPN
+	table []uint32
 }
 
 // NewMapping builds an all-unmapped table for n logical pages.
 func NewMapping(n uint64) *Mapping {
-	t := make([]nand.PPN, n)
+	t := make([]uint32, n)
 	for i := range t {
 		t[i] = unmapped
 	}
 	return &Mapping{table: t}
 }
 
-// Pages returns the logical page count.
-func (m *Mapping) Pages() uint64 { return uint64(len(m.table)) }
+// pages returns the logical page count.
+func (m *Mapping) pages() uint64 { return uint64(len(m.table)) }
 
 // Lookup returns the physical page of lpn; ok is false when unmapped.
 func (m *Mapping) Lookup(lpn uint64) (nand.PPN, bool) {
@@ -259,15 +261,16 @@ func (m *Mapping) Lookup(lpn uint64) (nand.PPN, bool) {
 		return 0, false
 	}
 	p := m.table[lpn]
-	return p, p != unmapped
+	return nand.PPN(p), p != unmapped
 }
 
 // Set maps lpn to ppn and returns the previous mapping if there was one.
+// ppn must come from a device nand.Config.Validate accepted.
 func (m *Mapping) Set(lpn uint64, ppn nand.PPN) (old nand.PPN, hadOld bool) {
-	old = m.table[lpn]
-	m.table[lpn] = ppn
-	return old, old != unmapped
+	prev := m.table[lpn]
+	m.table[lpn] = uint32(ppn)
+	return nand.PPN(prev), prev != unmapped
 }
 
-// InRange reports whether lpn is inside the logical space.
-func (m *Mapping) InRange(lpn uint64) bool { return lpn < uint64(len(m.table)) }
+// inRange reports whether lpn is inside the logical space.
+func (m *Mapping) inRange(lpn uint64) bool { return lpn < uint64(len(m.table)) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -112,7 +113,7 @@ func TestLogicalPagesFor(t *testing.T) {
 
 func TestMapping(t *testing.T) {
 	m := NewMapping(10)
-	if m.Pages() != 10 {
+	if m.pages() != 10 {
 		t.Fatal("pages")
 	}
 	if _, ok := m.Lookup(3); ok {
@@ -130,8 +131,52 @@ func TestMapping(t *testing.T) {
 	if old, had := m.Set(3, 99); !had || old != 77 {
 		t.Fatalf("second set old = %d %v", old, had)
 	}
-	if !m.InRange(9) || m.InRange(10) {
-		t.Fatal("InRange")
+	if !m.inRange(9) || m.inRange(10) {
+		t.Fatal("inRange")
+	}
+}
+
+// TestMappingWidePPN pins the 32-bit map's edges: the largest PPN a
+// device nand.Config.Validate accepts (2^32-2) round-trips through Set
+// and Lookup, and PPN 2^32-1, the unmapped sentinel, reads as unmapped —
+// which is why Validate caps devices below 2^32 pages.
+func TestMappingWidePPN(t *testing.T) {
+	m := NewMapping(2)
+	const top = nand.PPN(1<<32 - 2)
+	if _, had := m.Set(0, top); had {
+		t.Fatal("first set reported an old mapping")
+	}
+	if p, ok := m.Lookup(0); !ok || p != top {
+		t.Fatalf("lookup = %d %v, want %d true", p, ok, top)
+	}
+	if old, had := m.Set(0, 5); !had || old != top {
+		t.Fatalf("second set old = %d %v, want %d true", old, had, top)
+	}
+	m.Set(1, nand.PPN(unmapped))
+	if _, ok := m.Lookup(1); ok {
+		t.Fatal("the sentinel PPN reads as mapped")
+	}
+}
+
+// TestConventionalFootprint: at paper scale the conventional FTL's state
+// is its 4-byte map entries plus the block manager's per-block records,
+// at most 16 MB for the Table 1 device's 3,774,643 logical pages.
+func TestConventionalFootprint(t *testing.T) {
+	dev, err := nand.NewDevice(nand.TableOneConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := NewConventional(dev, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	if entries := 4 * f.LogicalPages(); grew < entries || grew > 16e6 {
+		t.Errorf("NewConventional(Table 1) allocated %d bytes, want %d for the map and at most 16e6 in all",
+			grew, entries)
 	}
 }
 

@@ -17,7 +17,7 @@ func TestAccessorsOutOfRange(t *testing.T) {
 
 	// Give the device some state so zero results are not trivially true.
 	goodPPN := cfg.PPNForBlockPage(0, 0)
-	if _, err := d.Program(goodPPN, OOB{LPN: 42, Stamp: 7}); err != nil {
+	if _, err := d.Program(goodPPN, OOB{LPN: 42, Tag: 7}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestAccessorsOutOfRange(t *testing.T) {
 	}
 
 	// In-range values still come through.
-	if got := d.PeekOOB(goodPPN); got.LPN != 42 || got.Stamp != 7 {
+	if got := d.PeekOOB(goodPPN); got.LPN != 42 || got.Tag != 7 {
 		t.Errorf("PeekOOB(in range) = %+v", got)
 	}
 	if got := d.ValidPages(0); got != 1 {

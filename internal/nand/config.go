@@ -17,6 +17,7 @@ package nand
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -198,6 +199,24 @@ func (c Config) TransferTime() time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
+// maxPages caps a device's page count below 2^32, so every PPN fits the
+// 32-bit L2P map entries of internal/ftl with ^uint32(0) left over as the
+// unmapped sentinel. flashsim's largest device (-gb 64 -pagesize 4096)
+// has 2^24 pages.
+const maxPages = 1<<32 - 1
+
+// pagesFit reports whether the device has at most maxPages pages,
+// without overflowing on absurd field values. The fields must be
+// positive.
+func (c Config) pagesFit() bool {
+	hi, blocks := bits.Mul64(uint64(c.BlocksPerChip), uint64(c.Chips))
+	if hi != 0 {
+		return false
+	}
+	hi, pages := bits.Mul64(blocks, uint64(c.PagesPerBlock))
+	return hi == 0 && pages <= maxPages
+}
+
 // Validate reports a descriptive error for the first invalid field.
 func (c Config) Validate() error {
 	switch {
@@ -209,6 +228,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nand: BlocksPerChip must be positive, got %d", c.BlocksPerChip)
 	case c.Chips <= 0:
 		return fmt.Errorf("nand: Chips must be positive, got %d", c.Chips)
+	case !c.pagesFit():
+		return fmt.Errorf("nand: %d chips x %d blocks x %d pages is 2^32 pages or more",
+			c.Chips, c.BlocksPerChip, c.PagesPerBlock)
 	case c.Planes < 0:
 		return fmt.Errorf("nand: Planes must be non-negative, got %d", c.Planes)
 	case c.Planes > c.BlocksPerChip:

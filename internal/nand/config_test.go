@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +71,7 @@ func TestConfigValidate(t *testing.T) {
 		{"pages not multiple of layers", func(c *Config) { c.Layers = 3 }, "multiple"},
 		{"ratio below one", func(c *Config) { c.SpeedRatio = 0.5 }, "SpeedRatio"},
 		{"negative latency", func(c *Config) { c.ReadLatency = -1 }, "latencies"},
+		{"block count overflows", func(c *Config) { c.BlocksPerChip, c.Chips = math.MaxInt, 4 }, "2^32 pages"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -85,6 +88,34 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := testConfig().Validate(); err != nil {
 		t.Errorf("test config should be valid: %v", err)
+	}
+}
+
+// TestValidatePageLimit: the largest device ftl's 32-bit map can address,
+// 2^32 - 1 pages, is valid; one of 2^32 pages fails Validate, and
+// NewDevice returns that error before it allocates anything (the page
+// words alone would be 32 GiB).
+func TestValidatePageLimit(t *testing.T) {
+	largest := testConfig()
+	largest.PagesPerBlock, largest.Layers, largest.BlocksPerChip = 255, 5, 257*65537
+	if largest.TotalPages() != 1<<32-1 || largest.Validate() != nil {
+		t.Fatalf("%d pages: Validate = %v, want nil", largest.TotalPages(), largest.Validate())
+	}
+	over := testConfig()
+	over.PagesPerBlock, over.Layers, over.BlocksPerChip = 256, 4, 1<<24
+	want := over.Validate()
+	if want == nil || !strings.Contains(want.Error(), "2^32 pages") {
+		t.Fatalf("%d pages: Validate = %v, want a 2^32-page error", over.TotalPages(), want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := NewDevice(over)
+	runtime.ReadMemStats(&after)
+	if d != nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewDevice(%d pages) = %v, %v; want %v", over.TotalPages(), d, err, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejected NewDevice allocated %d bytes", grew)
 	}
 }
 

@@ -32,14 +32,37 @@ func (s PageState) String() string {
 	}
 }
 
-// OOB is the out-of-band (spare area) metadata stored with each page.
-// The simulator does not store page payloads; Stamp lets tests verify
-// read-your-writes without 16 KB buffers.
+// OOB is the out-of-band (spare area) metadata stored with each page:
+// the logical page it holds and one FTL-defined tag byte. The simulator
+// stores no page payloads; a read returns the OOB, which is what lets the
+// FTLs check read-your-writes. The device packs the OOB and the page
+// state into one 64-bit word per page (see packPage), so an LPN must fit
+// in 54 bits and Program rejects a larger one.
 type OOB struct {
-	LPN   uint64 // logical page number of the stored data
-	Stamp uint64 // write version stamp, opaque to the device
-	Tag   uint8  // FTL-defined tag (PPB stores the hotness level here)
+	LPN uint64 // logical page number of the stored data, at most maxLPN
+	Tag uint8  // FTL-defined tag (PPB stores the hotness level here)
 }
+
+// A page's word holds its PageState in bits 0-1, OOB.Tag in bits 2-9
+// and OOB.LPN in bits 10-63. The zero word is an erased page: free, with
+// a zero OOB.
+const (
+	tagShift  = 2
+	lpnShift  = tagShift + 8
+	stateMask = 1<<tagShift - 1
+	maxLPN    = 1<<(64-lpnShift) - 1
+)
+
+// packPage builds the word of a page in state s holding oob.
+func packPage(s PageState, oob OOB) uint64 {
+	return oob.LPN<<lpnShift | uint64(oob.Tag)<<tagShift | uint64(s)
+}
+
+// pageState returns the state a page word holds.
+func pageState(w uint64) PageState { return PageState(w & stateMask) }
+
+// pageOOB returns the OOB a page word holds.
+func pageOOB(w uint64) OOB { return OOB{LPN: w >> lpnShift, Tag: uint8(w >> tagShift)} }
 
 // Errors returned by device operations.
 var (
@@ -50,10 +73,9 @@ var (
 	ErrBlockRetired   = errors.New("nand: block retired")
 )
 
-// blockState is the per-block bookkeeping of the device.
+// blockState is the per-block bookkeeping of the device; the pages
+// themselves live in Device.pages.
 type blockState struct {
-	states     []PageState
-	oob        []OOB
 	nextPage   int // in-order programming cursor
 	eraseCount uint32
 	validPages int
@@ -72,6 +94,13 @@ type DeviceStats struct {
 
 // Device is a simulated 3D charge-trap NAND device. It is not safe for
 // concurrent use; simulations drive it from a single goroutine.
+//
+// # Page state
+//
+// The device keeps one 64-bit word per physical page, in one slice
+// indexed by PPN: the page's state, OOB.Tag and OOB.LPN packed together
+// (see packPage), 8 bytes a page. Per-block counters (programming cursor,
+// valid and invalid counts, erase count) sit beside it in blocks.
 //
 // # Chip-parallel service time
 //
@@ -136,6 +165,7 @@ type DeviceStats struct {
 type Device struct {
 	cfg    Config
 	blocks []blockState
+	pages  []uint64 // one packed word per PPN (see packPage)
 	stats  DeviceStats
 
 	// Per-page operation costs, precomputed at construction: the speed
@@ -207,15 +237,17 @@ type Device struct {
 	burstValid bool
 }
 
-// NewDevice builds a device from a validated config.
+// NewDevice builds a device from a validated config. It makes the same
+// few allocations whatever the geometry: the page words and the block
+// counters are one slice each.
 func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Device{cfg: cfg, blocks: make([]blockState, cfg.TotalBlocks())}
-	for i := range d.blocks {
-		d.blocks[i].states = make([]PageState, cfg.PagesPerBlock)
-		d.blocks[i].oob = make([]OOB, cfg.PagesPerBlock)
+	d := &Device{
+		cfg:    cfg,
+		blocks: make([]blockState, cfg.TotalBlocks()),
+		pages:  make([]uint64, cfg.TotalPages()),
 	}
 	d.readCost = make([]time.Duration, cfg.PagesPerBlock)
 	d.progCost = make([]time.Duration, cfg.PagesPerBlock)
@@ -606,7 +638,8 @@ func (d *Device) Read(p PPN) (OOB, time.Duration, error) {
 	if err != nil {
 		return OOB{}, 0, err
 	}
-	if blk.states[page] == PageFree {
+	w := d.pages[p]
+	if pageState(w) == PageFree {
 		return OOB{}, 0, fmt.Errorf("%w: %v", ErrReadFree, d.cfg.AddressOf(p))
 	}
 	cost := d.readCost[page]
@@ -620,13 +653,14 @@ func (d *Device) Read(p PPN) (OOB, time.Duration, error) {
 	d.schedule(b, cost, opRead)
 	d.stats.Reads.Inc()
 	d.stats.ReadTime.Observe(cost)
-	return blk.oob[page], cost, nil
+	return pageOOB(w), cost, nil
 }
 
 // Program writes OOB metadata into the page at ppn and returns the
 // operation time (transfer + program pulse). Pages within a block must be
 // programmed strictly in order, and a page cannot be programmed twice
-// between erases.
+// between erases. An OOB.LPN above maxLPN (2^54-1) does not fit the
+// page word and fails with ErrOutOfRange, leaving the page free.
 //
 //flashvet:hotpath
 func (d *Device) Program(p PPN, oob OOB) (time.Duration, error) {
@@ -635,12 +669,15 @@ func (d *Device) Program(p PPN, oob OOB) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if blk.states[page] != PageFree {
+	if pageState(d.pages[p]) != PageFree {
 		return 0, fmt.Errorf("%w: %v", ErrAlreadyWritten, d.cfg.AddressOf(p))
 	}
 	if page != blk.nextPage {
 		return 0, fmt.Errorf("%w: %v (next programmable page is %d)",
 			ErrProgramOrder, d.cfg.AddressOf(p), blk.nextPage)
+	}
+	if oob.LPN > maxLPN {
+		return 0, fmt.Errorf("%w: lpn %d above %d at %v", ErrOutOfRange, oob.LPN, uint64(maxLPN), d.cfg.AddressOf(p))
 	}
 	if d.rel != nil {
 		if d.rel.flags[b]&relFlagRetired != 0 {
@@ -648,8 +685,7 @@ func (d *Device) Program(p PPN, oob OOB) (time.Duration, error) {
 		}
 		d.rel.progTime[p] = d.now
 	}
-	blk.states[page] = PageValid
-	blk.oob[page] = oob
+	d.pages[p] = packPage(PageValid, oob)
 	blk.nextPage++
 	blk.validPages++
 	cost := d.progCost[page]
@@ -669,10 +705,10 @@ func (d *Device) Invalidate(p PPN) error {
 	if err != nil {
 		return err
 	}
-	if blk.states[page] != PageValid {
-		return fmt.Errorf("nand: invalidating %s page %v", blk.states[page], d.cfg.AddressOf(p))
+	if s := pageState(d.pages[p]); s != PageValid {
+		return fmt.Errorf("nand: invalidating %s page %v", s, d.cfg.AddressOf(p))
 	}
-	blk.states[page] = PageInvalid
+	d.pages[p] = d.pages[p]&^stateMask | uint64(PageInvalid)
 	blk.validPages--
 	blk.invalid++
 	return nil
@@ -698,10 +734,8 @@ func (d *Device) Erase(b BlockID) (time.Duration, error) {
 }
 
 func (d *Device) eraseBlock(b BlockID, blk *blockState) time.Duration {
-	for i := range blk.states {
-		blk.states[i] = PageFree
-		blk.oob[i] = OOB{}
-	}
+	first := d.cfg.PPNForBlockPage(b, 0)
+	clear(d.pages[first : first+PPN(d.cfg.PagesPerBlock)])
 	blk.nextPage = 0
 	blk.validPages = 0
 	blk.invalid = 0
@@ -741,10 +775,10 @@ func (d *Device) eraseBlock(b BlockID, blk *blockState) time.Duration {
 }
 
 // blockAt returns the block's state, or nil when b is out of range. The
-// read-only introspection accessors below use it so they all degrade the
-// same way State always has — zero values for addresses the device does
-// not have — instead of panicking on a slice index while the mutating
-// operations return ErrOutOfRange.
+// per-block introspection accessors below use it so they degrade the
+// same way State and PeekOOB do — zero values for addresses the device
+// does not have — instead of panicking on a slice index while the
+// mutating operations return ErrOutOfRange.
 func (d *Device) blockAt(b BlockID) *blockState {
 	if int(b) >= len(d.blocks) {
 		return nil
@@ -755,24 +789,20 @@ func (d *Device) blockAt(b BlockID) *blockState {
 // State returns the state of the page at ppn (PageFree when ppn is out of
 // range).
 func (d *Device) State(p PPN) PageState {
-	b, page := d.cfg.SplitPPN(p)
-	blk := d.blockAt(b)
-	if blk == nil || page >= d.cfg.PagesPerBlock {
+	if p >= PPN(len(d.pages)) {
 		return PageFree
 	}
-	return blk.states[page]
+	return pageState(d.pages[p])
 }
 
 // PeekOOB returns the stored OOB without paying read cost (simulator
 // introspection; FTLs use it only during GC scans, which real controllers
 // amortize by reading OOB-only). Out-of-range PPNs yield a zero OOB.
 func (d *Device) PeekOOB(p PPN) OOB {
-	b, page := d.cfg.SplitPPN(p)
-	blk := d.blockAt(b)
-	if blk == nil || page >= d.cfg.PagesPerBlock {
+	if p >= PPN(len(d.pages)) {
 		return OOB{}
 	}
-	return blk.oob[page]
+	return pageOOB(d.pages[p])
 }
 
 // ValidPages returns how many pages of the block are valid (zero when b
@@ -819,24 +849,29 @@ func (d *Device) TotalErases() uint64 { return d.stats.Erases.Value() }
 func (d *Device) MaxEraseCount() uint32 { return d.maxWear }
 
 // CheckAccounting verifies the device accounting invariant: per-block
-// page-state counters agree with the page arrays. It returns the first
-// inconsistency found.
+// page-state counters agree with the page words, and a free page holds a
+// zero word. It returns the first inconsistency found.
 //
 //flashvet:testonly test oracle: nand, ftl and core property tests call it after every operation
 func (d *Device) CheckAccounting() error {
+	ppb := d.cfg.PagesPerBlock
 	for bi := range d.blocks {
 		blk := &d.blocks[bi]
 		var valid, invalid, free int
-		for p, s := range blk.states {
+		for p, w := range d.pages[bi*ppb : (bi+1)*ppb] {
+			s := pageState(w)
 			switch s {
 			case PageValid:
 				valid++
 			case PageInvalid:
 				invalid++
-			default:
-				free = free + 1
+			case PageFree:
+				free++
 				if p < blk.nextPage {
 					return fmt.Errorf("nand: block %d page %d free below cursor %d", bi, p, blk.nextPage)
+				}
+				if w != 0 {
+					return fmt.Errorf("nand: block %d page %d free with OOB %+v", bi, p, pageOOB(w))
 				}
 			}
 			if s != PageFree && p >= blk.nextPage {

@@ -53,7 +53,7 @@ func TestMustNewDevicePanics(t *testing.T) {
 
 func TestProgramReadRoundTrip(t *testing.T) {
 	d := newTestDevice(t)
-	oob := OOB{LPN: 42, Stamp: 7, Tag: 3}
+	oob := OOB{LPN: 42, Tag: 3}
 	cost, err := d.Program(0, oob)
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +269,12 @@ func TestFasterPagesCostLess(t *testing.T) {
 
 func TestPeekOOBNoCost(t *testing.T) {
 	d := newTestDevice(t)
-	if _, err := d.Program(0, OOB{LPN: 77, Stamp: 5}); err != nil {
+	if _, err := d.Program(0, OOB{LPN: 77, Tag: 5}); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Stats().Reads.Value()
-	oob := d.PeekOOB(0)
-	if oob.LPN != 77 {
-		t.Errorf("PeekOOB LPN = %d, want 77", oob.LPN)
+	if oob := d.PeekOOB(0); oob != (OOB{LPN: 77, Tag: 5}) {
+		t.Errorf("PeekOOB = %+v, want LPN 77 Tag 5", oob)
 	}
 	if d.Stats().Reads.Value() != before {
 		t.Error("PeekOOB must not count as a device read")

@@ -28,33 +28,33 @@ import "time"
 // single largest CPU cost of the replay loop before the change. Pointer
 // receivers still apply to any addressable Config value.
 
-// LayerOf returns the gate stack layer holding the given page index.
+// layerOf returns the gate stack layer holding the given page index.
 // Consecutive runs of PagesPerBlock/Layers pages share one layer.
-func (c *Config) LayerOf(page int) int {
+func (c *Config) layerOf(page int) int {
 	perLayer := c.PagesPerBlock / c.Layers
 	return page / perLayer
 }
 
-// SpeedFactor returns the relative access speed of a page (1.0 for the
+// speedFactor returns the relative access speed of a page (1.0 for the
 // slowest page at the top layer, SpeedRatio for the bottom layer).
-func (c *Config) SpeedFactor(page int) float64 {
+func (c *Config) speedFactor(page int) float64 {
 	if c.Layers <= 1 {
 		return 1
 	}
-	layer := c.LayerOf(page)
+	layer := c.layerOf(page)
 	return 1 + (c.SpeedRatio-1)*float64(layer)/float64(c.Layers-1)
 }
 
 // ReadLatencyOf returns the cell read (sense) time of the given page,
 // excluding transfer time.
 func (c *Config) ReadLatencyOf(page int) time.Duration {
-	return scaleLatency(c.ReadLatency, c.SpeedFactor(page))
+	return scaleLatency(c.ReadLatency, c.speedFactor(page))
 }
 
-// ProgramLatencyOf returns the cell program time of the given page,
+// programLatencyOf returns the cell program time of the given page,
 // excluding transfer time.
-func (c *Config) ProgramLatencyOf(page int) time.Duration {
-	return scaleLatency(c.ProgramLatency, c.SpeedFactor(page))
+func (c *Config) programLatencyOf(page int) time.Duration {
+	return scaleLatency(c.ProgramLatency, c.speedFactor(page))
 }
 
 // ReadCost returns the full cost of a page read: sense plus transfer.
@@ -65,7 +65,7 @@ func (c *Config) ReadCost(page int) time.Duration {
 // ProgramCost returns the full cost of a page program: transfer plus
 // program pulse.
 func (c *Config) ProgramCost(page int) time.Duration {
-	return c.ProgramLatencyOf(page) + c.TransferTime()
+	return c.programLatencyOf(page) + c.TransferTime()
 }
 
 func scaleLatency(base time.Duration, speed float64) time.Duration {

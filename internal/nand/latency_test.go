@@ -8,11 +8,11 @@ import (
 func TestSpeedFactorEndpoints(t *testing.T) {
 	for _, ratio := range []float64{1, 2, 3, 4, 5} {
 		cfg := testConfig().WithSpeedRatio(ratio)
-		if got := cfg.SpeedFactor(0); got != 1 {
+		if got := cfg.speedFactor(0); got != 1 {
 			t.Errorf("ratio %gx: first page speed = %g, want 1 (slowest, top layer)", ratio, got)
 		}
 		last := cfg.PagesPerBlock - 1
-		if got := cfg.SpeedFactor(last); got != ratio {
+		if got := cfg.speedFactor(last); got != ratio {
 			t.Errorf("ratio %gx: last page speed = %g, want %g (fastest, bottom layer)", ratio, got, ratio)
 		}
 	}
@@ -22,7 +22,7 @@ func TestSpeedFactorMonotonicNondecreasing(t *testing.T) {
 	cfg := TableOneConfig().WithSpeedRatio(5)
 	prev := 0.0
 	for p := 0; p < cfg.PagesPerBlock; p++ {
-		s := cfg.SpeedFactor(p)
+		s := cfg.speedFactor(p)
 		if s < prev {
 			t.Fatalf("speed decreased at page %d: %g < %g", p, s, prev)
 		}
@@ -34,8 +34,8 @@ func TestLayerOfGroupsPages(t *testing.T) {
 	cfg := testConfig() // 8 pages, 4 layers -> 2 pages per layer
 	wants := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	for p, want := range wants {
-		if got := cfg.LayerOf(p); got != want {
-			t.Errorf("LayerOf(%d) = %d, want %d", p, got, want)
+		if got := cfg.layerOf(p); got != want {
+			t.Errorf("layerOf(%d) = %d, want %d", p, got, want)
 		}
 	}
 }
@@ -69,10 +69,10 @@ func TestReadLatencyEndpointsMatchRatio(t *testing.T) {
 func TestProgramLatencyScalesLikeRead(t *testing.T) {
 	cfg := testConfig().WithSpeedRatio(2)
 	last := cfg.PagesPerBlock - 1
-	if got, want := cfg.ProgramLatencyOf(last), cfg.ProgramLatency/2; got != want {
+	if got, want := cfg.programLatencyOf(last), cfg.ProgramLatency/2; got != want {
 		t.Errorf("fast program = %v, want %v", got, want)
 	}
-	if got := cfg.ProgramLatencyOf(0); got != cfg.ProgramLatency {
+	if got := cfg.programLatencyOf(0); got != cfg.ProgramLatency {
 		t.Errorf("slow program = %v, want %v", got, cfg.ProgramLatency)
 	}
 }
@@ -143,8 +143,8 @@ func TestSingleLayerDeviceIsUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < cfg.PagesPerBlock; p++ {
-		if cfg.SpeedFactor(p) != 1 {
-			t.Fatalf("single layer should have uniform speed, page %d = %g", p, cfg.SpeedFactor(p))
+		if cfg.speedFactor(p) != 1 {
+			t.Fatalf("single layer should have uniform speed, page %d = %g", p, cfg.speedFactor(p))
 		}
 	}
 }

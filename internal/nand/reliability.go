@@ -281,7 +281,7 @@ func (d *Device) SetReliability(cfg ReliabilityConfig, seed int64) error {
 	for p := range r.layerBER {
 		frac := 0.0
 		if d.cfg.Layers > 1 {
-			frac = float64(d.cfg.LayerOf(p)) / float64(d.cfg.Layers-1)
+			frac = float64(d.cfg.layerOf(p)) / float64(d.cfg.Layers-1)
 		}
 		r.layerBER[p] = cfg.BaseBER * (1 + cfg.LayerSkew*frac)
 	}
