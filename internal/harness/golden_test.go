@@ -18,55 +18,50 @@ import (
 // moved the numbers, so the diff documents the drift.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden fixtures")
 
-// goldenFixture is the on-disk schema of one pinned experiment: the raw
-// numeric series of its FigureResult at quick scale. Fixtures pin exact
-// float64 values — every simulation is deterministic at any parallelism,
-// so a diff is a real behavior change, never noise.
+// goldenFixture is the on-disk schema of one pinned experiment: the
+// rendered table (one string per line) and the raw numeric series of
+// its FigureResult at quick scale. Fixtures pin exact float64 values —
+// every simulation is deterministic at any parallelism, so a diff is a
+// real behavior change, never noise.
 type goldenFixture struct {
 	ID     string               `json:"id"`
 	Scale  string               `json:"scale"`
+	Table  []string             `json:"table"`
 	Series map[string][]float64 `json:"series"`
-}
-
-// goldenExperiments returns the experiment IDs pinned by fixtures: the
-// infrastructure sweeps a1..aN (the paper figures are shape-asserted
-// elsewhere; the a-series carries the scenario knobs where silent drift
-// has bitten before — see the PR 1 victim-policy note in base.go).
-func goldenExperiments() []string {
-	var ids []string
-	for _, id := range ExperimentOrder {
-		if strings.HasPrefix(id, "a") {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".json")
 }
 
-// TestGoldenFigures re-runs every pinned experiment at quick scale and
-// demands byte-exact series against testdata/golden — the regression
-// guard the PR 1 victim-policy change lacked. Intentional changes
-// re-record with -update; the committed fixture diff then documents
-// exactly which figures moved.
+// TestGoldenFigures runs every registered experiment at quick scale and
+// demands its table and series byte for byte against testdata/golden.
+// -update records at parallelism 1; the check runs at parallelism 8, so
+// the same comparison also proves that worker scheduling never leaks
+// into the measurements (each run owns its device, FTL and replay
+// state). Intentional changes re-record with -update; the committed
+// fixture diff then documents exactly which figures moved.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-scale figure sweep; skipped in -short")
 	}
 	if raceEnabled {
-		t.Skip("single-threaded regression sweep; skipped under -race (see race_on_test.go)")
+		t.Skip("full-registry regression sweep; skipped under -race (see race_on_test.go)")
 	}
-	for _, id := range goldenExperiments() {
-		id := id
+	for _, id := range ExperimentOrder {
 		t.Run(id, func(t *testing.T) {
-			fig, err := Experiments[id](QuickScale)
+			s := QuickScale
+			s.Parallelism = 8
+			if *updateGolden {
+				s.Parallelism = 1
+			}
+			fig, err := Experiments[id](s)
 			if err != nil {
 				t.Fatal(err)
 			}
+			table := strings.Split(strings.TrimSuffix(fig.Table.String(), "\n"), "\n")
 			got, err := json.MarshalIndent(goldenFixture{
-				ID: fig.ID, Scale: "quick", Series: fig.Series,
+				ID: fig.ID, Scale: "quick", Table: table, Series: fig.Series,
 			}, "", "  ")
 			if err != nil {
 				t.Fatal(err)
@@ -95,6 +90,10 @@ func TestGoldenFigures(t *testing.T) {
 			var old goldenFixture
 			if err := json.Unmarshal(want, &old); err != nil {
 				t.Fatalf("fixture %s is corrupt: %v", path, err)
+			}
+			if strings.Join(table, "\n") != strings.Join(old.Table, "\n") {
+				t.Errorf("%s: table differs:\n--- got ---\n%s\n--- fixture ---\n%s",
+					id, strings.Join(table, "\n"), strings.Join(old.Table, "\n"))
 			}
 			for name, vals := range fig.Series {
 				oldVals, ok := old.Series[name]

@@ -3,9 +3,8 @@
 package harness
 
 // raceEnabled reports whether the race detector is compiled in. The
-// heavyweight single-threaded regression sweeps (golden fixtures, the
-// full-registry determinism double-run) skip under -race: they re-run
-// dozens of simulations 5-20x slowed by instrumentation while adding no
+// full-registry golden sweep skips under -race: it re-runs hundreds of
+// simulations 5-20x slowed by instrumentation while adding no
 // concurrency coverage beyond what the dedicated RunAll race tests
 // already exercise.
 const raceEnabled = true
