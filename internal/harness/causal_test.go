@@ -26,11 +26,11 @@ func TestCausalSweepShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heavy single-threaded sweep; skipped under -race (see race_on_test.go)")
 	}
-	fig, err := CausalSweep(testScale)
+	fig, err := causalSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(DispatchPolicies)
+	n := len(dispatchPolicies)
 	series := func(key string) []float64 {
 		t.Helper()
 		s, ok := fig.Series[key]
@@ -39,7 +39,7 @@ func TestCausalSweepShape(t *testing.T) {
 		}
 		return s
 	}
-	const striped = 0 // DispatchPolicies[0]: the timing-independent policy
+	const striped = 0 // dispatchPolicies[0]: the timing-independent policy
 
 	// Erase parity at striped: defer-off and defer-on run the identical
 	// op stream, so per-FTL erase totals must match.
@@ -58,7 +58,7 @@ func TestCausalSweepShape(t *testing.T) {
 		onSum += series("defer-on/readp99/" + kind)[striped]
 		off := series("defer-off/makespan/" + kind)
 		on := series("defer-on/makespan/" + kind)
-		for i, policy := range DispatchPolicies {
+		for i, policy := range dispatchPolicies {
 			if on[i] >= off[i] {
 				t.Errorf("%s/%s: deferred-erase makespan %.3fs not below %.3fs", kind, policy, on[i], off[i])
 			}
@@ -69,13 +69,13 @@ func TestCausalSweepShape(t *testing.T) {
 	}
 
 	// Every combo produces a full series — no silent holes in the sweep.
-	for _, deferOn := range CausalDeferModes {
+	for _, mode := range causalDeferModes {
 		for _, metric := range []string{"makespan", "readp99", "erases"} {
 			for _, kind := range []string{"conv", "ppb"} {
-				series(causalDeferName(deferOn) + "/" + metric + "/" + kind)
+				series(mode.name + "/" + metric + "/" + kind)
 			}
 		}
-		series(causalDeferName(deferOn) + "/writep99/ppb")
+		series(mode.name + "/writep99/ppb")
 	}
 }
 

@@ -22,7 +22,7 @@ var determinismScale = Scale{DeviceDivisor: 128, WriteTurnover: 1.0, Seed: 3}
 func TestDispatchRunsDeterministicAcrossParallelism(t *testing.T) {
 	dev := determinismScale.DeviceConfig(16<<10, 2).WithChips(4)
 	var specs []RunSpec
-	for _, policy := range DispatchPolicies {
+	for _, policy := range dispatchPolicies {
 		specs = append(specs, RunSpec{
 			Name: "det/" + policy.String(), Device: dev, Kind: KindPPB,
 			FTLOptions: ftl.Options{Dispatch: policy},

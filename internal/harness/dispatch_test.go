@@ -13,11 +13,11 @@ import (
 // wins outright in aggregate, and trims the queueing-delay tail at the
 // deepest depth.
 func TestDispatchSweepShape(t *testing.T) {
-	fig, err := DispatchSweep(testScale)
+	fig, err := dispatchSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(DispatchSweepDepths)
+	n := len(dispatchSweepDepths)
 	deepest := n - 1
 	var stripedSum, llSum float64
 	for _, kind := range []string{"conv", "ppb"} {
@@ -26,7 +26,7 @@ func TestDispatchSweepShape(t *testing.T) {
 		if len(striped) != n || len(ll) != n {
 			t.Fatalf("%s: makespan series lengths %d/%d, want %d", kind, len(striped), len(ll), n)
 		}
-		for i, qd := range DispatchSweepDepths {
+		for i, qd := range dispatchSweepDepths {
 			if ll[i] > striped[i] {
 				t.Errorf("%s QD%d: least-loaded makespan %.3fs above striped %.3fs",
 					kind, qd, ll[i], striped[i])
@@ -41,7 +41,7 @@ func TestDispatchSweepShape(t *testing.T) {
 		}
 		if lq[deepest] > sq[deepest] {
 			t.Errorf("%s QD%d: least-loaded queue delay p99 %.4fs above striped %.4fs",
-				kind, DispatchSweepDepths[deepest], lq[deepest], sq[deepest])
+				kind, dispatchSweepDepths[deepest], lq[deepest], sq[deepest])
 		}
 	}
 	if llSum >= stripedSum {
@@ -50,8 +50,9 @@ func TestDispatchSweepShape(t *testing.T) {
 	}
 	// Every policy produces a full series for both traces — no silent
 	// holes in the sweep.
-	for _, tr := range paperTraces {
-		for _, policy := range DispatchPolicies {
+	for _, trace := range paperTraces {
+		tr := trace.name
+		for _, policy := range dispatchPolicies {
 			for _, series := range []string{"/makespan/conv", "/makespan/ppb", "/qdelayp99/conv", "/qdelayp99/ppb"} {
 				key := tr + "/" + policy.String() + series
 				if got := len(fig.Series[key]); got != n {

@@ -48,14 +48,14 @@ func TestGoldenFigures(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full-registry regression sweep; skipped under -race (see race_on_test.go)")
 	}
-	for _, id := range ExperimentOrder {
+	for _, id := range ExperimentIDs() {
 		t.Run(id, func(t *testing.T) {
 			s := QuickScale
 			s.Parallelism = 8
 			if *updateGolden {
 				s.Parallelism = 1
 			}
-			fig, err := Experiments[id](s)
+			fig, err := RunExperiment(id, s)
 			if err != nil {
 				t.Fatal(err)
 			}

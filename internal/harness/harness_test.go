@@ -44,19 +44,12 @@ func TestScaleDeviceConfig(t *testing.T) {
 	}
 }
 
-func TestWorkloadByName(t *testing.T) {
-	for _, name := range []string{"mediaserver", "media", "websql", "web"} {
-		wl, err := testScale.workloadByName(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		gen := wl(64 << 20)
+func TestPaperTraceWorkloads(t *testing.T) {
+	for _, tr := range paperTraces {
+		gen := tr.workload(testScale)(64 << 20)
 		if gen.LogicalBytes() != 64<<20 {
-			t.Errorf("%s: logical bytes = %d", name, gen.LogicalBytes())
+			t.Errorf("%s: logical bytes = %d", tr.name, gen.LogicalBytes())
 		}
-	}
-	if _, err := testScale.workloadByName("nope"); err == nil {
-		t.Error("unknown workload accepted")
 	}
 }
 
@@ -175,7 +168,7 @@ func TestReplayRequestSplitsPages(t *testing.T) {
 }
 
 func TestFigure12ShapeHolds(t *testing.T) {
-	fig, err := Figure12(testScale)
+	fig, err := figure12(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +186,7 @@ func TestFigure12ShapeHolds(t *testing.T) {
 }
 
 func TestFigure14ShapeHolds(t *testing.T) {
-	fig, err := Figure14(testScale)
+	fig, err := figure14(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +213,7 @@ func TestFigure14ShapeHolds(t *testing.T) {
 func TestFigure15WriteDeltaSmall(t *testing.T) {
 	// Like erase parity, write parity is a steady-state property that
 	// needs a realistically sized device; see TestFigure18EraseCounts.
-	fig, err := Figure15(BenchScale)
+	fig, err := figure15(BenchScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +230,7 @@ func TestFigure18EraseCounts(t *testing.T) {
 	// Erase parity is a steady-state property: PPB pins a handful of
 	// partially-open pipeline blocks, which distorts GC on toy devices
 	// but vanishes at realistic scale. Run this one at bench scale.
-	fig, err := Figure18(BenchScale)
+	fig, err := figure18(BenchScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +247,7 @@ func TestFigure18EraseCounts(t *testing.T) {
 }
 
 func TestMotivationFigure3Shape(t *testing.T) {
-	fig, err := MotivationFigure3(testScale)
+	fig, err := motivationFigure3(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +259,17 @@ func TestMotivationFigure3Shape(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	if _, err := AblationSplit(testScale); err != nil {
+	if _, err := ablationSplit(testScale); err != nil {
 		t.Fatal(err)
 	}
-	fig, err := AblationIdentifier(testScale)
+	fig, err := ablationIdentifier(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fig.Series) < 4 {
 		t.Errorf("identifier ablation series = %d", len(fig.Series))
 	}
-	if _, err := AblationLayers(testScale); err != nil {
+	if _, err := ablationLayers(testScale); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,17 +280,6 @@ func TestTableOne(t *testing.T) {
 	for _, want := range []string{"16 KB", "384", "600µs", "49µs", "4ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestExperimentRegistryComplete(t *testing.T) {
-	if len(ExperimentOrder) != len(Experiments) {
-		t.Fatalf("order has %d entries, registry %d", len(ExperimentOrder), len(Experiments))
-	}
-	for _, id := range ExperimentOrder {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %q missing from registry", id)
 		}
 	}
 }

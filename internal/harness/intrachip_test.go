@@ -22,7 +22,7 @@ func TestIntraChipSweepShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heavy single-threaded sweep; skipped under -race (see race_on_test.go)")
 	}
-	fig, err := IntraChipSweep(testScale)
+	fig, err := intraChipSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,9 @@ func TestIntraChipSweepShape(t *testing.T) {
 	// Erase parity: planes and suspension move only time, never data,
 	// so per-FTL erase totals must match across every cell.
 	for _, kind := range []string{"conv", "ppb"} {
-		want := point(fmt.Sprintf("p%d/off/erases/%s", IntraChipPlaneCounts[0], kind))
-		for _, planes := range IntraChipPlaneCounts {
-			for _, susp := range IntraChipSuspendModes {
+		want := point(fmt.Sprintf("p%d/off/erases/%s", intraChipPlaneCounts[0], kind))
+		for _, planes := range intraChipPlaneCounts {
+			for _, susp := range intraChipSuspendModes {
 				key := fmt.Sprintf("p%d/%s/erases/%s", planes, susp, kind)
 				if got := point(key); got != want {
 					t.Errorf("%s erases = %.0f, want %.0f (intra-chip knobs must not change GC)", key, got, want)
@@ -51,7 +51,7 @@ func TestIntraChipSweepShape(t *testing.T) {
 
 	// Suspension fires iff the policy is on.
 	for _, kind := range []string{"conv", "ppb"} {
-		for _, planes := range IntraChipPlaneCounts {
+		for _, planes := range intraChipPlaneCounts {
 			off := point(fmt.Sprintf("p%d/off/suspends/%s", planes, kind))
 			on := point(fmt.Sprintf("p%d/erase/suspends/%s", planes, kind))
 			if off != 0 {
@@ -66,7 +66,7 @@ func TestIntraChipSweepShape(t *testing.T) {
 	// Suspension is a pure read-tail optimization: read p99 with the
 	// policy on never exceeds suspend-off at any plane count.
 	for _, kind := range []string{"conv", "ppb"} {
-		for _, planes := range IntraChipPlaneCounts {
+		for _, planes := range intraChipPlaneCounts {
 			off := point(fmt.Sprintf("p%d/off/readp99/%s", planes, kind))
 			on := point(fmt.Sprintf("p%d/erase/readp99/%s", planes, kind))
 			if on > off {
@@ -78,15 +78,15 @@ func TestIntraChipSweepShape(t *testing.T) {
 	// Multi-plane overlap never lengthens the timeline.
 	for _, kind := range []string{"conv", "ppb"} {
 		serial := point("p1/off/makespan/" + kind)
-		wide := point(fmt.Sprintf("p%d/off/makespan/%s", IntraChipPlaneCounts[len(IntraChipPlaneCounts)-1], kind))
+		wide := point(fmt.Sprintf("p%d/off/makespan/%s", intraChipPlaneCounts[len(intraChipPlaneCounts)-1], kind))
 		if wide > serial {
 			t.Errorf("%s: 4-plane makespan %.3fs above serial-chip %.3fs", kind, wide, serial)
 		}
 	}
 
 	// Every combo produces a full series — no silent holes in the sweep.
-	for _, planes := range IntraChipPlaneCounts {
-		for _, susp := range IntraChipSuspendModes {
+	for _, planes := range intraChipPlaneCounts {
+		for _, susp := range intraChipSuspendModes {
 			for _, metric := range []string{"makespan", "readp99", "suspends", "erases"} {
 				for _, kind := range []string{"conv", "ppb"} {
 					point(fmt.Sprintf("p%d/%s/%s/%s", planes, susp, metric, kind))

@@ -183,12 +183,13 @@ func TestMultiChipRunsDeterministicUnderRunAll(t *testing.T) {
 // experiment a4: spreading the same capacity over more chips shrinks the
 // simulated makespan for both FTLs on both traces.
 func TestChipSweepMakespanDecreases(t *testing.T) {
-	fig, err := ChipSweep(testScale)
+	fig, err := chipSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(ChipSweepCounts)
-	for _, tr := range paperTraces {
+	n := len(chipSweepCounts)
+	for _, trace := range paperTraces {
+		tr := trace.name
 		for _, series := range []string{tr + "/makespan/conv", tr + "/makespan/ppb"} {
 			vals := fig.Series[series]
 			if len(vals) != n {
@@ -197,14 +198,14 @@ func TestChipSweepMakespanDecreases(t *testing.T) {
 			for i := 1; i < n; i++ {
 				if vals[i] >= vals[i-1] {
 					t.Errorf("%s: makespan %v at %d chips not below %v at %d chips",
-						series, vals[i], ChipSweepCounts[i], vals[i-1], ChipSweepCounts[i-1])
+						series, vals[i], chipSweepCounts[i], vals[i-1], chipSweepCounts[i-1])
 				}
 			}
 		}
 		p99s := fig.Series[tr+"/readp99/ppb"]
 		for i, v := range p99s {
 			if v <= 0 {
-				t.Errorf("%s: read p99 missing at %d chips", tr, ChipSweepCounts[i])
+				t.Errorf("%s: read p99 missing at %d chips", tr, chipSweepCounts[i])
 			}
 		}
 	}

@@ -343,13 +343,13 @@ func TestQueuedRunsDeterministicUnderRunAll(t *testing.T) {
 // queueing-delay percentiles that start at exactly zero and grow with
 // the depth.
 func TestQDSweepShape(t *testing.T) {
-	fig, err := QDSweep(testScale)
+	fig, err := qdSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(QDSweepDepths)
+	n := len(qdSweepDepths)
 	qd16 := -1
-	for i, qd := range QDSweepDepths {
+	for i, qd := range qdSweepDepths {
 		if qd == 16 {
 			qd16 = i
 		}
@@ -357,7 +357,8 @@ func TestQDSweepShape(t *testing.T) {
 	if qd16 < 0 {
 		t.Fatal("sweep no longer includes QD 16")
 	}
-	for _, tr := range paperTraces {
+	for _, trace := range paperTraces {
+		tr := trace.name
 		for _, series := range []string{tr + "/makespan/conv", tr + "/makespan/ppb"} {
 			vals := fig.Series[series]
 			if len(vals) != n {
@@ -366,7 +367,7 @@ func TestQDSweepShape(t *testing.T) {
 			for i := 1; i < n; i++ {
 				if vals[i] > vals[i-1] {
 					t.Errorf("%s: makespan %v at QD%d above %v at QD%d",
-						series, vals[i], QDSweepDepths[i], vals[i-1], QDSweepDepths[i-1])
+						series, vals[i], qdSweepDepths[i], vals[i-1], qdSweepDepths[i-1])
 				}
 			}
 			if vals[qd16] >= vals[0] {
@@ -384,7 +385,7 @@ func TestQDSweepShape(t *testing.T) {
 			for i := 1; i < n; i++ {
 				if vals[i] < vals[i-1] {
 					t.Errorf("%s: queue delay p99 %v at QD%d below %v at QD%d",
-						series, vals[i], QDSweepDepths[i], vals[i-1], QDSweepDepths[i-1])
+						series, vals[i], qdSweepDepths[i], vals[i-1], qdSweepDepths[i-1])
 				}
 			}
 			if vals[n-1] <= 0 {

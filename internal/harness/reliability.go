@@ -5,23 +5,22 @@ import (
 	"fmt"
 
 	"ppbflash/internal/ftl"
-	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
 )
 
-// ReliabilityProfiles is the BER-profile axis of experiment a9 (the
+// reliabilityProfiles is the BER-profile axis of experiment a9 (the
 // enabled presets of nand.ReliabilityProfileByName; "off" is covered by
 // every other experiment).
-var ReliabilityProfiles = []string{"low", "high"}
+var reliabilityProfiles = []string{"low", "high"}
 
-// ReliabilityWearPolicies is the wear-policy axis of experiment a9.
-var ReliabilityWearPolicies = []ftl.WearPolicy{ftl.WearNone, ftl.WearAware, ftl.WearThresholdSwap}
+// reliabilityWearPolicies is the wear-policy axis of experiment a9.
+var reliabilityWearPolicies = []ftl.WearPolicy{ftl.WearNone, ftl.WearAware, ftl.WearThresholdSwap}
 
-// ReliabilityCyclingTurnovers scales the scale's write turnover for the
+// reliabilityCyclingTurnovers scales the scale's write turnover for the
 // P/E-cycling axis of experiment a9: the same device and trace shape at
 // half and 1.5x the write volume, so per-block erase counts differ and
 // the cycling term of the RBER model becomes visible in the retry rate.
-var ReliabilityCyclingTurnovers = []float64{0.5, 1.5}
+var reliabilityCyclingTurnovers = []float64{0.5, 1.5}
 
 // reliabilityLifetimeDivisor shrinks the a9 lifetime-probe device below
 // the sweep's replay device: the probe writes every block to its P/E
@@ -91,7 +90,7 @@ func lifetimeProbe(cfg nand.Config, wear ftl.WearPolicy, prof nand.ReliabilityCo
 	return writes, nil
 }
 
-// ReliabilitySweep (experiment a9) measures the reliability engine:
+// reliabilitySweep (experiment a9) measures the reliability engine:
 // BER profile (low, high) x wear policy (none, wear-aware,
 // threshold-swap) x FTL (conventional, PPB) on the websql trace,
 // reporting retry rate, mean retries per retried read, uncorrectable
@@ -103,36 +102,36 @@ func lifetimeProbe(cfg nand.Config, wear ftl.WearPolicy, prof nand.ReliabilityCo
 // the threshold-swap static policy spreads wear into them and the
 // lifetime proxy responds; wear-aware victim scoring only flattens wear
 // among already-churning blocks.
-func ReliabilitySweep(s Scale) (*FigureResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	wl := s.WebSQLWorkload()
-	dev := s.DeviceConfig(16<<10, 2.0)
-	kinds := []FTLKind{KindConventional, KindPPB}
+func reliabilitySweep(s Scale) (*FigureResult, error) {
 	high, err := nand.ReliabilityProfileByName("high")
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]RunSpec, 0, len(ReliabilityProfiles)*len(ReliabilityWearPolicies)*len(kinds)+len(ReliabilityCyclingTurnovers))
-	for _, name := range ReliabilityProfiles {
+	sw := newSweep("a9-reliability-sweep", "Experiment a9: reliability engine — BER profile x wear policy x FTL (websql, ratio 2x)",
+		"point", "retry rate", "mean retries", "uncorrectable", "retired blocks", "lifetime writes")
+	retryRow := func(key string, res Result) {
+		sw.Table.AddRow(key, fmt.Sprintf("%.4f%%", res.RetryRate*100),
+			fmt.Sprintf("%.3f", res.MeanRetrySteps),
+			res.UncorrectableReads, res.RetiredBlocks, "-")
+	}
+	dev := s.DeviceConfig(16<<10, 2.0)
+	for _, name := range reliabilityProfiles {
 		prof, err := nand.ReliabilityProfileByName(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, wear := range ReliabilityWearPolicies {
-			for _, kind := range kinds {
-				specs = append(specs, RunSpec{
-					Name:     fmt.Sprintf("reliability-sweep/%s/%s/%s", name, wear, kind),
-					Device:   dev,
-					Kind:     kind,
-					Workload: wl,
-					Prefill:  true,
-					FTLOptions: ftl.Options{
-						Wear:            wear,
-						Reliability:     &prof,
-						ReliabilitySeed: s.Seed,
-					},
+		for _, wear := range reliabilityWearPolicies {
+			for _, kind := range []FTLKind{KindConventional, KindPPB} {
+				key := fmt.Sprintf("%s/%s/%s", name, wear, kind)
+				sw.single(RunSpec{
+					Name: "reliability-sweep/" + key, Device: dev, Kind: kind, Workload: s.WebSQLWorkload(),
+					FTLOptions: ftl.Options{Wear: wear, Reliability: &prof, ReliabilitySeed: s.Seed},
+				}, func(res Result) {
+					sw.add(key+"/retryrate", res.RetryRate)
+					sw.add(key+"/meanretry", res.MeanRetrySteps)
+					sw.add(key+"/uncorrectable", float64(res.UncorrectableReads))
+					sw.add(key+"/retired", float64(res.RetiredBlocks))
+					retryRow(key, res)
 				})
 			}
 		}
@@ -140,67 +139,32 @@ func ReliabilitySweep(s Scale) (*FigureResult, error) {
 	// P/E-cycling axis: the high profile under the default policies at
 	// scaled write volumes. More turnover means more erases per block,
 	// so the cycling term of the RBER model must raise the retry rate.
-	for _, mult := range ReliabilityCyclingTurnovers {
+	for _, mult := range reliabilityCyclingTurnovers {
 		cs := s
 		cs.WriteTurnover = s.WriteTurnover * mult
-		specs = append(specs, RunSpec{
-			Name:       fmt.Sprintf("reliability-sweep/cycling/%gx", mult),
-			Device:     dev,
-			Kind:       KindConventional,
-			Workload:   cs.WebSQLWorkload(),
-			Prefill:    true,
+		sw.single(RunSpec{
+			Name: fmt.Sprintf("reliability-sweep/cycling/%gx", mult), Device: dev,
+			Kind: KindConventional, Workload: cs.WebSQLWorkload(),
 			FTLOptions: ftl.Options{Reliability: &high, ReliabilitySeed: s.Seed},
+		}, func(res Result) {
+			sw.add("cycling/retryrate", res.RetryRate)
+			retryRow(fmt.Sprintf("cycling/%gx/high/conventional", mult), res)
 		})
 	}
-	results, err := RunAll(specs, s.Parallelism)
+	fig, err := sw.run(s)
 	if err != nil {
 		return nil, err
-	}
-	tbl := metrics.NewTable("Experiment a9: reliability engine — BER profile x wear policy x FTL (websql, ratio 2x)",
-		"point", "retry rate", "mean retries", "uncorrectable", "retired blocks", "lifetime writes")
-	fig := newFigure("a9-reliability-sweep", tbl)
-	fig.recordThroughput(specs, results)
-	i := 0
-	for _, prof := range ReliabilityProfiles {
-		for _, wear := range ReliabilityWearPolicies {
-			for _, kind := range kinds {
-				res := results[i]
-				i++
-				key := fmt.Sprintf("%s/%s/%s", prof, wear, kind)
-				fig.add(key+"/retryrate", res.RetryRate)
-				fig.add(key+"/meanretry", res.MeanRetrySteps)
-				fig.add(key+"/uncorrectable", float64(res.UncorrectableReads))
-				fig.add(key+"/retired", float64(res.RetiredBlocks))
-				tbl.AddRow(key, fmt.Sprintf("%.4f%%", res.RetryRate*100),
-					fmt.Sprintf("%.3f", res.MeanRetrySteps),
-					res.UncorrectableReads, res.RetiredBlocks, "-")
-			}
-		}
-	}
-	for _, mult := range ReliabilityCyclingTurnovers {
-		res := results[i]
-		i++
-		fig.add("cycling/retryrate", res.RetryRate)
-		tbl.AddRow(fmt.Sprintf("cycling/%gx/high/conventional", mult),
-			fmt.Sprintf("%.4f%%", res.RetryRate*100),
-			fmt.Sprintf("%.3f", res.MeanRetrySteps),
-			res.UncorrectableReads, res.RetiredBlocks, "-")
 	}
 	// Lifetime proxy: sequential by design — each probe runs a device to
 	// its capacity floor, and three small probes are cheaper than one
 	// replay point above.
-	probeDev := dev
-	probeDev.BlocksPerChip /= reliabilityLifetimeDivisor
-	if probeDev.BlocksPerChip < 16 {
-		probeDev.BlocksPerChip = 16
-	}
-	for _, wear := range ReliabilityWearPolicies {
-		writes, err := lifetimeProbe(probeDev, wear, high, s.Seed)
+	for _, wear := range reliabilityWearPolicies {
+		writes, err := lifetimeProbe(dev.Scaled(reliabilityLifetimeDivisor), wear, high, s.Seed)
 		if err != nil {
 			return nil, err
 		}
 		fig.add("lifetime/"+wear.String(), float64(writes))
-		tbl.AddRow("lifetime/high/"+wear.String(), "-", "-", "-", "-", writes)
+		fig.Table.AddRow("lifetime/high/"+wear.String(), "-", "-", "-", "-", writes)
 	}
 	return fig, nil
 }

@@ -21,14 +21,14 @@ func TestReliabilitySweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a9 sweep runs full trace replays; skipped in -short")
 	}
-	fig, err := ReliabilitySweep(QuickScale)
+	fig, err := reliabilitySweep(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cyc := fig.Series["cycling/retryrate"]
-	if len(cyc) != len(ReliabilityCyclingTurnovers) {
-		t.Fatalf("cycling series has %d points, want %d", len(cyc), len(ReliabilityCyclingTurnovers))
+	if len(cyc) != len(reliabilityCyclingTurnovers) {
+		t.Fatalf("cycling series has %d points, want %d", len(cyc), len(reliabilityCyclingTurnovers))
 	}
 	for i := 1; i < len(cyc); i++ {
 		if cyc[i] <= cyc[i-1] {
@@ -36,7 +36,7 @@ func TestReliabilitySweepShape(t *testing.T) {
 		}
 	}
 
-	for _, wear := range ReliabilityWearPolicies {
+	for _, wear := range reliabilityWearPolicies {
 		for _, kind := range []string{"conventional", "ppb"} {
 			point := func(prof, series string) float64 {
 				key := fmt.Sprintf("%s/%s/%s/%s", prof, wear, kind, series)
@@ -53,7 +53,7 @@ func TestReliabilitySweepShape(t *testing.T) {
 			if high <= low {
 				t.Errorf("%s/%s: high-BER retry rate %g not above low %g", wear, kind, high, low)
 			}
-			for _, prof := range ReliabilityProfiles {
+			for _, prof := range reliabilityProfiles {
 				if r := point(prof, "retired"); r != 0 {
 					t.Errorf("%s/%s/%s: %g blocks retired during replay; presets must keep the device intact", prof, wear, kind, r)
 				}

@@ -1,7 +1,6 @@
 // Package harness builds devices and FTLs, replays workloads through
 // them, and regenerates every table and figure of the paper's evaluation
-// section (Experiments maps each experiment ID to the function that
-// runs it).
+// section (RunExperiment runs each registered experiment by ID).
 package harness
 
 import (

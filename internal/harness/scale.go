@@ -193,15 +193,3 @@ func (s Scale) TenantWorkloads(n int) WorkloadBuilder {
 		}
 	}
 }
-
-// workloadByName resolves the two paper traces.
-func (s Scale) workloadByName(name string) (WorkloadBuilder, error) {
-	switch name {
-	case "mediaserver", "media":
-		return s.MediaWorkload(), nil
-	case "websql", "web":
-		return s.WebSQLWorkload(), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown workload %q", name)
-	}
-}

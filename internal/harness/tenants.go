@@ -4,33 +4,28 @@ import (
 	"fmt"
 
 	"ppbflash/internal/ftl"
-	"ppbflash/internal/metrics"
 	"ppbflash/internal/nand"
 	"ppbflash/internal/trace"
 	"ppbflash/internal/vblock"
 	"ppbflash/internal/workload"
 )
 
-// TenantCounts is the tenant-population axis of experiment a10: two
+// tenantCounts is the tenant-population axis of experiment a10: two
 // tenants (websql vs mediaserver) and four (the full roster, adding the
 // hot and cold synthetic mixes — see Scale.tenantGenerator).
-var TenantCounts = []int{2, 4}
+var tenantCounts = []int{2, 4}
 
-// TenantDispatchPolicies is the dispatch axis of experiment a10:
+// tenantDispatchPolicies is the dispatch axis of experiment a10:
 // placement-blind striping (every tenant's allocations interleave on
 // every chip), hard per-tenant chip partitions, and hot/cold affinity
 // with its per-tenant slices — the isolation ladder from none to full.
-var TenantDispatchPolicies = []vblock.DispatchPolicy{vblock.Striped, vblock.TenantPartition, vblock.HotColdAffinity}
+var tenantDispatchPolicies = []vblock.DispatchPolicy{vblock.Striped, vblock.TenantPartition, vblock.HotColdAffinity}
 
-// TenantSweepDepths is the queue-depth axis of experiment a10: deep
+// tenantSweepDepths is the queue-depth axis of experiment a10: deep
 // enough that one tenant's GC bursts actually sit in front of another
 // tenant's reads, which is the interference the partition policies
 // exist to bound.
-var TenantSweepDepths = []int{4, 16}
-
-// tenantSweepChips matches the a5–a8 device: tenant isolation is a
-// placement question, so it needs chips to place on.
-const tenantSweepChips = 4
+var tenantSweepDepths = []int{4, 16}
 
 // NewTenantPageOpsFTL builds the multi-tenant microbenchmark subject: a
 // 512 MB-class Table 1 device spread over four chips under
@@ -105,7 +100,7 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 	return ReplayQueued(f, gen, m, ReplayOptions{QueueDepth: EventLoopQueueDepth})
 }
 
-// TenantSweep (experiment a10) measures multi-tenant fairness and
+// tenantSweep (experiment a10) measures multi-tenant fairness and
 // isolation: tenant count x dispatch policy x queue depth on the 4-chip
 // device under PPB, replaying the composite tenant workload
 // (Scale.TenantWorkloads — round-robin merge, per-tenant address
@@ -115,60 +110,36 @@ func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
 // write-heavy neighbor's GC lands in front of the websql tenant's
 // reads, while tenant-partition confines each tenant — allocations and
 // the GC they cascade into — to its own chips.
-func TenantSweep(s Scale) (*FigureResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	dev := trimToChipMultiple(s.DeviceConfig(16<<10, 2.0), tenantSweepChips).WithChips(tenantSweepChips)
-	specs := make([]RunSpec, 0, len(TenantCounts)*len(TenantDispatchPolicies)*len(TenantSweepDepths))
-	for _, n := range TenantCounts {
-		wl := s.TenantWorkloads(n)
-		for _, policy := range TenantDispatchPolicies {
-			for _, qd := range TenantSweepDepths {
-				specs = append(specs, RunSpec{
-					Name:       fmt.Sprintf("tenant-sweep/t%d/%s/qd%d/ppb", n, policy, qd),
-					Device:     dev,
-					Kind:       KindPPB,
-					Workload:   wl,
-					Prefill:    true,
-					QueueDepth: qd,
+func tenantSweep(s Scale) (*FigureResult, error) {
+	sw := newSweep("a10-tenant-sweep", "Experiment a10: tenant count x dispatch policy x queue depth (tenant mix, 4 chips, PPB)",
+		"tenants", "dispatch", "QD", "makespan (s)", "erases", "t0 read p99", "t0 qdelay p99", "worst read p99")
+	for _, n := range tenantCounts {
+		for _, policy := range tenantDispatchPolicies {
+			key := fmt.Sprintf("t%d/%s", n, policy)
+			for _, qd := range tenantSweepDepths {
+				sw.single(RunSpec{
+					Name: fmt.Sprintf("tenant-sweep/%s/qd%d/ppb", key, qd), Device: fourChipDevice(s),
+					Kind: KindPPB, Workload: s.TenantWorkloads(n), QueueDepth: qd,
 					FTLOptions: ftl.Options{Dispatch: policy, Tenants: n},
+				}, func(res Result) {
+					sw.add(key+"/makespan", res.Makespan.Seconds())
+					sw.add(key+"/erases", float64(res.Erases))
+					worst := res.Tenants[0].ReadP99
+					for t := 0; t < res.TenantCount; t++ {
+						tr := res.Tenants[t]
+						tkey := fmt.Sprintf("%s/tenant%d", key, t)
+						sw.add(tkey+"/readp99", tr.ReadP99.Seconds())
+						sw.add(tkey+"/qdelayp99", tr.QueueDelayP99.Seconds())
+						sw.add(tkey+"/ops", float64(tr.Ops))
+						if tr.ReadP99 > worst {
+							worst = tr.ReadP99
+						}
+					}
+					sw.Table.AddRow(n, policy, qd, res.Makespan.Seconds(), res.Erases,
+						res.Tenants[0].ReadP99, res.Tenants[0].QueueDelayP99, worst)
 				})
 			}
 		}
 	}
-	results, err := RunAll(specs, s.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	tbl := metrics.NewTable("Experiment a10: tenant count x dispatch policy x queue depth (tenant mix, 4 chips, PPB)",
-		"tenants", "dispatch", "QD", "makespan (s)", "erases", "t0 read p99", "t0 qdelay p99", "worst read p99")
-	fig := newFigure("a10-tenant-sweep", tbl)
-	fig.recordThroughput(specs, results)
-	i := 0
-	for _, n := range TenantCounts {
-		for _, policy := range TenantDispatchPolicies {
-			for _, qd := range TenantSweepDepths {
-				res := results[i]
-				i++
-				key := fmt.Sprintf("t%d/%s", n, policy)
-				fig.add(key+"/makespan", res.Makespan.Seconds())
-				fig.add(key+"/erases", float64(res.Erases))
-				worst := res.Tenants[0].ReadP99
-				for t := 0; t < res.TenantCount; t++ {
-					tr := res.Tenants[t]
-					tkey := fmt.Sprintf("%s/tenant%d", key, t)
-					fig.add(tkey+"/readp99", tr.ReadP99.Seconds())
-					fig.add(tkey+"/qdelayp99", tr.QueueDelayP99.Seconds())
-					fig.add(tkey+"/ops", float64(tr.Ops))
-					if tr.ReadP99 > worst {
-						worst = tr.ReadP99
-					}
-				}
-				tbl.AddRow(n, policy, qd, res.Makespan.Seconds(), res.Erases,
-					res.Tenants[0].ReadP99, res.Tenants[0].QueueDelayP99, worst)
-			}
-		}
-	}
-	return fig, nil
+	return sw.run(s)
 }

@@ -158,24 +158,24 @@ func TestMultiTenantDeterministicAcrossParallelism(t *testing.T) {
 // not shape-asserted.) Also checks the sweep emits a full per-tenant
 // series grid with no silent holes.
 func TestTenantSweepShape(t *testing.T) {
-	fig, err := TenantSweep(testScale)
+	fig, err := tenantSweep(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(TenantSweepDepths)
+	n := len(tenantSweepDepths)
 	striped := fig.Series["t2/striped/tenant0/readp99"]
 	part := fig.Series["t2/tenant-partition/tenant0/readp99"]
 	if len(striped) != n || len(part) != n {
 		t.Fatalf("t2 tenant0 readp99 series lengths %d/%d, want %d", len(striped), len(part), n)
 	}
-	for i, qd := range TenantSweepDepths {
+	for i, qd := range tenantSweepDepths {
 		if part[i] > striped[i] {
 			t.Errorf("QD%d: partitioned websql tenant read p99 %.5fs above striped %.5fs",
 				qd, part[i], striped[i])
 		}
 	}
-	for _, tc := range TenantCounts {
-		for _, policy := range TenantDispatchPolicies {
+	for _, tc := range tenantCounts {
+		for _, policy := range tenantDispatchPolicies {
 			key := fmt.Sprintf("t%d/%s", tc, policy)
 			for _, series := range []string{"/makespan", "/erases"} {
 				if got := len(fig.Series[key+series]); got != n {

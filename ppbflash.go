@@ -284,28 +284,10 @@ func NewReplayMetrics() *ReplayMetrics { return harness.NewReplayMetrics() }
 // chip-parallel, queue-depth, dispatch-policy, causality/erase-deferral
 // and intra-chip parallelism sweeps — "a9" for the reliability-engine
 // sweep, and "a10" for the multi-tenant fairness sweep).
-func Experiment(id string, s Scale) (*FigureResult, error) {
-	fn, ok := harness.Experiments[id]
-	if !ok {
-		return nil, errUnknownExperiment(id)
-	}
-	return fn(s)
-}
+func Experiment(id string, s Scale) (*FigureResult, error) { return harness.RunExperiment(id, s) }
 
 // ExperimentIDs lists the available experiment IDs in presentation order.
-func ExperimentIDs() []string {
-	ids := make([]string, len(harness.ExperimentOrder))
-	copy(ids, harness.ExperimentOrder)
-	return ids
-}
+func ExperimentIDs() []string { return harness.ExperimentIDs() }
 
 // TableOne renders the paper's Table 1.
 func TableOne() *FigureResult { return harness.TableOne() }
-
-type unknownExperimentError string
-
-func errUnknownExperiment(id string) error { return unknownExperimentError(id) }
-
-func (e unknownExperimentError) Error() string {
-	return "ppbflash: unknown experiment " + string(e) + " (want one of 3, 12-18, a1-a10)"
-}

@@ -1,7 +1,7 @@
 package ppbflash
 
 import (
-	"errors"
+	"strings"
 	"testing"
 )
 
@@ -83,15 +83,17 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(ids) != 18 {
 		t.Fatalf("experiments = %d, want 18", len(ids))
 	}
-	if _, err := Experiment("nope", QuickScale); err == nil {
+	_, err := Experiment("nope", QuickScale)
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	var unknown error = errUnknownExperiment("x")
-	if unknown.Error() == "" {
-		t.Error("error text empty")
+	for _, id := range ids {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-experiment error %q does not list %s", err, id)
+		}
 	}
-	if !errors.Is(unknown, unknownExperimentError("x")) {
-		t.Error("error identity")
+	if _, err := Experiment(ids[0], Scale{}); err == nil {
+		t.Error("zero scale accepted")
 	}
 }
 
