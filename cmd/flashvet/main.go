@@ -3,10 +3,8 @@
 // folds in simulation packages), hotpath (no allocation-prone
 // constructs reachable from //flashvet:hotpath functions), boundsafe
 // (exported accessors on //flashvet:boundsafe types bounds-check
-// parameter-derived indices), registry (every registered experiment
-// is golden-pinned or justified) and testonly (every exported name
-// under internal/ has a non-test reader or a //flashvet:testonly
-// reason).
+// parameter-derived indices) and testonly (every exported name under
+// internal/ has a non-test reader or a //flashvet:testonly reason).
 //
 // Usage:
 //
@@ -28,12 +26,11 @@ import (
 	"ppbflash/internal/analysis/determinism"
 	"ppbflash/internal/analysis/flashvet"
 	"ppbflash/internal/analysis/hotpath"
-	"ppbflash/internal/analysis/registry"
 	"ppbflash/internal/analysis/testonly"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer subset (determinism,hotpath,boundsafe,registry,testonly)")
+	only := flag.String("only", "", "comma-separated analyzer subset (determinism,hotpath,boundsafe,testonly)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: flashvet [-only a,b] [packages]\n")
 		flag.PrintDefaults()
@@ -49,7 +46,6 @@ func main() {
 		determinism.Default(),
 		hotpath.New(),
 		boundsafe.New(),
-		registry.Default(),
 		testonly.Default(),
 	}
 	analyzers := all
@@ -62,7 +58,7 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "flashvet: unknown analyzer %q (have determinism, hotpath, boundsafe, registry, testonly)\n", name)
+				fmt.Fprintf(os.Stderr, "flashvet: unknown analyzer %q (have determinism, hotpath, boundsafe, testonly)\n", name)
 				os.Exit(2)
 			}
 			analyzers = append(analyzers, a)

@@ -40,23 +40,11 @@ type Package struct {
 	// Path is the import path ("ppbflash/internal/nand"), or the bare
 	// package name for analysistest fixtures.
 	Path string
-	// Dir is the package directory on disk (registry checks fixture
-	// files relative to it).
-	Dir string
 	// Files are the parsed non-test sources.
 	Files []*ast.File
 	// Types and Info carry the go/types results.
 	Types *types.Package
 	Info  *types.Info
-
-	// commentLines maps "filename:line" to the comment texts on that
-	// line, for line-level annotations like //flashvet:nogolden.
-	commentLines map[lineKey][]string
-}
-
-type lineKey struct {
-	file string
-	line int
 }
 
 // FuncBody locates the declaration of a function anywhere in the
@@ -138,35 +126,6 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return diags[i].Message < diags[j].Message
 	})
 	return diags, nil
-}
-
-// indexComments fills the package's per-line comment table.
-func (p *Package) indexComments(fset *token.FileSet) {
-	p.commentLines = make(map[lineKey][]string)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
-				k := lineKey{pos.Filename, pos.Line}
-				p.commentLines[k] = append(p.commentLines[k], c.Text)
-			}
-		}
-	}
-}
-
-// HasLineAnnotation reports whether the line of pos, or the line right
-// above it, carries a comment containing the given flashvet annotation
-// (e.g. "flashvet:nogolden").
-func (p *Package) HasLineAnnotation(fset *token.FileSet, pos token.Pos, annotation string) bool {
-	at := fset.Position(pos)
-	for _, line := range []int{at.Line, at.Line - 1} {
-		for _, text := range p.commentLines[lineKey{at.Filename, line}] {
-			if strings.Contains(text, annotation) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // DocHasAnnotation reports whether a declaration's doc comment contains

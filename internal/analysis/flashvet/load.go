@@ -121,7 +121,6 @@ func checkPackage(prog *Program, lp listPackage, imp types.Importer) (*Package, 
 	}
 	pkg := &Package{
 		Path:  lp.ImportPath,
-		Dir:   lp.Dir,
 		Files: files,
 		Info:  newInfo(),
 	}
@@ -131,7 +130,6 @@ func checkPackage(prog *Program, lp listPackage, imp types.Importer) (*Package, 
 		return nil, fmt.Errorf("flashvet: type-checking %s: %w", lp.ImportPath, err)
 	}
 	pkg.Types = tpkg
-	pkg.indexComments(prog.Fset)
 	indexFuncs(prog, pkg)
 	return pkg, nil
 }
@@ -203,7 +201,6 @@ func LoadFixture(dir string) (*Program, error) {
 	}
 	pkg := &Package{
 		Path:  files[0].Name.Name,
-		Dir:   dir,
 		Files: files,
 		Info:  newInfo(),
 	}
@@ -213,7 +210,6 @@ func LoadFixture(dir string) (*Program, error) {
 		return nil, fmt.Errorf("flashvet: fixture %s: %w", dir, err)
 	}
 	pkg.Types = tpkg
-	pkg.indexComments(prog.Fset)
 	indexFuncs(prog, pkg)
 	prog.Packages = []*Package{pkg}
 	return prog, nil
