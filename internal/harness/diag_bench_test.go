@@ -11,8 +11,8 @@ func TestDiagBenchScale(t *testing.T) {
 		t.Skip("diagnostic")
 	}
 	s := BenchScale
-	for _, trace := range paperTraces {
-		tr, wl := trace.name, trace.workload(s)
+	for _, pt := range paperTraces {
+		tr, wl := pt.name, pt.workload(s)
 		dev := s.DeviceConfig(16<<10, 2.0)
 		conv, err := Run(RunSpec{Name: tr + "/conv", Device: dev, Kind: KindConventional, Workload: wl, Prefill: true})
 		if err != nil {

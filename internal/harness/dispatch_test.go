@@ -50,8 +50,8 @@ func TestDispatchSweepShape(t *testing.T) {
 	}
 	// Every policy produces a full series for both traces — no silent
 	// holes in the sweep.
-	for _, trace := range paperTraces {
-		tr := trace.name
+	for _, pt := range paperTraces {
+		tr := pt.name
 		for _, policy := range dispatchPolicies {
 			for _, series := range []string{"/makespan/conv", "/makespan/ppb", "/qdelayp99/conv", "/qdelayp99/ppb"} {
 				key := tr + "/" + policy.String() + series

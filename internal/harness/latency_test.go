@@ -188,8 +188,8 @@ func TestChipSweepMakespanDecreases(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(chipSweepCounts)
-	for _, trace := range paperTraces {
-		tr := trace.name
+	for _, pt := range paperTraces {
+		tr := pt.name
 		for _, series := range []string{tr + "/makespan/conv", tr + "/makespan/ppb"} {
 			vals := fig.Series[series]
 			if len(vals) != n {

@@ -357,8 +357,8 @@ func TestQDSweepShape(t *testing.T) {
 	if qd16 < 0 {
 		t.Fatal("sweep no longer includes QD 16")
 	}
-	for _, trace := range paperTraces {
-		tr := trace.name
+	for _, pt := range paperTraces {
+		tr := pt.name
 		for _, series := range []string{tr + "/makespan/conv", tr + "/makespan/ppb"} {
 			vals := fig.Series[series]
 			if len(vals) != n {
