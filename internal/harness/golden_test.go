@@ -39,7 +39,8 @@ func goldenPath(id string) string {
 // -update records at parallelism 1; the check runs at parallelism 8, so
 // the same comparison also proves that worker scheduling never leaks
 // into the measurements (each run owns its device, FTL and replay
-// state). Intentional changes re-record with -update; the committed
+// state; TestFiguresDeterministicAcrossParallelism checks that without
+// fixtures). Intentional changes re-record with -update; the committed
 // fixture diff then documents exactly which figures moved.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
