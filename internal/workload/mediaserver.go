@@ -62,6 +62,10 @@ func (c MediaConfig) withDefaults() MediaConfig {
 	return c
 }
 
+// mediaMetaSkew is the access skew over the metadata region's 4 KiB
+// chunks.
+const mediaMetaSkew = 1.3
+
 // MediaServer generates the media-server stand-in trace: Zipf-popular
 // write-once-read-many files streamed sequentially, bulk ingest rewrites
 // of unpopular files, and a small frequently read/updated metadata region.
@@ -139,7 +143,7 @@ func NewMediaServer(cfg MediaConfig) *MediaServer {
 	}
 	m.filePop = newZipf(rng, cfg.ZipfS, uint64(cfg.FileCount))
 	m.metaSlot = m.metaBytes / 4096
-	m.metaPop = newZipf(rng, 1.3, m.metaSlot)
+	m.metaPop = newZipf(rng, mediaMetaSkew, m.metaSlot)
 	return m
 }
 

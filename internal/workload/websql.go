@@ -59,6 +59,9 @@ func (c WebSQLConfig) withDefaults() WebSQLConfig {
 	return c
 }
 
+// websqlMetaSkew is the access skew over the index/catalog pages.
+const websqlMetaSkew = 1.4
+
 // WebSQL generates the web/SQL stand-in trace: Zipf-skewed small page
 // updates and re-reads over a table region, sequential log appends, very
 // hot index/catalog pages, and occasional sequential scans.
@@ -126,7 +129,7 @@ func NewWebSQL(cfg WebSQLConfig) *WebSQL {
 	w.dataBase = w.logBase + logBytes
 	w.dataPages = (cfg.LogicalBytes - w.dataBase) / page
 	w.dataPop = newZipf(rng, cfg.ZipfS, w.dataPages)
-	w.metaPop = newZipf(rng, 1.4, w.metaBytes/page)
+	w.metaPop = newZipf(rng, websqlMetaSkew, w.metaBytes/page)
 	return w
 }
 

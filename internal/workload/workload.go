@@ -13,14 +13,14 @@
 //
 // Every generator is deterministic given its seed and streams requests so
 // multi-million-request traces need no in-memory materialization.
+//
+// Both traces draw their Zipf popularity through zipf, which returns the
+// values, and consumes the seed's draws, of math/rand's Zipf exactly, but
+// decides most draws from per-sampler lookup tables instead of a log and
+// an exp each; see zipf for why the two cannot disagree.
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-
-	"ppbflash/internal/trace"
-)
+import "ppbflash/internal/trace"
 
 // Generator streams a deterministic request sequence. It is a
 // trace.Stream plus the metadata a harness needs to size the device and
@@ -54,22 +54,3 @@ func (f *Func) Next() (trace.Request, bool) { return f.NextFunc() }
 
 // alignDown rounds v down to a multiple of align (align > 0).
 func alignDown(v uint64, align uint64) uint64 { return v - v%align }
-
-// zipf wraps rand.Zipf to draw skewed indices in [0, n).
-type zipf struct {
-	z *rand.Zipf
-}
-
-// newZipf builds a Zipf sampler over [0, n) with skew s (> 1; larger is
-// more skewed). Panics on invalid parameters to surface config bugs early.
-func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
-	if n == 0 {
-		panic("workload: zipf over empty domain")
-	}
-	if s <= 1 {
-		panic(fmt.Sprintf("workload: zipf skew must be > 1, got %g", s))
-	}
-	return zipf{z: rand.NewZipf(rng, s, 1, n-1)}
-}
-
-func (z zipf) draw() uint64 { return z.z.Uint64() }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ppbflash/internal/trace"
@@ -234,18 +236,28 @@ func TestFuncAdapter(t *testing.T) {
 	}
 }
 
+// TestZipfPanics: invalid parameters panic before any table is built. A
+// NaN or infinite skew passes a plain s <= 1 check, and rand.Zipf then
+// never returns from its first draw.
 func TestZipfPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty domain": func() { newZipf(nil, 1.5, 0) },
-		"bad skew":     func() { newZipf(nil, 1.0, 10) },
+	for _, tc := range []struct {
+		name string
+		s    float64
+		n    uint64
+		want string
+	}{
+		{"empty domain", 1.5, 0, "empty domain"},
+		{"bad skew", 1.0, 10, "zipf skew must be > 1"},
+		{"NaN skew", math.NaN(), 10, "zipf skew must be > 1"},
+		{"infinite skew", math.Inf(1), 10, "zipf skew must be > 1"},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("want panic")
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
 				}
 			}()
-			fn()
+			newZipf(nil, tc.s, tc.n)
 		})
 	}
 }
