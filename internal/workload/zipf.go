@@ -15,8 +15,9 @@ const (
 	// guide array. A power of two, so r*M is exact.
 	zipfGuideCells = 1 << 14
 	// zipfGuard is δ: a draw whose r lies within it of one of its
-	// region's edges goes to the stdlib. The stdlib's own rounding moves
-	// an edge by under 1e-14 in r at every tabulated skew.
+	// region's edges goes to the stdlib. Where the stdlib's own rounding
+	// puts an edge differs from the table by under 2e-15 in r from skew
+	// 1.01 up, and by about 2e-14 at the smallest tabulated skew.
 	zipfGuard = 1e-11
 	// zipfMinTableSkew is the smallest tabulated skew. The stdlib's
 	// rounding in r grows as 1/(s−1), to about 1e-11 at s = 1+1e-6, so
@@ -38,17 +39,18 @@ const _ = uint16(zipfSearch + 2*zipfTableBins)
 //
 // rand.Zipf (Hörmann and Derflinger's rejection-inversion) maps each
 // r = rng.Float64() to ur = hxm + r·(h(½) − 1 − hxm), x = hinv(ur) and
-// k = ⌊x+½⌋, accepts k when x ≥ k−s' or ur ≥ h(k+½) − (k+1)^−s, and
-// otherwise draws again. Each test is monotone in r, so every k has an
-// interval of r, and an accept limit inside it, that its formulas give
-// in closed form. edges holds these for k < zipfTableBins, as r
-// decreases, and guide maps ⌊r·M⌋ to the region at the top of its cell.
-// A draw is decided by the table when r lies more than zipfGuard from
-// both edges of its region: the guard is far wider than the stdlib's
-// rounding, so the stdlib would decide it the same way. Every other draw
-// (in a guard band, at k >= zipfTableBins, or from a sampler with no
-// table) goes to a rand.Zipf whose source replays that r once and then
-// reads rng, so the stdlib computes it, and its redraws, itself.
+// k = ⌊x+½⌋. It returns k when k − x ≤ squeeze or ur ≥ h(k+½) − (k+1)^−s,
+// and otherwise draws again. In exact arithmetic each step is monotone
+// in r, so k is returned for r in an interval whose ends, like the
+// redraw region at its top, have a closed form in h. zipfEdges computes
+// these edges for k < zipfTableBins, and the guide array resolves most
+// draws in one load. A draw is decided from the table only when r lies
+// more than zipfGuard from both edges of its region. The stdlib's
+// rounding moves its own decisions by far less than that, so it would
+// decide the draw the same way. Every other draw goes to a rand.Zipf:
+// one in a guard band, at k >= zipfTableBins, or from a sampler with no
+// table. That sampler's source replays the draw's r once and then reads
+// rng, so the stdlib computes the draw, and its redraws, itself.
 type zipf struct {
 	rng *rand.Rand
 	// guide[c] is k when every r in cell c accepts k, and otherwise
@@ -144,8 +146,9 @@ func zipfEdges(s float64, n uint64) []float64 {
 	e[0] = 1
 	for k := range bins {
 		fk := float64(k)
-		lo := toR(h(fk + 0.5))
-		acc := min(toR(min(h(fk-squeeze), h(fk+0.5)-math.Exp(-math.Log(fk+1)*s))), e[len(e)-1])
+		hk := h(fk + 0.5)
+		lo := toR(hk)
+		acc := min(toR(min(h(fk-squeeze), hk-math.Exp(-math.Log(fk+1)*s))), e[len(e)-1])
 		if !(-1 < lo && lo < e[len(e)-1] && lo <= acc) {
 			break
 		}
