@@ -86,6 +86,7 @@ func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
 	return z
 }
 
+// draw returns the next value; most draws end at the guide.
 func (z *zipf) draw() uint64 {
 	r := z.rng.Float64()
 	if g := z.guide[int(r*zipfGuideCells)]; g < zipfSearch {
