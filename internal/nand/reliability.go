@@ -196,7 +196,6 @@ const (
 type relState struct {
 	cfg      ReliabilityConfig
 	rng      uint64          // splitmix64 state
-	cleanBER float64         // clean-read threshold (see surelyClean)
 	layerBER []float64       // per page-index layer-skewed base RBER
 	progTime []time.Duration // per-PPN program-time stamp
 	uncorr   []uint32        // per-block uncorrectable-read count
@@ -207,8 +206,10 @@ type relState struct {
 	stats    ReliabilityStats
 }
 
-// nextFloat draws the next uniform variate in (0, 1) from the splitmix64
-// stream. Exactly one draw happens per enabled read.
+// nextFloat draws the next uniform variate in (0, 1] from the splitmix64
+// stream. Exactly one draw happens per enabled read. The smallest draw is
+// 2^-54, and the largest is exactly 1: a mixed value of all ones gives
+// (2^53-1)+0.5, which rounds to 2^53.
 func (r *relState) nextFloat() float64 {
 	r.rng += 0x9E3779B97F4A7C15
 	z := r.rng
@@ -218,25 +219,57 @@ func (r *relState) nextFloat() float64 {
 	return (float64(z>>11) + 0.5) / (1 << 53)
 }
 
-// surelyClean reports, without a logarithm, that a read of error rate
-// rber whose Exp(1) variate is -ln u samples at or below ECCCorrectBER.
-// On (0,1], -ln u <= (1-u)(1+u)/(2u) (the log-mean inequality at t =
-// 1/u). That form rounds to within a few ulps of its true value, and
-// the 1e-9 margin in cleanBER absorbs the rounding of both sides, so
-// the test fires only for reads the exact comparison also finds clean.
-func (r *relState) surelyClean(rber, u float64) bool {
-	return rber*((1-u)*(1+u)/(2*u)) <= r.cleanBER
+// negLogCellCount is the number of equal cells of u in negLogCells.
+const negLogCellCount = 2048
+
+// negLogCell brackets the Exp(1) variate -ln u of every draw u in one
+// cell of negLogCells.
+type negLogCell struct{ lo, hi float64 }
+
+// negLogCells splits the draw range (0, 1] into negLogCellCount equal
+// cells; cell i holds the draws u with floor(u*negLogCellCount) = i,
+// and the last cell also holds u = 1 (see negLogCellOf). Each cell's
+// bracket is -math.Log at the cell's two edges, widened by a relative
+// 1e-9, far above the rounding of math.Log (under an ulp), so -math.Log
+// of every draw in the cell lies inside it. The bracket of cell 0 ends
+// at the smallest draw, 2^-54.
+var negLogCells = negLogTable()
+
+func negLogTable() [negLogCellCount]negLogCell {
+	const margin = 1e-9
+	var t [negLogCellCount]negLogCell
+	for i := range t {
+		top := -math.Log(float64(i+1) / negLogCellCount)
+		bottom := 0x1p-54
+		if i > 0 {
+			bottom = float64(i) / negLogCellCount
+		}
+		t[i] = negLogCell{lo: top * (1 - margin), hi: -math.Log(bottom) * (1 + margin)}
+	}
+	return t
 }
 
-// cleanThreshold returns the cleanBER of an ECC threshold. Below the
-// normal floating-point range the margin would be lost to rounding, so
-// there it returns 0, which admits only a zero bound — a read the exact
-// comparison also finds clean.
-func cleanThreshold(ecc float64) float64 {
-	if ecc < 0x1p-1022 {
+// negLogCellOf returns the cell of negLogCells that holds draw u. u times
+// the cell count is exact, so the index is the cell of u itself.
+func negLogCellOf(u float64) uint {
+	return min(uint(u*negLogCellCount), negLogCellCount-1)
+}
+
+// retrySteps returns the read-retry steps a read of sampled error rate
+// needs: 0 when ECC alone corrects it, and -1 when it needs more than
+// MaxRetries, so the read is uncorrectable. The quotient is compared
+// with MaxRetries before it is converted, so one past the int range (or
+// NaN) is uncorrectable too. The result is monotone in sampled: a
+// larger rate never needs fewer steps, with -1 counting as the most.
+func (r *relState) retrySteps(sampled float64) int {
+	if sampled <= r.cfg.ECCCorrectBER {
 		return 0
 	}
-	return ecc * (1 - 1e-9)
+	q := (sampled - r.cfg.ECCCorrectBER) / r.cfg.RetryStepBER
+	if !(q < float64(r.cfg.MaxRetries)) {
+		return -1
+	}
+	return int(q) + 1
 }
 
 // flagRetire recommends block b for retirement and enqueues it as a
@@ -285,7 +318,6 @@ func (d *Device) SetReliability(cfg ReliabilityConfig, seed int64) error {
 		}
 		r.layerBER[p] = cfg.BaseBER * (1 + cfg.LayerSkew*frac)
 	}
-	r.cleanBER = cleanThreshold(cfg.ECCCorrectBER)
 	d.rel = r
 	return nil
 }
@@ -304,8 +336,11 @@ func (d *Device) ReliabilityStats() ReliabilityStats {
 
 // reliabilityPenalty samples the reliability outcome of reading page of
 // block b and returns the extra device time the read costs (zero for a
-// clean read). It is the read hot path: no allocations, exactly one
-// PRNG draw, and no logarithm for reads surelyClean settles.
+// clean read). It is the read hot path: no allocations and exactly one
+// PRNG draw. The draw's cell in negLogCells brackets its variate -ln u,
+// and every step from the variate to the retry count is monotone, so
+// when both ends of the bracket give the same count, so does -ln u; only
+// a bracket that straddles a threshold takes the logarithm.
 func (d *Device) reliabilityPenalty(b BlockID, blk *blockState, p PPN, page int) time.Duration {
 	r := d.rel
 	rber := r.layerBER[page] * (1 + r.cfg.PECycleFactor*float64(blk.eraseCount))
@@ -318,19 +353,18 @@ func (d *Device) reliabilityPenalty(b BlockID, blk *blockState, p PPN, page int)
 			rber *= mult
 		}
 	}
-	// The offset in nextFloat keeps u strictly above zero, so neither
-	// the bound nor the log sees zero.
+	// u is never zero (see nextFloat), so the log stays finite.
 	u := r.nextFloat()
-	if r.surelyClean(rber, u) {
+	c := &negLogCells[negLogCellOf(u)]
+	steps := r.retrySteps(rber * c.hi)
+	if steps != 0 && r.retrySteps(rber*c.lo) != steps {
+		steps = r.retrySteps(rber * -math.Log(u))
+	}
+	if steps == 0 {
 		return 0
 	}
-	sampled := rber * -math.Log(u)
-	if sampled <= r.cfg.ECCCorrectBER {
-		return 0
-	}
-	steps := int((sampled-r.cfg.ECCCorrectBER)/r.cfg.RetryStepBER) + 1
 	r.stats.Retried++
-	if steps > r.cfg.MaxRetries {
+	if steps < 0 {
 		steps = r.cfg.MaxRetries
 		r.stats.Steps += uint64(steps)
 		r.stats.Uncorrectable++

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// alwaysUncorrectable returns a config whose every read is guaranteed
-// uncorrectable: the Exp(1) draw is bounded below by ~5.5e-17 (u < 1),
-// so with rber = 1 the sampled error rate always clears the tiny ECC
-// and retry thresholds by more than MaxRetries steps.
+// alwaysUncorrectable returns a config whose every read is uncorrectable
+// unless its draw is exactly u = 1 (odds 2^-53, -ln u = 0): every other
+// draw is at most 1-2^-53, so its Exp(1) variate is at least ~1.1e-16,
+// and with rber = 1 the sampled error rate clears the tiny ECC and retry
+// thresholds by more than MaxRetries steps.
 func alwaysUncorrectable() ReliabilityConfig {
 	return ReliabilityConfig{
 		Enabled:              true,
@@ -25,7 +26,7 @@ func alwaysUncorrectable() ReliabilityConfig {
 }
 
 // neverRetried returns a config whose every read is guaranteed clean:
-// the Exp(1) draw is bounded above by ~36.8 (u > 2^-53), so the sampled
+// the Exp(1) draw is bounded above by ~37.4 (u >= 2^-54), so the sampled
 // rate can never reach an ECC threshold 1000x above the base RBER.
 func neverRetried() ReliabilityConfig {
 	return ReliabilityConfig{

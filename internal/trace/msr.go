@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -114,14 +115,18 @@ func (m *MSRReader) Stream() *ErrStream {
 	})
 }
 
-// parseLine parses one trimmed, non-comment line without allocating:
-// the fields stay slices of the scanner's buffer, strconv parses each
-// number from a string conversion that does not escape (so a field of
-// up to 32 bytes is copied on the stack), and the hostname string is
-// reused while it repeats. Records and error texts are those of
-// splitting the line with strings.Split and parsing each trimmed field
-// with strconv.
+// parseLine parses one trimmed, non-comment line without allocating.
+// A canonical line takes parseCanonical's single pass; any other line
+// is split at its commas, its fields stay slices of the scanner's
+// buffer, and strconv parses each number from a string conversion that
+// does not escape (so a field of up to 32 bytes is copied on the
+// stack). The hostname string is reused while it repeats. Records and
+// error texts are those of splitting the line with strings.Split and
+// parsing each trimmed field with strconv.
 func (m *MSRReader) parseLine(line []byte) (MSRRecord, error) {
+	if rec, ok := m.parseCanonical(line); ok {
+		return rec, nil
+	}
 	var f [7][]byte
 	rest := line
 	for i := range 6 {
@@ -159,20 +164,101 @@ func (m *MSRReader) parseLine(line []byte) (MSRRecord, error) {
 	if err != nil {
 		return MSRRecord{}, fmt.Errorf("response time: %w", err)
 	}
-	if string(f[1]) != m.host {
-		m.host = string(f[1])
+	return m.record(ts, f[1], disk, op, off, uint32(size), resp), nil
+}
+
+// record builds a parsed line's record, reusing the hostname string
+// while it repeats.
+func (m *MSRReader) record(ts int64, host []byte, disk int, op Op, off uint64, size uint32, resp int64) MSRRecord {
+	if string(host) != m.host {
+		m.host = string(host)
 	}
 	return MSRRecord{
 		Request: Request{
 			Time:   time.Duration(ts) * filetimeTick,
 			Op:     op,
 			Offset: off,
-			Size:   uint32(size),
+			Size:   size,
 		},
 		Hostname:     m.host,
 		DiskNumber:   disk,
 		ResponseTime: time.Duration(resp) * filetimeTick,
-	}, nil
+	}
+}
+
+// parseCanonical parses, in one pass, a line in the form MSR traces and
+// MSRWriter write: seven fields without padding, each number an
+// unsigned run of 1 to 18 digits (so none overflows), a size below
+// 2^32 and the op spelled Read or Write. It reports false for any other
+// line; on the lines it accepts, parseLine's strconv path gives the
+// same record.
+func (m *MSRReader) parseCanonical(line []byte) (MSRRecord, bool) {
+	ts, rest, ok := canonicalNumber(line)
+	if !ok {
+		return MSRRecord{}, false
+	}
+	h := bytes.IndexByte(rest, ',')
+	if h < 0 || h > 0 && (padByte(rest[0]) || padByte(rest[h-1])) {
+		return MSRRecord{}, false
+	}
+	host := rest[:h]
+	disk, rest, ok := canonicalNumber(rest[h+1:])
+	if !ok || disk > math.MaxInt {
+		return MSRRecord{}, false
+	}
+	var op Op
+	switch {
+	case len(rest) > 5 && string(rest[:5]) == "Read,":
+		op, rest = OpRead, rest[5:]
+	case len(rest) > 6 && string(rest[:6]) == "Write,":
+		op, rest = OpWrite, rest[6:]
+	default:
+		return MSRRecord{}, false
+	}
+	off, rest, ok := canonicalNumber(rest)
+	if !ok {
+		return MSRRecord{}, false
+	}
+	size, rest, ok := canonicalNumber(rest)
+	if !ok || size > math.MaxUint32 {
+		return MSRRecord{}, false
+	}
+	resp, rest, ok := canonicalNumber(rest)
+	if !ok || rest != nil {
+		return MSRRecord{}, false
+	}
+	return m.record(int64(ts), host, int(disk), op, off, uint32(size), int64(resp)), true
+}
+
+// canonicalNumber parses the run of 1 to 18 decimal digits at the start
+// of b and returns its value and what follows its comma, or a nil rest
+// when the run ends b. ok is false when b does not start with such a
+// run followed by a comma or the end of b.
+func canonicalNumber(b []byte) (v uint64, rest []byte, ok bool) {
+	n := 0
+	for ; n < len(b) && n <= 18; n++ {
+		d := b[n] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + uint64(d)
+	}
+	switch {
+	case n == 0 || n > 18:
+		return 0, nil, false
+	case n == len(b):
+		return v, nil, true
+	case b[n] == ',':
+		return v, b[n+1:], true
+	}
+	return 0, nil, false
+}
+
+// padByte reports whether c, at an end of a field, might be trimmed as
+// space: an ASCII space or control byte, or the start or end of a
+// non-ASCII rune.
+func padByte(c byte) bool {
+	return c <= ' ' || c >= utf8.RuneSelf
 }
 
 // msrField returns field i of a line, untrimmed, for error texts.
