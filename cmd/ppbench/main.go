@@ -20,7 +20,7 @@
 // An unknown -scale or -fig, a negative -divisor, -turnover or
 // -parallel, or a NaN or infinite -turnover exits 2 before any output;
 // 0 keeps the preset for -divisor and -turnover, and means GOMAXPROCS
-// for -parallel.
+// for -parallel. An explicit -seed always applies, -seed 0 included.
 package main
 
 import (
@@ -70,57 +70,33 @@ type figureEntry struct {
 }
 
 func main() {
-	var (
-		figFlag      = flag.String("fig", "all", "experiment id (3, 12-18, a1-a10) or 'all'")
-		scaleFlag    = flag.String("scale", "bench", "preset scale: quick, bench or paper")
-		divisorFlag  = flag.Int("divisor", 0, "override device divisor (1 = full 64 GB)")
-		turnoverFlag = flag.Float64("turnover", 0, "override write turnover multiple")
-		seedFlag     = flag.Int64("seed", 0, "override workload seed")
-		parallelFlag = flag.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS)")
-		jsonFlag     = flag.Bool("json", false, "write a machine-readable benchmark report")
-		outFlag      = flag.String("out", "BENCH_1.json", "report path for -json")
-	)
-	flag.Parse()
-
-	scale, err := pickScale(*scaleFlag)
-	if err == nil {
-		err = checkFlags(*figFlag, *divisorFlag, *turnoverFlag, *parallelFlag)
-	}
+	opts, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *divisorFlag > 0 {
-		scale.DeviceDivisor = *divisorFlag
-	}
-	if *turnoverFlag > 0 {
-		scale.WriteTurnover = *turnoverFlag
-	}
-	if *seedFlag != 0 {
-		scale.Seed = *seedFlag
-	}
-	scale.Parallelism = *parallelFlag
+	scale := opts.scale
 
 	fmt.Println(ppbflash.TableOne().Table)
 	fmt.Printf("scale: divisor=%d (device %.1f GB), turnover=%.1fx, seed=%d, parallel=%d\n\n",
 		scale.DeviceDivisor,
 		float64(scale.DeviceConfig(16<<10, 2).TotalBytes())/float64(1<<30),
-		scale.WriteTurnover, scale.Seed, effectiveParallelism(*parallelFlag))
+		scale.WriteTurnover, scale.Seed, effectiveParallelism(scale.Parallelism))
 
 	report := benchReport{
 		Schema:      "ppbench/v1",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Scale:       *scaleFlag,
+		Scale:       opts.scaleName,
 		Divisor:     scale.DeviceDivisor,
 		Turnover:    scale.WriteTurnover,
 		Seed:        scale.Seed,
-		Parallelism: effectiveParallelism(*parallelFlag),
+		Parallelism: effectiveParallelism(scale.Parallelism),
 	}
 
 	ids := ppbflash.ExperimentIDs()
-	if *figFlag != "all" {
-		ids = []string{*figFlag}
+	if opts.fig != "all" {
+		ids = []string{opts.fig}
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -140,7 +116,7 @@ func main() {
 		})
 	}
 
-	if *jsonFlag {
+	if opts.json {
 		fmt.Println("running hot-path microbenchmarks...")
 		report.Micro = microBenchmarks()
 		buf, err := json.MarshalIndent(report, "", "  ")
@@ -149,12 +125,64 @@ func main() {
 			os.Exit(1)
 		}
 		buf = append(buf, '\n')
-		if err := os.WriteFile(*outFlag, buf, 0o644); err != nil {
+		if err := os.WriteFile(opts.out, buf, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "ppbench: writing report: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", *outFlag)
+		fmt.Printf("wrote %s\n", opts.out)
 	}
+}
+
+// options is a parsed command line.
+type options struct {
+	fig       string
+	scaleName string
+	scale     ppbflash.Scale // the preset with the overrides and -parallel applied
+	json      bool
+	out       string
+}
+
+// parseFlags parses the command line and resolves the run's scale: the
+// -scale preset, with -divisor and -turnover applied when positive and
+// -seed applied whenever it is given, so -seed 0 runs seed 0. A malformed
+// flag exits 2 (or 0 for -h) as flag.Parse does; an out-of-range value
+// is returned as an error.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("ppbench", flag.ExitOnError)
+	var (
+		opts     options
+		divisor  = fs.Int("divisor", 0, "override device divisor (1 = full 64 GB)")
+		turnover = fs.Float64("turnover", 0, "override write turnover multiple")
+		seed     = fs.Int64("seed", 0, "override workload seed")
+		parallel = fs.Int("parallel", 0, "concurrent simulation runs per experiment (0 = GOMAXPROCS)")
+	)
+	fs.StringVar(&opts.fig, "fig", "all", "experiment id (3, 12-18, a1-a10) or 'all'")
+	fs.StringVar(&opts.scaleName, "scale", "bench", "preset scale: quick, bench or paper")
+	fs.BoolVar(&opts.json, "json", false, "write a machine-readable benchmark report")
+	fs.StringVar(&opts.out, "out", "BENCH_1.json", "report path for -json")
+	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a malformed flag
+
+	scale, err := pickScale(opts.scaleName)
+	if err == nil {
+		err = checkFlags(opts.fig, *divisor, *turnover, *parallel)
+	}
+	if err != nil {
+		return options{}, err
+	}
+	if *divisor > 0 {
+		scale.DeviceDivisor = *divisor
+	}
+	if *turnover > 0 {
+		scale.WriteTurnover = *turnover
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			scale.Seed = *seed
+		}
+	})
+	scale.Parallelism = *parallel
+	opts.scale = scale
+	return opts, nil
 }
 
 // checkFlags rejects an unknown -fig and out-of-range overrides before

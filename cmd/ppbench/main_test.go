@@ -47,3 +47,26 @@ func TestCheckFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestParseFlagsSeed: an explicit -seed reaches the scale whatever its
+// value, 0 included, and leaving it out keeps the preset's seed. The
+// check used to be "-seed != 0", so -seed 0 ran (and printed) seed 1.
+func TestParseFlagsSeed(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int64
+	}{
+		{[]string{"-fig", "a1", "-scale", "quick"}, 1},
+		{[]string{"-fig", "a1", "-scale", "quick", "-seed", "0"}, 0},
+		{[]string{"-seed", "7"}, 7},
+		{[]string{"-seed=-3", "-scale", "paper"}, -3},
+	} {
+		opts, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatalf("parseFlags(%q): %v", tc.args, err)
+		}
+		if opts.scale.Seed != tc.want {
+			t.Errorf("parseFlags(%q): seed %d, want %d", tc.args, opts.scale.Seed, tc.want)
+		}
+	}
+}

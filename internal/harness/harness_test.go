@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -119,8 +120,14 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 		{Name: "ok", Device: dev, Kind: KindConventional, Workload: testScale.WebSQLWorkload()},
 		{Name: "bad", Device: dev, Kind: "nope", Workload: testScale.WebSQLWorkload()},
 	}
-	if _, err := RunAll(specs, 2); err == nil {
-		t.Error("bad spec did not surface an error")
+	for _, parallelism := range []int{1, 2} {
+		results, err := RunAll(specs, parallelism)
+		if err == nil {
+			t.Errorf("parallelism %d: bad spec did not surface an error", parallelism)
+		}
+		if results != nil {
+			t.Errorf("parallelism %d: failed batch returned %d results, want nil", parallelism, len(results))
+		}
 	}
 	if _, err := RunAll(specs[:1], 1); err != nil {
 		t.Errorf("good spec failed: %v", err)
@@ -277,6 +284,10 @@ func TestAblationsRun(t *testing.T) {
 func TestTableOne(t *testing.T) {
 	fig := TableOne()
 	out := fig.Table.String()
+	// The paper's 64 GB, rounded from 63.996 GiB, beside the page count.
+	if !regexp.MustCompile(`(?m)^\| Flash size +\| 64 GB \(4194048 pages\) +\|$`).MatchString(out) {
+		t.Errorf("Table 1 flash size row is not 64 GB (4194048 pages):\n%s", out)
+	}
 	for _, want := range []string{"16 KB", "384", "600µs", "49µs", "4ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q:\n%s", want, out)

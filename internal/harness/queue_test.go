@@ -266,51 +266,6 @@ func TestOpenLoopClampsNonMonotonicArrivals(t *testing.T) {
 	}
 }
 
-// TestRunAllMarksSkippedRuns: a failing spec must not leave silent
-// all-zero rows for the runs the fail-fast skipped — every unfinished
-// row carries Skipped (and its spec's name), every finished row does not.
-func TestRunAllMarksSkippedRuns(t *testing.T) {
-	dev := testScale.DeviceConfig(16<<10, 2)
-	wl := testScale.WebSQLWorkload()
-	specs := []RunSpec{
-		{Name: "s/ok0", Device: dev, Kind: KindConventional, Workload: wl},
-		{Name: "s/bad", Device: dev, Kind: "nope", Workload: wl},
-		{Name: "s/ok1", Device: dev, Kind: KindConventional, Workload: wl},
-		{Name: "s/ok2", Device: dev, Kind: KindConventional, Workload: wl},
-	}
-	for _, parallelism := range []int{1, 2} {
-		results, err := RunAll(specs, parallelism)
-		if err == nil {
-			t.Fatalf("parallelism %d: bad spec did not surface an error", parallelism)
-		}
-		if len(results) != len(specs) {
-			t.Fatalf("parallelism %d: %d results for %d specs", parallelism, len(results), len(specs))
-		}
-		if !results[1].Skipped {
-			t.Errorf("parallelism %d: failed run not marked skipped", parallelism)
-		}
-		for i, res := range results {
-			if res.Name != specs[i].Name {
-				t.Errorf("parallelism %d: row %d named %q, want %q", parallelism, i, res.Name, specs[i].Name)
-			}
-			if res.Skipped {
-				if res.HostWritePage != 0 || res.Makespan != 0 {
-					t.Errorf("parallelism %d: skipped row %d carries measurements: %+v", parallelism, i, res)
-				}
-			} else if res.HostWritePage == 0 {
-				t.Errorf("parallelism %d: row %d not skipped but has no measurements", parallelism, i)
-			}
-		}
-	}
-	// The sequential path stops at the failure: everything after it is
-	// skipped, everything before it is real.
-	results, _ := RunAll(specs, 1)
-	if results[0].Skipped || !results[2].Skipped || !results[3].Skipped {
-		t.Errorf("sequential skip pattern = %v/%v/%v/%v, want real/skip/skip/skip",
-			results[0].Skipped, results[1].Skipped, results[2].Skipped, results[3].Skipped)
-	}
-}
-
 // TestQueuedRunsDeterministicUnderRunAll: the queueing event loop keeps
 // all its state (completion heap, burst window, chip clocks) per run, so
 // deep-queue and open-loop results must be identical at any RunAll

@@ -127,9 +127,10 @@ type Result struct {
 	// Throughput of the measured replay. DeviceOps counts the device page
 	// reads, programs and erases of the trace era; SimOpsPerSec divides
 	// them by the simulated makespan. ReplayEvents counts the discrete
-	// events the event loop processed (arrivals, issues, completions,
-	// erase commits, suspend/resume marks). All three are deterministic,
-	// like every field of a Result, so results compare with ==.
+	// events the event loop processed: open-loop arrivals, issues and
+	// completions (deferred-erase commits and suspensions happen inside
+	// the device and are not events). All three are deterministic, like
+	// every field of a Result, so results compare with ==.
 	DeviceOps    uint64
 	SimOpsPerSec float64
 	ReplayEvents uint64
@@ -154,12 +155,6 @@ type Result struct {
 	// with ==.
 	Tenants     [trace.MaxTenants]TenantResult
 	TenantCount int
-
-	// Skipped marks a run that RunAll never finished because an earlier
-	// spec in the same batch failed (fail-fast). All measurement fields of
-	// a skipped row are zero; tabulating code must drop such rows instead
-	// of rendering phantom all-zero series.
-	Skipped bool
 
 	// PPB-only counters (zero otherwise).
 	Migrations uint64
@@ -265,35 +260,14 @@ func Run(spec RunSpec) (Result, error) {
 // are embarrassingly parallel and every result is identical to a
 // sequential Run of the same spec — parallelism only changes wall-clock
 // time, never the measurements. parallelism <= 0 means GOMAXPROCS. On
-// error the first failure (in worker completion order) is returned along
-// with the results of the runs that did succeed; every run that was
-// skipped by the resulting fail-fast (or failed itself) is marked with
-// Result.Skipped so callers tabulating the partial slice can tell real
-// measurements from never-run placeholders.
+// error it returns nil and the first failure (in worker completion
+// order); the runs not yet started are skipped.
 func RunAll(specs []RunSpec, parallelism int) ([]Result, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(specs) {
-		parallelism = len(specs)
-	}
-	// Every slot starts as a skipped placeholder; a completed run
-	// overwrites its own slot, so whatever the fail-fast left unrun is
-	// already marked without extra bookkeeping.
+	parallelism = min(parallelism, len(specs))
 	results := make([]Result, len(specs))
-	for i, spec := range specs {
-		results[i] = Result{Name: spec.Name, Kind: spec.Kind, Skipped: true}
-	}
-	if parallelism <= 1 {
-		for i, spec := range specs {
-			res, err := Run(spec)
-			if err != nil {
-				return results, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -305,9 +279,9 @@ func RunAll(specs []RunSpec, parallelism int) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				// Fail fast: once any run has failed, the batch's caller
-				// will discard the results, so don't burn time on the
-				// remaining simulations.
+				// Fail fast: once any run has failed, the batch has no
+				// results to return, so don't burn time on the remaining
+				// simulations.
 				mu.Lock()
 				failed := firstErr != nil
 				mu.Unlock()
@@ -332,7 +306,10 @@ func RunAll(specs []RunSpec, parallelism int) ([]Result, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	return results, firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return results, nil
 }
 
 // NewPageOpsFTL builds the standard page-op microbenchmark subject: a
@@ -479,8 +456,7 @@ type ReplayMetrics struct {
 	QueueDelay   *metrics.Histogram
 
 	// Events counts the discrete events the replay's event loop popped
-	// (arrivals, issues, completions, erase commits, suspend/resume
-	// marks).
+	// (arrivals, issues and completions).
 	Events uint64
 
 	// tenants holds the per-tenant histogram sets of a multi-tenant
@@ -598,8 +574,7 @@ type ReplayOptions struct {
 
 // ReplayQueued replays the stream under a host queueing model, as one
 // discrete-event loop over a single time-ordered heap (internal/sched):
-// open-loop arrivals, queue-slot issues, per-request completions,
-// deferred-erase deadline commits and erase suspend/resume marks are all
+// open-loop arrivals, queue-slot issues and per-request completions are
 // first-class events popped in (time, FIFO) order, so the whole replay
 // is a deterministic fold over one event sequence.
 //
@@ -627,15 +602,16 @@ type ReplayOptions struct {
 // observing their 0 would drag the read percentiles toward zero on
 // non-prefilled replays.
 //
-// Erases parked by the device's deferral policy register a deadline
-// event through nand.Device.SetDeferralNotify and commit when it pops
-// (an erase the op-time scan already committed makes the event a no-op).
-// The commit lands on the chip clock as soon as the deadline passes, so
-// clock-aware dispatch placing a later block sees it even when no
-// operation has reached that chip since. The drain needs no side-channel
-// flush: popping the heap dry IS the drain, and the host clock ends at
-// the last completion — the same instant the classic loop always ended
-// on.
+// Erases parked by the device's deferral policy commit inside the
+// device: each issue and completion advances the device clock
+// (nand.Device.AdvanceTo), which books every parked erase whose deadline
+// has passed, so clock-aware dispatch placing a later block sees it even
+// when no operation has reached that chip since. Deadlines lie strictly
+// after the issue that parked them, so every deadline at or before an
+// issue's time is booked before that issue runs. Once the heap is dry,
+// one FlushDeferredErases books the erases whose deadlines lie past the
+// last completion; the host clock ends at that completion — the same
+// instant the classic loop always ended on.
 //
 // m is required: it receives every completed request's latency and
 // queueing delay, plus the replay's event count. When m.EnableTenants
@@ -668,20 +644,6 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 		waiting     bool          // cur found every slot full; next completion issues it
 		popped      uint64
 	)
-	dev.SetDeferralNotify(func(chip int, deadline time.Duration) {
-		events.Push(sched.Event{Time: deadline, Kind: sched.KindEraseCommit, Chip: int32(chip)})
-	})
-	defer dev.SetDeferralNotify(nil)
-	// Suspensions are booked synchronously inside the device (the read's
-	// burst already carries the preempted timing), so their events exist
-	// to put the suspend and resume instants into the replay's total
-	// event order — the popping loop only counts them.
-	dev.SetSuspendNotify(func(chip int, at, resumeAt time.Duration) {
-		events.Push(sched.Event{Time: at, Kind: sched.KindEraseSuspend, Chip: int32(chip)})
-		events.Push(sched.Event{Time: resumeAt, Kind: sched.KindEraseResume, Chip: int32(chip)})
-	})
-	defer dev.SetSuspendNotify(nil)
-
 	// pull fetches the next request and schedules how it enters the
 	// queue: open loop as an arrival event at its trace time, closed loop
 	// as an issue event at the current clock when a slot is free — or as
@@ -748,23 +710,9 @@ func ReplayQueued(f ftl.FTL, src trace.Stream, m *ReplayMetrics, opts ReplayOpti
 				waiting = false
 				events.Push(sched.Event{Time: e.Time, Kind: sched.KindIssue})
 			}
-		case sched.KindEraseCommit:
-			dev.CommitDeferredDeadline(int(e.Chip), e.Time)
-		case sched.KindEraseSuspend, sched.KindEraseResume:
-			// Already booked by the device at suspension time; popped only
-			// so suspensions appear in the replay's event order and count.
-			// Advancing the host issue clock here would be wrong: these
-			// are device-internal instants, not host dispatch points.
 		}
 	}
-	if dev.DeferredErases() > 0 {
-		// Erases parked before this replay began predate the deferral
-		// notify hook and therefore have no deadline events; book them the
-		// way the classic drain always did. Replay-era erases all commit
-		// through their deadline events (or the op-time scan), so on the
-		// normal path the queues are empty and this never runs.
-		dev.FlushDeferredErases()
-	}
+	dev.FlushDeferredErases()
 	m.Events += popped
 	return nil
 }

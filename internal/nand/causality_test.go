@@ -78,7 +78,7 @@ func TestEraseDeferralIdleCommit(t *testing.T) {
 	if got := d.ChipFree(0); got != busy {
 		t.Fatalf("deferred erase occupied the chip: free %v, want %v", got, busy)
 	}
-	if got := d.DeferredErases(); got != 1 {
+	if got := parkedErases(d); got != 1 {
 		t.Fatalf("deferred erases = %d, want 1", got)
 	}
 	if got := d.Stats().Erases.Value(); got != 1 {
@@ -98,7 +98,7 @@ func TestEraseDeferralIdleCommit(t *testing.T) {
 	if got, want := d.ChipFree(0), issue+d.readCost[0]; got != want {
 		t.Errorf("chip free = %v, want %v", got, want)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after idle commit, want 0", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestEraseDeferralLetsLaterOpsGoFirst(t *testing.T) {
 	if got := d.LastStart(); got != busy {
 		t.Errorf("read started at %v, want drain %v (before the deferred erase)", got, busy)
 	}
-	if got := d.DeferredErases(); got != 1 {
+	if got := parkedErases(d); got != 1 {
 		t.Errorf("deferred erases = %d, want 1 still pending", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestEraseDeferralDeadlineCommit(t *testing.T) {
 	if got, want := d.LastStart(), busy+cfg.EraseLatency; got != want {
 		t.Errorf("read started at %v, want %v (behind the deadline-committed erase)", got, want)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after deadline, want 0", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestEraseDeferralBlockReuseCommit(t *testing.T) {
 	if got, want := d.LastStart(), busy+cfg.EraseLatency; got != want {
 		t.Errorf("program into reused block started at %v, want after erase %v", got, want)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after block reuse, want 0", got)
 	}
 }
@@ -190,7 +190,7 @@ func TestFlushDeferredErases(t *testing.T) {
 	if got, want := d.Makespan(), busy+cfg.EraseLatency; got != want {
 		t.Errorf("flushed makespan = %v, want %v", got, want)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after flush, want 0", got)
 	}
 
@@ -198,11 +198,11 @@ func TestFlushDeferredErases(t *testing.T) {
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.DeferredErases() != 1 {
+	if parkedErases(d) != 1 {
 		t.Fatal("setup: expected one pending erase")
 	}
 	d.ResetClocks()
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after ResetClocks, want 0", got)
 	}
 	if got := d.Makespan(); got != 0 {
@@ -228,7 +228,7 @@ func TestEraseForceDoubleDeferral(t *testing.T) {
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.DeferredErases(); got != 2 {
+	if got := parkedErases(d); got != 2 {
 		t.Fatalf("deferred erases = %d after double force, want 2", got)
 	}
 	if got := d.Stats().Erases.Value(); got != 2 {
@@ -245,7 +245,7 @@ func TestEraseForceDoubleDeferral(t *testing.T) {
 	if got, want := d.LastStart(), busy+2*cfg.EraseLatency; got != want {
 		t.Errorf("program into twice-erased block started at %v, want %v", got, want)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after block reuse, want 0", got)
 	}
 	// The queue is truly empty: flushing now must not move the clocks
@@ -260,98 +260,103 @@ func TestEraseForceDoubleDeferral(t *testing.T) {
 	}
 }
 
-// TestDeferralNotify: parking an erase fires the deferral hook with the
-// chip and the commit deadline (arm + window) — the event the replay's
-// scheduler turns into a KindEraseCommit entry. Clearing the hook stops
-// the callbacks; an immediate (non-deferred) erase never fires it.
-func TestDeferralNotify(t *testing.T) {
-	d, _ := deferTestDevice(t, time.Second)
-	type park struct {
-		chip     int
-		deadline time.Duration
-	}
-	var got []park
-	d.SetDeferralNotify(func(chip int, deadline time.Duration) {
-		got = append(got, park{chip, deadline})
-	})
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-	// The erase is issued at now = 0, so its deadline is the window.
-	if len(got) != 1 || got[0] != (park{0, time.Second}) {
-		t.Fatalf("notify calls = %+v, want one {chip 0, deadline 1s}", got)
-	}
-	d.SetDeferralNotify(nil)
-	if _, err := d.EraseForce(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("notify fired after being cleared: %+v", got)
-	}
-}
-
-// TestCommitDeferredDeadlineNoDoubleBooking is the replay-drain audit
-// regression: the deadline-event commit path and the device's own
-// op-time must-commit scan share one queue, so an erase books exactly
-// once no matter which path reaches it first — a stale deadline event
-// arriving after the op-time scan already committed the erase must not
-// move the chip clock again.
-func TestCommitDeferredDeadlineNoDoubleBooking(t *testing.T) {
+// TestAdvanceToCommitsDueErases: moving the clock books a parked erase
+// once its deadline (arm + window) is reached and not before, at
+// max(chip free, arm) — behind queued work on a busy chip, at its arm
+// time on an idle one. An erase parked behind one with a later deadline
+// waits for it, so the chip's erases keep their FIFO order.
+func TestAdvanceToCommitsDueErases(t *testing.T) {
 	d, cfg := deferTestDevice(t, time.Second)
 	busy := d.ChipFree(0)
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-
-	// Before the deadline the event commits nothing.
-	d.CommitDeferredDeadline(0, time.Second/2)
-	if got := d.DeferredErases(); got != 1 {
-		t.Fatalf("early deadline event committed the erase (%d pending, want 1)", got)
+	// Parked at now = 0, so the deadline is the window.
+	d.AdvanceTo(time.Second / 2)
+	if got := parkedErases(d); got != 1 {
+		t.Fatalf("erase booked before its deadline (%d parked, want 1)", got)
 	}
 	if got := d.ChipFree(0); got != busy {
-		t.Fatalf("early deadline event moved chip free to %v, want %v", got, busy)
+		t.Fatalf("chip free %v before the deadline, want %v", got, busy)
 	}
-
-	// At the deadline it books at max(chip free, arm) — the chip is
-	// still busy, so directly behind the queued work.
-	d.CommitDeferredDeadline(0, time.Second)
-	if got := d.DeferredErases(); got != 0 {
-		t.Fatalf("deadline event left %d erases pending, want 0", got)
+	d.AdvanceTo(time.Second)
+	if got := parkedErases(d); got != 0 {
+		t.Fatalf("%d erases parked at the deadline, want 0", got)
 	}
 	if got, want := d.ChipFree(0), busy+cfg.EraseLatency; got != want {
-		t.Fatalf("deadline commit booked at %v, want %v", got, want)
+		t.Fatalf("busy chip: erase booked to %v, want behind the queued work %v", got, want)
 	}
 
-	// A duplicate (stale) event for the same deadline is a no-op.
+	// Idle chip 1, erase armed by a dependency floor past the chip
+	// clock: it starts at its arm time.
+	arm := 3 * time.Second / 2
+	d.After(arm)
+	if _, err := d.EraseForce(BlockID(cfg.BlocksPerChip)); err != nil {
+		t.Fatal(err)
+	}
+	d.AdvanceTo(arm + time.Second)
+	if got, want := d.ChipFree(1), arm+cfg.EraseLatency; got != want {
+		t.Fatalf("idle chip: erase booked to %v, want from its arm time %v", got, want)
+	}
+
+	// FIFO: late (deadline 5s) parks ahead of early (deadline 3.5s).
+	now := d.Now()
+	d.After(4 * time.Second)
+	if _, err := d.EraseForce(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.EraseForce(3); err != nil {
+		t.Fatal(err)
+	}
+	d.AdvanceTo(now + time.Second)
+	if got := parkedErases(d); got != 2 {
+		t.Fatalf("%d erases parked at the second one's deadline, want 2 (it waits behind the first)", got)
+	}
+	d.AdvanceTo(5 * time.Second)
+	if got := parkedErases(d); got != 0 {
+		t.Fatalf("%d erases parked at the first one's deadline, want 0", got)
+	}
+	if got, want := d.ChipFree(0), 4*time.Second+2*cfg.EraseLatency; got != want {
+		t.Fatalf("chip free %v after both commits, want %v", got, want)
+	}
+}
+
+// TestAdvanceToNoDoubleBooking: the deadline sweep and the device's
+// op-time scan share one queue, so an erase books exactly once whichever
+// reaches it first — advancing the clock again, or past an erase the
+// op-time scan already committed, must not move the chip clock.
+func TestAdvanceToNoDoubleBooking(t *testing.T) {
+	d, cfg := deferTestDevice(t, time.Second)
+	if _, err := d.EraseForce(0); err != nil {
+		t.Fatal(err)
+	}
+	d.AdvanceTo(time.Second)
 	free := d.ChipFree(0)
-	d.CommitDeferredDeadline(0, time.Second)
+	d.AdvanceTo(time.Second)
+	d.AdvanceTo(2 * time.Second)
 	if got := d.ChipFree(0); got != free {
-		t.Fatalf("stale deadline event double-booked: chip free %v, want %v", got, free)
+		t.Fatalf("repeated AdvanceTo double-booked: chip free %v, want %v", got, free)
 	}
 
-	// Race the other way: the op-time scan (block reuse) commits first,
-	// then the erase's deadline event arrives. Still exactly one booking.
+	// The other order: block reuse commits the erase at op time, then
+	// the clock passes its deadline. Still exactly one booking.
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Program(cfg.PPNForBlockPage(0, 0), OOB{LPN: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.DeferredErases(); got != 0 {
-		t.Fatalf("block reuse left %d erases pending, want 0", got)
+	if got := parkedErases(d); got != 0 {
+		t.Fatalf("block reuse left %d erases parked, want 0", got)
 	}
 	free = d.ChipFree(0)
-	d.CommitDeferredDeadline(0, time.Second)
+	d.AdvanceTo(4 * time.Second)
 	if got := d.ChipFree(0); got != free {
-		t.Fatalf("deadline event after op-time commit double-booked: chip free %v, want %v", got, free)
+		t.Fatalf("deadline after the op-time commit double-booked: chip free %v, want %v", got, free)
 	}
 	if got := d.Stats().Erases.Value(); got != 2 {
 		t.Fatalf("erase stats = %d, want exactly 2 (one per issue)", got)
 	}
-
-	// Out-of-range chips are ignored, not crashed on.
-	d.CommitDeferredDeadline(-1, time.Second)
-	d.CommitDeferredDeadline(99, time.Second)
 }
 
 // TestEraseDeferralDisabledUnchanged: with no deferral window the erase
@@ -368,7 +373,7 @@ func TestEraseDeferralDisabledUnchanged(t *testing.T) {
 	if got := d.ChipFree(0); got != cfg.EraseLatency {
 		t.Errorf("chip free = %v, want immediate erase %v", got, cfg.EraseLatency)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d with deferral off", got)
 	}
 }

@@ -137,12 +137,13 @@ type DeviceStats struct {
 // SetEraseDeferral arms a per-chip deferred-erase queue: an erase issued
 // while its chip is busy does not occupy the chip immediately — later
 // host operations are scheduled ahead of it — and is committed when the
-// chip next goes idle, when its deferral deadline passes, or when an
-// operation targets the (already reallocated) block, whichever comes
-// first. Block contents, stats and the returned cost are unaffected;
-// only the time booking moves. FlushDeferredErases commits everything
-// still pending, and Makespan folds still-parked erases in so it never
-// understates.
+// chip next goes idle, when AdvanceTo moves the clock past its deferral
+// deadline, or when an operation targets the (already reallocated)
+// block, whichever comes first. The device books every commit itself and
+// calls nothing outside it. Block contents, stats and the returned cost
+// are unaffected; only the time booking moves. FlushDeferredErases commits
+// everything still pending, and Makespan folds still-parked erases in so
+// it never understates.
 //
 // # Intra-chip parallelism
 //
@@ -199,24 +200,20 @@ type Device struct {
 	// Suspend-resume state (see SetSuspend): the active policy and its
 	// costs, the per-plane in-flight op records reads probe for a
 	// preemption target (nil while SuspendOff), the monotone suspension
-	// counter, its per-block breakdown (nil while SuspendOff; monotone
-	// like suspends — ResetClocks leaves both alone), and the
-	// event-replay hook told about every suspension.
-	suspendPol    SuspendPolicy
-	suspendCost   time.Duration
-	resumeCost    time.Duration
-	inflight      []inflightOp
-	suspends      uint64
-	suspendCnt    []uint32
-	suspendNotify func(chip int, at, resumeAt time.Duration)
+	// counter and its per-block breakdown (nil while SuspendOff; monotone
+	// like suspends — ResetClocks leaves both alone).
+	suspendPol  SuspendPolicy
+	suspendCost time.Duration
+	resumeCost  time.Duration
+	inflight    []inflightOp
+	suspends    uint64
+	suspendCnt  []uint32
 
 	// Deferred-erase state (see SetEraseDeferral): deferWindow > 0
-	// enables deferral, deferred[c] is chip c's FIFO of pending erases,
-	// deferNotify (when set) is told about every newly parked erase so an
-	// event-driven replay can schedule its deadline commit.
+	// enables deferral, and deferred[c] is chip c's FIFO of pending
+	// erases (nil until deferral is first enabled).
 	deferWindow time.Duration
 	deferred    [][]deferredErase
-	deferNotify func(chip int, deadline time.Duration)
 
 	// Reliability model state (nil when disabled — see SetReliability)
 	// and the incrementally-maintained highest per-block erase count.
@@ -396,7 +393,7 @@ func (d *Device) After(t time.Duration) {
 // space accounting never lies.
 //
 // Disabling (window <= 0) flushes any still-parked erases first: with no
-// window there is no deadline event left to commit them, and leaving
+// window AdvanceTo has no deadline left to commit them by, and leaving
 // them queued would silently understate the makespan until some later op
 // happened to touch their chip.
 func (d *Device) SetEraseDeferral(window time.Duration) {
@@ -409,50 +406,9 @@ func (d *Device) SetEraseDeferral(window time.Duration) {
 	}
 }
 
-// DeferredErases returns how many erases are waiting in the per-chip
-// deferred queues (zero when deferral is disabled or all committed).
-func (d *Device) DeferredErases() int {
-	n := 0
-	for _, q := range d.deferred {
-		n += len(q)
-	}
-	return n
-}
-
-// SetDeferralNotify registers fn to be called whenever an erase is
-// parked in a deferred queue, with the chip it parked on and the
-// deadline by which it must commit. An event-driven replay uses the hook
-// to schedule a deadline-commit event (see internal/sched) instead of
-// flushing blindly at drain; pass nil to unregister. The callback fires
-// synchronously inside Erase, so it must not call back into the device.
-func (d *Device) SetDeferralNotify(fn func(chip int, deadline time.Duration)) {
-	d.deferNotify = fn
-}
-
-// CommitDeferredDeadline books the chip's deferred erases whose deadline
-// has passed at now, in FIFO order, each starting at max(chip free, its
-// arm time) — exactly the booking commitEligible's deadline branch or
-// FlushDeferredErases would produce. The event loop calls it when a
-// deadline event pops; an erase the op-time scan already committed is
-// simply no longer queued, so stale events are harmless no-ops.
-func (d *Device) CommitDeferredDeadline(chip int, now time.Duration) {
-	if d.deferred == nil || chip < 0 || chip >= len(d.deferred) {
-		return
-	}
-	q := d.deferred[chip]
-	n := 0
-	for n < len(q) && q[n].deadline <= now {
-		d.bookDeferred(chip, q[n])
-		n++
-	}
-	if n > 0 {
-		d.deferred[chip] = q[:copy(q, q[n:])]
-	}
-}
-
 // bookDeferred books one deferred erase on its chip, starting at
 // max(plane free, its arm time) — the single booking rule all three
-// commit paths (op-time scan, deadline event, drain flush) share. On a
+// commit paths (op-time scan, deadline sweep, drain flush) share. On a
 // single-plane device this is exactly max(chip free, arm). The booked
 // erase is recorded as in-flight so a read can still suspend it.
 //
@@ -466,10 +422,9 @@ func (d *Device) bookDeferred(chip int, e deferredErase) {
 }
 
 // FlushDeferredErases commits every pending deferred erase at its chip's
-// current free time. The replay commits the erases it parks through
-// per-deadline events (CommitDeferredDeadline) and needs no drain-time
-// flush; it calls this only for erases parked before the replay began,
-// which predate its deferral notify hook and so have no deadline events.
+// current free time, in FIFO order — what AdvanceTo would book once the
+// clock passed every deadline. The replay calls it once after its last
+// completion, for the erases whose deadlines lie beyond it.
 func (d *Device) FlushDeferredErases() {
 	for chip := range d.deferred {
 		for _, e := range d.deferred[chip] {
@@ -482,12 +437,37 @@ func (d *Device) FlushDeferredErases() {
 // Now returns the host issue clock of the service-time model.
 func (d *Device) Now() time.Duration { return d.now }
 
-// AdvanceTo moves the host issue clock forward to t (never backward).
-// The harness calls it at request completion so the next request issues
-// when the previous one finished (closed-loop, queue depth 1).
+// AdvanceTo moves the host issue clock forward to t (never backward) and
+// books every parked erase whose deadline has passed by then (see
+// commitDue), so a chip no operation reaches still shows the erase on
+// its clock. The harness calls it at each request's issue and
+// completion; at queue depth 1 the next request issues when the
+// previous one finished.
 func (d *Device) AdvanceTo(t time.Duration) {
 	if t > d.now {
 		d.now = t
+		if d.deferred != nil {
+			d.commitDue(t)
+		}
+	}
+}
+
+// commitDue books, on every chip, the parked erases at the head of its
+// queue whose deadline is at or before t, in FIFO order through
+// bookDeferred. An erase queued behind one whose deadline is still ahead
+// waits with it: deferral never reorders a chip's erases.
+// A repeated call, or one after the op-time scan already took an erase,
+// finds nothing left to book.
+func (d *Device) commitDue(t time.Duration) {
+	for chip, q := range d.deferred {
+		n := 0
+		for n < len(q) && q[n].deadline <= t {
+			d.bookDeferred(chip, q[n])
+			n++
+		}
+		if n > 0 {
+			d.deferred[chip] = q[:copy(q, q[n:])]
+		}
 	}
 }
 
@@ -763,9 +743,6 @@ func (d *Device) eraseBlock(b BlockID, blk *blockState) time.Duration {
 		d.deferred[chip] = append(d.deferred[chip], deferredErase{
 			block: b, cost: d.cfg.EraseLatency, arm: arm, deadline: arm + d.deferWindow,
 		})
-		if d.deferNotify != nil {
-			d.deferNotify(chip, arm+d.deferWindow)
-		}
 	} else {
 		d.schedule(b, d.cfg.EraseLatency, opErase)
 	}

@@ -23,6 +23,16 @@ func (d *Device) EraseForce(b BlockID) (time.Duration, error) {
 	return d.eraseBlock(b, blk), nil
 }
 
+// parkedErases counts the erases waiting in the per-chip deferred
+// queues (zero when deferral is off or everything has committed).
+func parkedErases(d *Device) int {
+	n := 0
+	for _, q := range d.deferred {
+		n += len(q)
+	}
+	return n
+}
+
 func newTestDevice(t *testing.T) *Device {
 	t.Helper()
 	d, err := NewDevice(testConfig())

@@ -122,16 +122,6 @@ func (d *Device) SetSuspend(policy SuspendPolicy, suspendCost, resumeCost time.D
 // around the measured window.
 func (d *Device) Suspends() uint64 { return d.suspends }
 
-// SetSuspendNotify registers fn to be called whenever a read suspends an
-// in-flight operation, with the chip, the suspension time and the time
-// the preempted remainder resumes. An event-driven replay uses the hook
-// to record suspend/resume occurrences as first-class events (see
-// internal/sched); pass nil to unregister. The callback fires
-// synchronously inside Read, so it must not call back into the device.
-func (d *Device) SetSuspendNotify(fn func(chip int, at, resumeAt time.Duration)) {
-	d.suspendNotify = fn
-}
-
 // planeOf returns the plane of a block on its chip (always 0 when the
 // device is single-plane).
 //
@@ -243,9 +233,6 @@ func (d *Device) trySuspend(chip, plane int, issue, cost, normalStart time.Durat
 		if d.rel != nil && rec.kind == opErase && d.suspendCnt[rec.block] >= SuspendRetireThreshold {
 			d.rel.flagRetire(rec.block)
 		}
-	}
-	if d.suspendNotify != nil {
-		d.suspendNotify(chip, issue, resumeAt)
 	}
 	return readStart, true
 }

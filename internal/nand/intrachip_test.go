@@ -133,10 +133,6 @@ func TestSuspendEraseByRead(t *testing.T) {
 	const sc, rc = 25 * time.Microsecond, 30 * time.Microsecond
 	d := MustNewDevice(testConfig())
 	d.SetSuspend(SuspendErase, sc, rc)
-	var notified []time.Duration
-	d.SetSuspendNotify(func(chip int, at, resumeAt time.Duration) {
-		notified = append(notified, time.Duration(chip), at, resumeAt)
-	})
 	eraseStart, eraseFin, readable := suspendSetup(t, d)
 	issue := eraseStart + (eraseFin-eraseStart)/2
 	d.AdvanceTo(issue)
@@ -157,10 +153,6 @@ func TestSuspendEraseByRead(t *testing.T) {
 	}
 	if got := d.Suspends(); got != 1 {
 		t.Errorf("suspends = %d, want 1", got)
-	}
-	want := []time.Duration{0, issue, resumeAt}
-	if len(notified) != 3 || notified[0] != want[0] || notified[1] != want[1] || notified[2] != want[2] {
-		t.Errorf("suspend notify got %v, want %v", notified, want)
 	}
 }
 
@@ -221,29 +213,34 @@ func TestSuspendNotBeneficialSkipped(t *testing.T) {
 }
 
 // TestSuspendCommittedDeferredErase: an erase that entered the timeline
-// through the deferred-commit path is just as suspendable as a directly
+// through the deadline sweep is just as suspendable as a directly
 // booked one — the suspend machinery builds on the same booking rule
 // (bookDeferred records the in-flight interval).
 func TestSuspendCommittedDeferredErase(t *testing.T) {
 	const sc, rc = 25 * time.Microsecond, 25 * time.Microsecond
 	d := MustNewDevice(testConfig())
-	d.SetEraseDeferral(time.Hour)
 	d.SetSuspend(SuspendErase, sc, rc)
 	readable := d.cfg.PPNForBlockPage(0, 0)
 	if _, err := d.Program(readable, OOB{LPN: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// Parked at now = 0 with the deadline at the end of the program, so
+	// the erase is due the moment the chip frees.
 	busy := d.ChipFree(0)
+	d.SetEraseDeferral(busy)
 	if _, err := d.EraseForce(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.DeferredErases() != 1 {
+	if parkedErases(d) != 1 {
 		t.Fatal("setup: erase was not parked")
 	}
-	d.CommitDeferredDeadline(0, time.Hour)
-	eraseFin := d.ChipFree(0)
-	issue := busy + (eraseFin-busy)/2
+	eraseFin := busy + d.cfg.EraseLatency
+	issue := busy + d.cfg.EraseLatency/2
 	d.AdvanceTo(issue)
+	if parkedErases(d) != 0 || d.ChipFree(0) != eraseFin {
+		t.Fatalf("AdvanceTo past the deadline left %d parked, chip free %v; want 0 and %v",
+			parkedErases(d), d.ChipFree(0), eraseFin)
+	}
 	if _, _, err := d.Read(readable); err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +285,11 @@ func TestSetEraseDeferralDisableFlushes(t *testing.T) {
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.DeferredErases() != 1 {
+	if parkedErases(d) != 1 {
 		t.Fatal("setup: erase was not parked")
 	}
 	d.SetEraseDeferral(0)
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after disable, want 0 (flushed)", got)
 	}
 	if got, want := d.ChipFree(0), busy+cfg.EraseLatency; got != want {
@@ -305,7 +302,7 @@ func TestSetEraseDeferralDisableFlushes(t *testing.T) {
 	if _, err := d.EraseForce(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.DeferredErases(); got != 0 {
+	if got := parkedErases(d); got != 0 {
 		t.Errorf("deferred erases = %d after disabled erase, want 0 (booked directly)", got)
 	}
 }
@@ -348,59 +345,51 @@ func TestBurstZeroTimeValid(t *testing.T) {
 	}
 }
 
-// TestDeferredCommitPathEquivalence is the randomized property test the
-// suspend machinery builds on: over arbitrary interleavings of
-// programs, reads, erases, dependency floors and clock advances, a
-// device whose deferred erases commit only through the op-time scan
-// (commitEligible) and a device that additionally fires its deadline
-// events through CommitDeferredDeadline — the way the event-driven
-// replay does — must produce identical per-chip timelines.
-//
-// The equivalence holds only because both devices receive the same
-// fixed op sequence. A deadline commit moves its chip clock before the
-// next op on that chip arrives, so a caller that reads the clocks to
-// choose where ops go (clock-aware dispatch) can steer a different
-// sequence onto the two devices; the harness test
-// TestDeadlineCommitsReachClockAwareDispatch pins that the replay keeps
-// the deadline path for exactly this reason.
+// TestDeferredCommitPathEquivalence is the randomized property test of
+// the deadline sweep: over arbitrary interleavings of programs, reads,
+// erases, dependency floors and clock advances, on one or two planes
+// with or without erase suspension, a device whose clock is advanced in
+// small steps and one advanced straight to each op's issue time must
+// book every op identically and end with identical timelines. Nothing
+// books between two ops, so when the sweep runs cannot matter — only
+// that it has run before the next op.
 func TestDeferredCommitPathEquivalence(t *testing.T) {
-	type deadline struct {
-		chip int
-		at   time.Duration
-	}
+	swept := 0 // erases the stepped clock committed at their deadline
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 		cfg := twoChipConfig()
+		cfg.Planes = 1 + rng.Intn(2)
 		window := time.Duration(rng.Intn(20)+1) * time.Millisecond
-		scan := MustNewDevice(cfg)
-		scan.SetEraseDeferral(window)
-		event := MustNewDevice(cfg)
-		event.SetEraseDeferral(window)
-		var pending []deadline
-		event.SetDeferralNotify(func(chip int, at time.Duration) {
-			pending = append(pending, deadline{chip, at})
-		})
+		reorder := time.Duration(rng.Intn(2)) * cfg.EraseLatency
+		steps, direct := MustNewDevice(cfg), MustNewDevice(cfg)
+		for _, d := range []*Device{steps, direct} {
+			d.SetEraseDeferral(window)
+			d.SetReorderWindow(reorder)
+			if trial%2 == 1 {
+				d.SetSuspend(SuspendErase, 25*time.Microsecond, 25*time.Microsecond)
+			}
+		}
 
-		// fire delivers due deadline events in time order, the way the
-		// event heap would pop them before any later-issued operation.
-		fire := func(now time.Duration) {
-			for len(pending) > 0 {
-				min := 0
-				for i := 1; i < len(pending); i++ {
-					if pending[i].at < pending[min].at {
-						min = i
-					}
+		// both runs one op on the two devices, advancing direct to the
+		// issue time first, and requires identical bookings.
+		var now time.Duration
+		both := func(step int, op func(*Device) error) {
+			t.Helper()
+			direct.AdvanceTo(now)
+			for _, d := range []*Device{steps, direct} {
+				if err := op(d); err != nil {
+					t.Fatal(err)
 				}
-				if pending[min].at > now {
-					return
-				}
-				event.CommitDeferredDeadline(pending[min].chip, pending[min].at)
-				pending = append(pending[:min], pending[min+1:]...)
+			}
+			if steps.LastStart() != direct.LastStart() || steps.LastFinish() != direct.LastFinish() ||
+				parkedErases(steps) != parkedErases(direct) {
+				t.Fatalf("trial %d step %d: stepped clock booked [%v, %v] with %d parked, direct [%v, %v] with %d",
+					trial, step, steps.LastStart(), steps.LastFinish(), parkedErases(steps),
+					direct.LastStart(), direct.LastFinish(), parkedErases(direct))
 			}
 		}
 
 		nextPage := make([]int, cfg.TotalBlocks())
-		var now time.Duration
 		for step := 0; step < 200; step++ {
 			switch rng.Intn(6) {
 			case 0, 1: // program a random block with room
@@ -410,64 +399,60 @@ func TestDeferredCommitPathEquivalence(t *testing.T) {
 				}
 				ppn := cfg.PPNForBlockPage(b, nextPage[b])
 				nextPage[b]++
-				fire(now)
-				if _, err := scan.Program(ppn, OOB{LPN: uint64(step)}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := event.Program(ppn, OOB{LPN: uint64(step)}); err != nil {
-					t.Fatal(err)
-				}
+				both(step, func(d *Device) error {
+					_, err := d.Program(ppn, OOB{LPN: uint64(step)})
+					return err
+				})
 			case 2: // read a programmed page
 				b := BlockID(rng.Intn(cfg.TotalBlocks()))
 				if nextPage[b] == 0 {
 					continue
 				}
 				ppn := cfg.PPNForBlockPage(b, rng.Intn(nextPage[b]))
-				fire(now)
-				if _, _, err := scan.Read(ppn); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := event.Read(ppn); err != nil {
-					t.Fatal(err)
-				}
-			case 3: // erase a random block (parked while the chip is busy)
+				both(step, func(d *Device) error {
+					_, _, err := d.Read(ppn)
+					return err
+				})
+			case 3: // erase a random block, sometimes behind a floor
 				b := BlockID(rng.Intn(cfg.TotalBlocks()))
+				floor := time.Duration(-1)
 				if rng.Intn(2) == 0 {
-					floor := now + time.Duration(rng.Intn(2000))*time.Microsecond
-					scan.After(floor)
-					event.After(floor)
+					floor = now + time.Duration(rng.Intn(2000))*time.Microsecond
 				}
-				fire(now)
-				if _, err := scan.EraseForce(b); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := event.EraseForce(b); err != nil {
-					t.Fatal(err)
-				}
+				both(step, func(d *Device) error {
+					if floor >= 0 {
+						d.After(floor)
+					}
+					_, err := d.EraseForce(b)
+					return err
+				})
 				nextPage[b] = 0
 			default: // advance the host clock into (or past) idle gaps
-				now += time.Duration(rng.Intn(4000)) * time.Microsecond
-				fire(now)
-				scan.AdvanceTo(now)
-				event.AdvanceTo(now)
-			}
-			if scan.DeferredErases() < event.DeferredErases() {
-				t.Fatalf("trial %d step %d: scan has %d parked erases, event-driven %d — events may only commit earlier",
-					trial, step, scan.DeferredErases(), event.DeferredErases())
+				target := now + time.Duration(rng.Intn(4000))*time.Microsecond
+				for now < target {
+					now += time.Duration(1+rng.Intn(500)) * time.Microsecond
+					now = min(now, target)
+					parked := parkedErases(steps)
+					steps.AdvanceTo(now)
+					swept += parked - parkedErases(steps)
+				}
 			}
 		}
-		scan.FlushDeferredErases()
-		event.SetDeferralNotify(nil)
-		event.FlushDeferredErases()
+		steps.FlushDeferredErases()
+		direct.FlushDeferredErases()
 		for chip := 0; chip < cfg.Chips; chip++ {
-			if scan.ChipFree(chip) != event.ChipFree(chip) {
-				t.Fatalf("trial %d: chip %d timelines diverge: scan %v, event-driven %v",
-					trial, chip, scan.ChipFree(chip), event.ChipFree(chip))
+			if steps.ChipFree(chip) != direct.ChipFree(chip) {
+				t.Fatalf("trial %d: chip %d timelines diverge: stepped %v, direct %v",
+					trial, chip, steps.ChipFree(chip), direct.ChipFree(chip))
 			}
 		}
-		if scan.Makespan() != event.Makespan() {
-			t.Fatalf("trial %d: makespan %v != %v", trial, scan.Makespan(), event.Makespan())
+		if steps.Makespan() != direct.Makespan() || steps.Suspends() != direct.Suspends() {
+			t.Fatalf("trial %d: makespan %v != %v or suspends %d != %d",
+				trial, steps.Makespan(), direct.Makespan(), steps.Suspends(), direct.Suspends())
 		}
+	}
+	if swept == 0 {
+		t.Fatal("no clock advance committed a parked erase: the deadline sweep was never exercised")
 	}
 }
 

@@ -86,10 +86,24 @@ type ReliabilityConfig struct {
 }
 
 // Validate reports a descriptive error for the first invalid field. A
-// disabled config is always valid.
+// disabled config is always valid. Every rate and factor must be finite:
+// NaN fails none of the range checks below, and a non-finite value makes
+// the sampled error rates NaN or infinite.
 func (r ReliabilityConfig) Validate() error {
 	if !r.Enabled {
 		return nil
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"BaseBER", r.BaseBER}, {"LayerSkew", r.LayerSkew}, {"PECycleFactor", r.PECycleFactor},
+		{"RetentionFactor", r.RetentionFactor}, {"RetentionCap", r.RetentionCap},
+		{"ECCCorrectBER", r.ECCCorrectBER}, {"RetryStepBER", r.RetryStepBER},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("nand: reliability %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	switch {
 	case r.BaseBER <= 0:

@@ -365,9 +365,10 @@ func TestReliabilityHugeRetryQuotient(t *testing.T) {
 // FuzzReliabilityDraw compares reliabilityPenalty with refPenalty on 64
 // reads of one page, for any page BER, erase count, page age, ECC
 // threshold, retry step, MaxRetries, retention cap and PRNG seed that
-// Validate accepts: NaN, infinite, subnormal and huge rates included.
-// Every read's cost, and the stats, PRNG state and retirement state
-// after the reads, must be equal.
+// Validate accepts: subnormal and huge rates included. Validate rejects
+// NaN and infinite rates, so the corpus inputs that hold them end at
+// that check. Every read's cost, and the stats, PRNG state and
+// retirement state after the reads, must be equal.
 func FuzzReliabilityDraw(f *testing.F) {
 	f.Add(1e-3, uint32(100), int64(5*time.Second), 3e-3, 4e-3, 12, 1.5, int64(11))
 	f.Add(3e-4, uint32(0), int64(0), 3e-3, 2e-3, 8, 0.0, int64(1))

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,34 @@ func TestReliabilityConfigValidate(t *testing.T) {
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Non-finite values, one field at a time on an otherwise valid
+	// profile: NaN fails no ordered comparison and +Inf passes the lower
+	// bounds, so each needs the finiteness check.
+	high, err := ReliabilityProfileByName("high")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := high.Validate(); err != nil {
+		t.Fatalf("high profile rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*ReliabilityConfig)
+	}{
+		{"BaseBER", func(c *ReliabilityConfig) { c.BaseBER = math.NaN() }},
+		{"LayerSkew", func(c *ReliabilityConfig) { c.LayerSkew = math.Inf(1) }},
+		{"PECycleFactor", func(c *ReliabilityConfig) { c.PECycleFactor = math.NaN() }},
+		{"RetentionFactor", func(c *ReliabilityConfig) { c.RetentionFactor = math.Inf(1) }},
+		{"RetentionCap", func(c *ReliabilityConfig) { c.RetentionCap = math.NaN() }},
+		{"ECCCorrectBER", func(c *ReliabilityConfig) { c.ECCCorrectBER = math.Inf(1) }},
+		{"RetryStepBER", func(c *ReliabilityConfig) { c.RetryStepBER = math.Inf(1) }},
+	} {
+		cfg := high
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field+" must be finite") {
+			t.Errorf("non-finite %s: Validate() = %v, want a finiteness error naming the field", tc.field, err)
 		}
 	}
 	if err := (ReliabilityConfig{}).Validate(); err != nil {

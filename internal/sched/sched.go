@@ -1,22 +1,16 @@
 // Package sched provides the discrete-event core of the simulator: one
 // time-ordered event heap that carries every future occurrence a replay
-// must react to — host arrivals, queue-slot issues, per-chip operation
-// completions, and deferred-erase commits — as first-class events.
+// must react to — host arrivals, queue-slot issues and per-request
+// completions — as first-class events.
 //
-// Before this package existed the replay loop interleaved three ad-hoc
-// mechanisms: a private completion min-heap in the harness, arrival
-// handling spliced into the loop body, and a drain-time flush of the
-// erases still parked in the device's deferred queues. The single heap
-// replaces the first two and the flush with one total order: events pop
-// in non-decreasing Time, and events at equal Time pop in push (FIFO)
-// order, so a replay is a deterministic fold over the event sequence at
-// any host parallelism.
+// Events pop in non-decreasing Time, and events at equal Time pop in push
+// (FIFO) order: one total order, so a replay is a deterministic fold over
+// the event sequence at any host parallelism.
 //
-// The device keeps its own op-time commit scan: an operation arriving
-// on a chip still books the parked erases it must not overtake. The
-// deadline events add what that scan cannot see: an erase whose
-// deadline passes while no operation reaches its chip is booked at
-// once, so the chip clocks that clock-aware dispatch reads include it.
+// Instants inside the device are not events. The device books them
+// itself: nand.Device.AdvanceTo commits the parked erases whose
+// deadline has passed, and a read books its suspension of an in-flight
+// erase. Nothing in nand calls back into the replay.
 //
 // The heap is a plain slice of small value records — no interface
 // boxing, no per-event allocation. Once the backing array has grown to
@@ -42,18 +36,6 @@ const (
 	// KindCompletion marks an outstanding request's last device
 	// operation finishing, freeing its queue slot.
 	KindCompletion
-	// KindEraseCommit marks a deferred erase's deadline: the moment the
-	// device must book the erase if no earlier idle gap or block reuse
-	// already committed it.
-	KindEraseCommit
-	// KindEraseSuspend marks a read preempting an in-flight erase or
-	// program (see nand.Device.SetSuspend). The device books the
-	// preemption synchronously; the event records it in the replay's
-	// total order for accounting and tracing.
-	KindEraseSuspend
-	// KindEraseResume marks the moment a suspended operation's remainder
-	// restarts after the preempting read and the resume cost.
-	KindEraseResume
 )
 
 // String returns the kind name.
@@ -65,21 +47,13 @@ func (k Kind) String() string {
 		return "issue"
 	case KindCompletion:
 		return "completion"
-	case KindEraseCommit:
-		return "erase-commit"
-	case KindEraseSuspend:
-		return "erase-suspend"
-	case KindEraseResume:
-		return "erase-resume"
 	default:
 		return "Kind(?)"
 	}
 }
 
 // Event is one scheduled occurrence. Events are small value records so a
-// heap of them stays pointer-free; Chip carries the target chip for
-// erase commits and is free for other kinds to repurpose (the heap never
-// reads it).
+// heap of them stays pointer-free.
 type Event struct {
 	// Time is when the event occurs on the simulated clock.
 	Time time.Duration
@@ -88,8 +62,6 @@ type Event struct {
 	seq uint64
 	// Kind labels the event for the popping loop's dispatch.
 	Kind Kind
-	// Chip is the chip an erase-commit event targets.
-	Chip int32
 }
 
 // Queue is the time-ordered event heap: Pop returns events in

@@ -229,7 +229,8 @@ func Run(spec RunSpec) (RunResult, error) { return harness.Run(spec) }
 
 // RunAll executes the specs on a worker pool of the given parallelism
 // (0 = GOMAXPROCS) and returns results in spec order. Each run owns its
-// device, so results are identical to sequential Run calls.
+// device, so results are identical to sequential Run calls. If a run
+// fails, RunAll returns nil and the first error.
 func RunAll(specs []RunSpec, parallelism int) ([]RunResult, error) {
 	return harness.RunAll(specs, parallelism)
 }
