@@ -17,7 +17,9 @@ package ppbflash
 //	BenchmarkAblation*                 the reproduction's extra studies
 //
 // Absolute wall-clock time of these benchmarks is simulation time, not
-// device time; the custom metrics carry the figures' semantics.
+// device time; the custom metrics carry the figures' semantics. The
+// hot-path benchmarks (page ops and the replay's event loop, each held
+// at 0 allocs/op) live in internal/harness.
 
 import (
 	"fmt"
@@ -138,108 +140,5 @@ func BenchmarkAblationLayers(b *testing.B) {
 	fig := runExperiment(b, "a3", benchScale)
 	for i, layers := range []int{24, 48, 64, 96} {
 		report(b, fig, "enhancement", i, fmt.Sprintf("l%d-enh-%%", layers), 100)
-	}
-}
-
-// benchPageOps runs the shared page-op loop (NewPageOpsFTL/RunPageOps —
-// the same pair ppbench -json measures) under the Go benchmark harness.
-// Both benchmarks must stay at 0 allocs/op; CI smoke-checks this.
-func benchPageOps(b *testing.B, kind FTLKind) {
-	b.Helper()
-	f, err := NewPageOpsFTL(kind)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := RunPageOps(f, b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkDevicePageOps measures the raw simulator throughput
-// (program+read+invalidate cycles), the cost floor under every
-// experiment.
-func BenchmarkDevicePageOps(b *testing.B) { benchPageOps(b, KindConventional) }
-
-// BenchmarkPPBPageOps is the PPB-strategy counterpart of
-// BenchmarkDevicePageOps: the per-operation bookkeeping overhead of the
-// four-level identification and virtual-block allocation.
-func BenchmarkPPBPageOps(b *testing.B) { benchPageOps(b, KindPPB) }
-
-// BenchmarkReliabilityPageOps runs the same loop with the layer-aware
-// reliability model injecting read retries (high-BER preset, wear-aware
-// GC) — the retried-read hot path. Like the other page-op benchmarks it
-// must stay at 0 allocs/op: sampling, retry accounting and retirement
-// bookkeeping all run allocation-free.
-func BenchmarkReliabilityPageOps(b *testing.B) {
-	f, err := NewReliabilityPageOpsFTL()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := RunPageOps(f, b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkIntraChipPageOps runs the page-op loop with intra-chip
-// parallelism enabled — four chips of four planes each with the default
-// reordering window, and erase suspension on — so the multi-plane
-// booking (bookStart/bookFinish over the plane clocks) and the
-// suspend-resume decision sit on the measured path. Like the other
-// page-op benchmarks it must stay at 0 allocs/op.
-func BenchmarkIntraChipPageOps(b *testing.B) {
-	f, err := NewIntraChipPageOpsFTL()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := RunPageOps(f, b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkEventLoop measures the discrete-event replay machinery
-// itself: each iteration is one host request pulled from a generator,
-// pushed through the scheduler's event heap as issue and completion
-// events, and retired. The page-op benchmarks above bound the device
-// cost; the delta here is the event loop's own overhead. Steady state
-// must stay at 0 allocs/op — the heap's backing array and the replay's
-// locals are reused across events — and CI smoke-checks this.
-func BenchmarkEventLoop(b *testing.B) {
-	f, err := NewPageOpsFTL(KindConventional)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := NewReplayMetrics()
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := RunEventLoop(f, m, b.N); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkCompositorEventLoop measures the multi-tenant replay stack:
-// each iteration is one request merged out of a four-child stream
-// compositor (round-robin, per-tenant address regions), issued
-// through the event loop with per-tenant latency attribution and
-// tenant-partition dispatch on a four-chip device. The delta over
-// BenchmarkEventLoop is the compositor merge plus the tenant
-// bookkeeping. Steady state must stay at 0 allocs/op — the compositor's
-// slots, the per-tenant histograms and the replay's locals are all
-// allocated up front — and CI smoke-checks this.
-func BenchmarkCompositorEventLoop(b *testing.B) {
-	f, err := NewTenantPageOpsFTL()
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := NewReplayMetrics()
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := RunCompositorEventLoop(f, m, b.N); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -6,7 +6,7 @@
 //
 //	ppbench [-fig all|3|12|13|14|15|16|17|18|a1|a2|...|a10] [-scale quick|bench|paper]
 //	        [-divisor N] [-turnover F] [-seed N] [-parallel N]
-//	        [-json] [-out BENCH_1.json]
+//	        [-out BENCH_N.json]
 //
 // Examples:
 //
@@ -14,8 +14,13 @@
 //	ppbench -fig 12 -scale quick  # just Figure 12, CI-sized
 //	ppbench -scale paper          # full 64 GB Table 1 device (slow)
 //	ppbench -parallel 8           # run each figure's sims on 8 workers
-//	ppbench -json                 # also write BENCH_1.json with per-figure
-//	                              # wall times and hot-path microbenchmarks
+//	ppbench -out BENCH_N.json     # also write every figure's series and
+//	                              # simulated ops/s as a JSON report
+//
+// Besides the Go version and GOMAXPROCS, the report holds simulated
+// numbers only, so two runs with the same flags on one host write the
+// same bytes. The "[id in Xms]" line after each table is the figure's
+// host wall time; it is printed, not recorded.
 //
 // An unknown -scale or -fig, a negative -divisor, -turnover or
 // -parallel, or a NaN or infinite -turnover exits 2 before any output;
@@ -31,37 +36,27 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"testing"
 	"time"
 
 	"ppbflash"
 )
 
-// benchReport is the schema of the -json output: a perf trajectory
-// snapshot future changes can regress against.
+// benchReport is the schema of the -out report: the simulated series of
+// every figure run, the ledger later changes compare their output with.
 type benchReport struct {
-	Schema      string            `json:"schema"`
-	GoVersion   string            `json:"go_version"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	Scale       string            `json:"scale"`
-	Divisor     int               `json:"divisor"`
-	Turnover    float64           `json:"turnover"`
-	Seed        int64             `json:"seed"`
-	Parallelism int               `json:"parallelism"`
-	Micro       []microBenchEntry `json:"microbench"`
-	Figures     []figureEntry     `json:"figures"`
-}
-
-type microBenchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Schema      string        `json:"schema"`
+	GoVersion   string        `json:"go_version"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
+	Scale       string        `json:"scale"`
+	Divisor     int           `json:"divisor"`
+	Turnover    float64       `json:"turnover"`
+	Seed        int64         `json:"seed"`
+	Parallelism int           `json:"parallelism"`
+	Figures     []figureEntry `json:"figures"`
 }
 
 type figureEntry struct {
 	ID     string               `json:"id"`
-	WallMS float64              `json:"wall_ms"`
 	Series map[string][]float64 `json:"series"`
 	// OpsPerSec is the simulated device-ops/second of every run in the
 	// figure's sweep, keyed by spec name — the deterministic throughput
@@ -84,7 +79,7 @@ func main() {
 		scale.WriteTurnover, scale.Seed, effectiveParallelism(scale.Parallelism))
 
 	report := benchReport{
-		Schema:      "ppbench/v1",
+		Schema:      "ppbench/v2",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Scale:       opts.scaleName,
@@ -110,15 +105,12 @@ func main() {
 		fmt.Printf("  [%s in %v]\n\n", fig.ID, wall.Round(time.Millisecond))
 		report.Figures = append(report.Figures, figureEntry{
 			ID:        fig.ID,
-			WallMS:    float64(wall.Microseconds()) / 1000,
 			Series:    fig.Series,
 			OpsPerSec: fig.Throughput,
 		})
 	}
 
-	if opts.json {
-		fmt.Println("running hot-path microbenchmarks...")
-		report.Micro = microBenchmarks()
+	if opts.out != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ppbench: encoding report: %v\n", err)
@@ -138,8 +130,7 @@ type options struct {
 	fig       string
 	scaleName string
 	scale     ppbflash.Scale // the preset with the overrides and -parallel applied
-	json      bool
-	out       string
+	out       string         // report path; empty writes no report
 }
 
 // parseFlags parses the command line and resolves the run's scale: the
@@ -158,8 +149,7 @@ func parseFlags(args []string) (options, error) {
 	)
 	fs.StringVar(&opts.fig, "fig", "all", "experiment id (3, 12-18, a1-a10) or 'all'")
 	fs.StringVar(&opts.scaleName, "scale", "bench", "preset scale: quick, bench or paper")
-	fs.BoolVar(&opts.json, "json", false, "write a machine-readable benchmark report")
-	fs.StringVar(&opts.out, "out", "BENCH_1.json", "report path for -json")
+	fs.StringVar(&opts.out, "out", "", "write a JSON report of every figure's series to this path")
 	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a malformed flag
 
 	scale, err := pickScale(opts.scaleName)
@@ -209,61 +199,6 @@ func effectiveParallelism(p int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return p
-}
-
-// microBenchmarks measures the raw page-op throughput of the simulator
-// (cost floor), of the full PPB strategy, of the retried-read hot path
-// under the reliability model, of the multi-plane/suspend booking, of
-// the discrete-event replay loop itself, and of that loop under the
-// four-tenant stream compositor. It shares the loops and configurations
-// with the repo's BenchmarkDevicePageOps/BenchmarkPPBPageOps/
-// BenchmarkReliabilityPageOps/BenchmarkIntraChipPageOps/
-// BenchmarkEventLoop/BenchmarkCompositorEventLoop through the ppbflash
-// constructors, so the -json report and the CI benchmarks always
-// measure the same thing.
-func microBenchmarks() []microBenchEntry {
-	runPageOps := func(f ppbflash.FTL, n int) error { return ppbflash.RunPageOps(f, n) }
-	out := make([]microBenchEntry, 0, 6)
-	for _, mb := range []struct {
-		name  string
-		build func() (ppbflash.FTL, error)
-		run   func(ppbflash.FTL, int) error
-	}{
-		{"DevicePageOps", func() (ppbflash.FTL, error) { return ppbflash.NewPageOpsFTL(ppbflash.KindConventional) }, runPageOps},
-		{"PPBPageOps", func() (ppbflash.FTL, error) { return ppbflash.NewPageOpsFTL(ppbflash.KindPPB) }, runPageOps},
-		{"ReliabilityPageOps", ppbflash.NewReliabilityPageOpsFTL, runPageOps},
-		{"IntraChipPageOps", ppbflash.NewIntraChipPageOpsFTL, runPageOps},
-		{"EventLoop",
-			func() (ppbflash.FTL, error) { return ppbflash.NewPageOpsFTL(ppbflash.KindConventional) },
-			func(f ppbflash.FTL, n int) error { return ppbflash.RunEventLoop(f, ppbflash.NewReplayMetrics(), n) }},
-		{"CompositorEventLoop",
-			ppbflash.NewTenantPageOpsFTL,
-			func(f ppbflash.FTL, n int) error {
-				return ppbflash.RunCompositorEventLoop(f, ppbflash.NewReplayMetrics(), n)
-			}},
-	} {
-		build, run := mb.build, mb.run
-		res := testing.Benchmark(func(b *testing.B) {
-			f, err := build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := run(f, b.N); err != nil {
-				b.Fatal(err)
-			}
-		})
-		out = append(out, microBenchEntry{
-			Name:        mb.name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-		fmt.Printf("  %-18s %10.1f ns/op  %3d allocs/op\n", mb.name,
-			float64(res.T.Nanoseconds())/float64(res.N), res.AllocsPerOp())
-	}
-	return out
 }
 
 func pickScale(name string) (ppbflash.Scale, error) {

@@ -70,3 +70,25 @@ func TestParseFlagsSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFlagsOut: -out alone asks for the report, and leaving it out
+// writes none. The report used to need -json as well, so -out on its
+// own ran the figures, exited 0 and wrote nothing.
+func TestParseFlagsOut(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "13", "-scale", "quick"}, ""},
+		{[]string{"-fig", "13", "-scale", "quick", "-out", "x.json"}, "x.json"},
+		{[]string{"-out=BENCH_28.json"}, "BENCH_28.json"},
+	} {
+		opts, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatalf("parseFlags(%q): %v", tc.args, err)
+		}
+		if opts.out != tc.want {
+			t.Errorf("parseFlags(%q): out %q, want %q", tc.args, opts.out, tc.want)
+		}
+	}
+}

@@ -312,121 +312,6 @@ func RunAll(specs []RunSpec, parallelism int) ([]Result, error) {
 	return results, nil
 }
 
-// NewPageOpsFTL builds the standard page-op microbenchmark subject: a
-// 512 MB-class Table 1 device under the given strategy with 20%
-// over-provisioning. Both the repo's PageOps benchmarks and `ppbench
-// -json` use this one constructor so the two always measure the same
-// configuration.
-func NewPageOpsFTL(kind FTLKind) (ftl.FTL, error) {
-	dev, err := nand.NewDevice(nand.TableOneConfig().Scaled(128))
-	if err != nil {
-		return nil, err
-	}
-	return buildFTL(RunSpec{Kind: kind, FTLOptions: ftl.Options{OverProvision: 0.2}}, dev)
-}
-
-// NewReliabilityPageOpsFTL builds the page-op microbenchmark subject
-// with the reliability model enabled: the "high" error profile (so the
-// retry path actually fires) under wear-aware GC, with both retirement
-// thresholds disabled — the loop runs an unbounded number of
-// iterations, and retiring blocks would eventually shrink the pool out
-// from under it. Used by BenchmarkReliabilityPageOps and the CI alloc
-// guard over the retried-read hot path.
-func NewReliabilityPageOpsFTL() (ftl.FTL, error) {
-	dev, err := nand.NewDevice(nand.TableOneConfig().Scaled(128))
-	if err != nil {
-		return nil, err
-	}
-	prof, err := nand.ReliabilityProfileByName("high")
-	if err != nil {
-		return nil, err
-	}
-	prof.PECycleLimit = 0
-	prof.UncorrectableLimit = 0
-	return buildFTL(RunSpec{Kind: KindConventional, FTLOptions: ftl.Options{
-		OverProvision:   0.2,
-		Reliability:     &prof,
-		ReliabilitySeed: 1,
-		Wear:            ftl.WearAware,
-	}}, dev)
-}
-
-// NewIntraChipPageOpsFTL builds the page-op microbenchmark subject with
-// the intra-chip parallelism features enabled: four chips of four
-// planes each (with the default reordering window the ftl layer
-// installs for multi-plane geometries) and erase suspension on. Used
-// by BenchmarkIntraChipPageOps and the CI alloc guard over the
-// multi-plane booking and suspend hot paths.
-func NewIntraChipPageOpsFTL() (ftl.FTL, error) {
-	dev, err := nand.NewDevice(nand.TableOneConfig().Scaled(128).WithChips(4).WithPlanes(4))
-	if err != nil {
-		return nil, err
-	}
-	return buildFTL(RunSpec{Kind: KindConventional,
-		FTLOptions: ftl.Options{OverProvision: 0.2, Suspend: nand.SuspendErase}}, dev)
-}
-
-// RunPageOps executes n iterations of the standard page-op loop (write
-// then read back, every third write bulk-sized so size-check
-// identifiers exercise both areas). This is the shared body of the
-// PageOps microbenchmarks.
-func RunPageOps(f ftl.FTL, n int) error {
-	span := f.LogicalPages()
-	for i := 0; i < n; i++ {
-		lpn := uint64(i) % span
-		size := 4096
-		if i%3 == 0 {
-			size = 64 * 1024
-		}
-		if err := f.Write(lpn, size); err != nil {
-			return err
-		}
-		if _, err := f.Read(lpn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EventLoopQueueDepth is the closed-loop host queue depth of the
-// event-loop microbenchmark: deep enough that the event heap holds a
-// real mix of completion and issue events instead of degenerating to the
-// depth-1 ping-pong.
-const EventLoopQueueDepth = 8
-
-// RunEventLoop replays n synthetic single-page requests through the
-// measured discrete-event replay (ReplayQueued, closed loop at
-// EventLoopQueueDepth) against f, alternating a write with a read-back
-// of the same page across the logical space. BenchmarkEventLoop and
-// `ppbench -json` share this one body so both measure the same hot path;
-// its steady state must stay at 0 allocs/op (the CI alloc smoke checks).
-// m accumulates across calls.
-func RunEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
-	span := f.LogicalPages()
-	pageSize := uint32(f.Device().Config().PageSize)
-	i := 0
-	gen := &workload.Func{
-		WorkloadName: "eventloop",
-		Bytes:        span * uint64(pageSize),
-		NextFunc: func() (trace.Request, bool) {
-			if i >= n {
-				return trace.Request{}, false
-			}
-			r := trace.Request{
-				Op:     trace.OpWrite,
-				Offset: (uint64(i) / 2 % span) * uint64(pageSize),
-				Size:   pageSize,
-			}
-			if i%2 == 1 {
-				r.Op = trace.OpRead
-			}
-			i++
-			return r, true
-		},
-	}
-	return ReplayQueued(f, gen, m, ReplayOptions{QueueDepth: EventLoopQueueDepth})
-}
-
 // prefill writes every logical page once, in order, as bulk cold data.
 func prefill(f ftl.FTL) error {
 	// A large request size makes the size-check identifier treat prefill

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"ppbflash/internal/ftl"
-	"ppbflash/internal/nand"
-	"ppbflash/internal/trace"
 	"ppbflash/internal/vblock"
-	"ppbflash/internal/workload"
 )
 
 // tenantCounts is the tenant-population axis of experiment a10: two
@@ -26,79 +23,6 @@ var tenantDispatchPolicies = []vblock.DispatchPolicy{vblock.Striped, vblock.Tena
 // tenant's reads, which is the interference the partition policies
 // exist to bound.
 var tenantSweepDepths = []int{4, 16}
-
-// NewTenantPageOpsFTL builds the multi-tenant microbenchmark subject: a
-// 512 MB-class Table 1 device spread over four chips under
-// tenant-partition dispatch with a four-tenant population. Both
-// BenchmarkCompositorEventLoop and `ppbench -json` use this one
-// constructor so the two always measure the same configuration.
-func NewTenantPageOpsFTL() (ftl.FTL, error) {
-	dev, err := nand.NewDevice(nand.TableOneConfig().Scaled(128).WithChips(4))
-	if err != nil {
-		return nil, err
-	}
-	return buildFTL(RunSpec{Kind: KindConventional, FTLOptions: ftl.Options{
-		OverProvision: 0.2,
-		Dispatch:      vblock.TenantPartition,
-		Tenants:       4,
-	}}, dev)
-}
-
-// compositorEventLoopTenants is the tenant population of the compositor
-// event-loop microbenchmark.
-const compositorEventLoopTenants = 4
-
-// RunCompositorEventLoop is RunEventLoop's multi-tenant sibling: n
-// synthetic single-page requests pulled through a four-child
-// trace.Compositor (round-robin, per-tenant address regions via
-// AddrOffset) and replayed by ReplayQueued with per-tenant
-// attribution and dispatch active. The delta over BenchmarkEventLoop is
-// the compositor merge plus the tenant bookkeeping per request; its
-// steady state must stay at 0 allocs/op (the CI alloc smoke checks).
-// m accumulates across calls.
-func RunCompositorEventLoop(f ftl.FTL, m *ReplayMetrics, n int) error {
-	span := f.LogicalPages()
-	pageSize := uint32(f.Device().Config().PageSize)
-	region := span / compositorEventLoopTenants
-	perTenant := n / compositorEventLoopTenants
-	children := make([]trace.CompositorChild, compositorEventLoopTenants)
-	for t := range children {
-		emitted := 0
-		children[t] = trace.CompositorChild{
-			Stream: &workload.Func{
-				WorkloadName: "compositor-eventloop-child",
-				Bytes:        region * uint64(pageSize),
-				NextFunc: func() (trace.Request, bool) {
-					if emitted >= perTenant {
-						return trace.Request{}, false
-					}
-					r := trace.Request{
-						Op:     trace.OpWrite,
-						Offset: (uint64(emitted) / 2 % region) * uint64(pageSize),
-						Size:   pageSize,
-					}
-					if emitted%2 == 1 {
-						r.Op = trace.OpRead
-					}
-					emitted++
-					return r, true
-				},
-			},
-			Tenant:     uint8(t),
-			AddrOffset: uint64(t) * region * uint64(pageSize),
-		}
-	}
-	comp := trace.NewCompositor(children...)
-	if m.TenantCount() == 0 {
-		m.EnableTenants(compositorEventLoopTenants)
-	}
-	gen := &workload.Func{
-		WorkloadName: "compositor-eventloop",
-		Bytes:        span * uint64(pageSize),
-		NextFunc:     comp.Next,
-	}
-	return ReplayQueued(f, gen, m, ReplayOptions{QueueDepth: EventLoopQueueDepth})
-}
 
 // tenantSweep (experiment a10) measures multi-tenant fairness and
 // isolation: tenant count x dispatch policy x queue depth on the 4-chip

@@ -8,6 +8,9 @@ import "math/rand"
 // ZipfGuard is the zipf sampler's guard δ.
 const ZipfGuard = zipfGuard
 
+// ZipfMinSkew is the smallest skew the zipf sampler accepts.
+const ZipfMinSkew = zipfMinSkew
+
 // ZipfDomain is one (skew, domain size) pair a generator draws over.
 type ZipfDomain struct {
 	Skew float64

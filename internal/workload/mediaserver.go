@@ -14,7 +14,7 @@ type MediaConfig struct {
 	LogicalBytes uint64
 	// Requests is the stream length (default 200k).
 	Requests int
-	// Seed makes the stream deterministic (default 1).
+	// Seed makes the stream deterministic; 0 is a seed like any other.
 	Seed int64
 	// ReadFraction is the share of read requests (default 0.85; media
 	// servers are read-dominated).
@@ -37,9 +37,6 @@ func (c MediaConfig) withDefaults() MediaConfig {
 	}
 	if c.Requests == 0 {
 		c.Requests = 200_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.ReadFraction == 0 {
 		c.ReadFraction = 0.85

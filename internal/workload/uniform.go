@@ -11,7 +11,7 @@ import (
 type UniformConfig struct {
 	LogicalBytes uint64  // default 64 MiB
 	Requests     int     // default 10k
-	Seed         int64   // default 1
+	Seed         int64   // stream seed; 0 is a seed like any other
 	ReadFraction float64 // default 0.5
 	Size         uint32  // request size, default 4 KiB
 }
@@ -22,9 +22,6 @@ func (c UniformConfig) withDefaults() UniformConfig {
 	}
 	if c.Requests == 0 {
 		c.Requests = 10_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.ReadFraction == 0 {
 		c.ReadFraction = 0.5

@@ -14,7 +14,7 @@ type WebSQLConfig struct {
 	LogicalBytes uint64
 	// Requests is the stream length (default 200k).
 	Requests int
-	// Seed makes the stream deterministic (default 1).
+	// Seed makes the stream deterministic; 0 is a seed like any other.
 	Seed int64
 	// ReadFraction is the share of reads (default 0.60; OLTP-ish mix).
 	ReadFraction float64
@@ -37,9 +37,6 @@ func (c WebSQLConfig) withDefaults() WebSQLConfig {
 	}
 	if c.Requests == 0 {
 		c.Requests = 200_000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.ReadFraction == 0 {
 		c.ReadFraction = 0.60

@@ -238,8 +238,10 @@ func TestFuncAdapter(t *testing.T) {
 
 // TestZipfPanics: invalid parameters panic before any table is built. A
 // NaN or infinite skew passes a plain s <= 1 check, and rand.Zipf then
-// never returns from its first draw.
+// never returns from its first draw. A skew above 1 but below the floor
+// lets rand.Zipf draw past the domain.
 func TestZipfPanics(t *testing.T) {
+	const floor = "zipf skew must be finite and at least 1+1e-9"
 	for _, tc := range []struct {
 		name string
 		s    float64
@@ -247,9 +249,11 @@ func TestZipfPanics(t *testing.T) {
 		want string
 	}{
 		{"empty domain", 1.5, 0, "empty domain"},
-		{"bad skew", 1.0, 10, "zipf skew must be > 1"},
-		{"NaN skew", math.NaN(), 10, "zipf skew must be > 1"},
-		{"infinite skew", math.Inf(1), 10, "zipf skew must be > 1"},
+		{"bad skew", 1.0, 10, floor},
+		{"NaN skew", math.NaN(), 10, floor},
+		{"infinite skew", math.Inf(1), 10, floor},
+		{"one ulp above 1", math.Nextafter(1, 2), 10, floor},
+		{"one ulp below the floor", math.Nextafter(zipfMinSkew, 1), 10, floor},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -259,6 +263,29 @@ func TestZipfPanics(t *testing.T) {
 			}()
 			newZipf(nil, tc.s, tc.n)
 		})
+	}
+}
+
+// TestSeedZeroIsASeed: Seed 0 gives its own stream. The configs used to
+// replace it with 1, so a run asked for seed 0 replayed seed 1's trace.
+func TestSeedZeroIsASeed(t *testing.T) {
+	for _, build := range []func(seed int64) Generator{
+		func(seed int64) Generator {
+			return NewWebSQL(WebSQLConfig{LogicalBytes: 64 << 20, Requests: 10, Seed: seed})
+		},
+		func(seed int64) Generator {
+			return NewMediaServer(MediaConfig{LogicalBytes: 64 << 20, Requests: 10, Seed: seed})
+		},
+		func(seed int64) Generator {
+			return NewUniform(UniformConfig{LogicalBytes: 64 << 20, Requests: 10, Seed: seed})
+		},
+	} {
+		g0, g1 := build(0), build(1)
+		r0, _ := g0.Next()
+		r1, _ := g1.Next()
+		if r0 == r1 {
+			t.Errorf("%s: seeds 0 and 1 both start with %+v", g0.Name(), r0)
+		}
 	}
 }
 

@@ -23,6 +23,12 @@ const (
 	// rounding in r grows as 1/(s−1), to about 1e-11 at s = 1+1e-6, so
 	// nearer skews draw from the stdlib alone.
 	zipfMinTableSkew = 1.001
+	// zipfMinSkew is the smallest skew newZipf accepts. Nearer 1 the
+	// stdlib draws past its domain: over n = 1000 from seed 1, 7,136 of
+	// 200,000 draws at s = 1+2^-52 were at least n (the largest 1096),
+	// and 20 of 2,000,000 at s = 1+1e-12. At this floor
+	// TestZipfFloorStaysInDomain finds none.
+	zipfMinSkew = 1 + 1e-9
 )
 
 // zipfSearch marks a guide entry that is not a direct accept: the entry
@@ -65,15 +71,17 @@ type zipf struct {
 	replay *replaySource
 }
 
-// newZipf builds a Zipf sampler over [0, n) with skew s (> 1; larger is
-// more skewed). Panics on invalid parameters to surface config bugs early.
+// newZipf builds a Zipf sampler over [0, n) with a finite skew s of at
+// least zipfMinSkew (larger is more skewed). Panics on invalid
+// parameters to surface config bugs early.
 func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
 	if n == 0 {
 		panic("workload: zipf over empty domain")
 	}
-	// rand.Zipf never returns for a NaN or infinite skew.
-	if !(s > 1) || math.IsInf(s, 1) {
-		panic(fmt.Sprintf("workload: zipf skew must be > 1, got %g", s))
+	// rand.Zipf never returns for a NaN or infinite skew, and draws past
+	// the domain just above 1.
+	if !(s >= zipfMinSkew) || math.IsInf(s, 1) {
+		panic(fmt.Sprintf("workload: zipf skew must be finite and at least 1+1e-9, got %g", s))
 	}
 	replay := &replaySource{rng: rng}
 	z := zipf{

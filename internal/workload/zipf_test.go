@@ -69,16 +69,34 @@ func TestZipfMatchesStdlib(t *testing.T) {
 	}
 }
 
-// FuzzZipf compares the sampler with rand.NewZipf at a skew in (1, 64]
-// and a domain size in [1, 2^26]: 1000 draws from the seed with the
-// pattern's Float64 calls between them, then probes of every 64th edge.
-// A skew outside (1, 64] is folded into it.
+// TestZipfFloorStaysInDomain draws 2M values (200k under -race) at the
+// smallest accepted skew over domains from 1 to 2^26 values: every draw
+// must fall inside the domain. Below the floor rand.Zipf, and so the
+// sampler, draws past it.
+func TestZipfFloorStaysInDomain(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 10, 1000, 1 << 20, 1 << 26} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			draw, _ := workload.NewZipfSampler(rand.New(rand.NewSource(1)), workload.ZipfMinSkew, n)
+			for i := range zipfDraws / 5 {
+				if k := draw(); k >= n {
+					t.Fatalf("draw %d is %d, past the domain of %d", i, k, n)
+				}
+			}
+		})
+	}
+}
+
+// FuzzZipf compares the sampler with rand.NewZipf at a skew in
+// [1+1e-9, 64] and a domain size in [1, 2^26]: 1000 draws from the seed
+// with the pattern's Float64 calls between them, then probes of every
+// 64th edge. A finite skew outside that range is folded into it.
 func FuzzZipf(f *testing.F) {
 	f.Fuzz(func(t *testing.T, skew float64, n uint64, seed int64, pattern uint64) {
-		if !(skew > 1 && skew <= 64) {
-			skew = 1 + math.Mod(math.Abs(skew), 63)
-			if !(skew > 1) {
-				t.Skip("skew folds to 1 or is not finite")
+		if !(skew >= workload.ZipfMinSkew && skew <= 64) {
+			skew = workload.ZipfMinSkew + math.Mod(math.Abs(skew), 64-workload.ZipfMinSkew)
+			if math.IsNaN(skew) {
+				t.Skip("skew is not finite")
 			}
 		}
 		d := workload.ZipfDomain{Skew: skew, N: 1 + n%(1<<26)}

@@ -12,7 +12,7 @@
 // (internal/ftl), the PPB strategy (internal/core), hot/cold
 // identification (internal/hotness), synthetic MSR-style workloads
 // (internal/workload), and the experiment harness (internal/harness).
-// It exports what the commands, examples and benchmarks use: PPB has a
+// It exports only what the commands and examples read: PPB has a
 // constructor, and every strategy, the baselines included, runs by kind
 // through RunSpec (FTLKindNames lists them).
 //
@@ -55,14 +55,9 @@ func NewDevice(cfg DeviceConfig) (*Device, error) { return nand.NewDevice(cfg) }
 // pages, 384 pages/block, 49 µs read, 600 µs program, 4 ms erase).
 func TableOneConfig() DeviceConfig { return nand.TableOneConfig() }
 
-// FTL framework (internal/ftl).
-type (
-	// FTL is the host-visible flash-translation-layer interface.
-	FTL = ftl.FTL
-	// FTLOptions tunes over-provisioning, garbage collection, chip
-	// dispatch and erase deferral.
-	FTLOptions = ftl.Options
-)
+// FTLOptions tunes over-provisioning, garbage collection, chip dispatch
+// and erase deferral (internal/ftl).
+type FTLOptions = ftl.Options
 
 // DispatchPolicy selects the chip of every fresh block allocation
 // (internal/vblock, FTLOptions.Dispatch): where fresh blocks — and with
@@ -132,8 +127,6 @@ func NewPPB(dev *Device, opt PPBOptions) (*PPB, error) { return core.New(dev, op
 
 // Hot/cold identification (internal/hotness).
 type (
-	// Level is one of the paper's four data hotness levels.
-	Level = hotness.Level
 	// Area is the first-stage classification result (hot or cold).
 	Area = hotness.Area
 	// Identifier is the pluggable first-stage hot/cold mechanism.
@@ -142,7 +135,7 @@ type (
 	SizeCheck = hotness.SizeCheck
 )
 
-// The four hotness levels and two areas.
+// The paper's four data hotness levels and the two areas.
 const (
 	IcyCold = hotness.IcyCold
 	Cold    = hotness.Cold
@@ -203,9 +196,6 @@ type (
 	FigureResult = harness.FigureResult
 	// FTLKind selects the strategy a run uses.
 	FTLKind = harness.FTLKind
-	// ReplayMetrics accumulates per-request completion latency during a
-	// replay (see RunEventLoop).
-	ReplayMetrics = harness.ReplayMetrics
 )
 
 // Strategy kinds for RunSpec; FTLKindNames lists every kind.
@@ -235,50 +225,9 @@ func RunAll(specs []RunSpec, parallelism int) ([]RunResult, error) {
 	return harness.RunAll(specs, parallelism)
 }
 
-// NewPageOpsFTL builds the standard page-op microbenchmark subject
-// shared by the repo benchmarks and ppbench -json.
-func NewPageOpsFTL(kind FTLKind) (FTL, error) { return harness.NewPageOpsFTL(kind) }
-
-// NewReliabilityPageOpsFTL builds the page-op microbenchmark subject
-// with the reliability model enabled (the retried-read hot path), shared
-// by BenchmarkReliabilityPageOps and ppbench -json.
-func NewReliabilityPageOpsFTL() (FTL, error) { return harness.NewReliabilityPageOpsFTL() }
-
-// NewIntraChipPageOpsFTL builds the page-op microbenchmark subject with
-// intra-chip parallelism enabled (multi-plane booking and erase
-// suspension — the a8 hot paths), shared by BenchmarkIntraChipPageOps
-// and ppbench -json.
-func NewIntraChipPageOpsFTL() (FTL, error) { return harness.NewIntraChipPageOpsFTL() }
-
-// NewTenantPageOpsFTL builds the multi-tenant microbenchmark subject
-// (four chips, tenant-partition dispatch, four tenants — the a10 hot
-// paths), shared by BenchmarkCompositorEventLoop and ppbench -json.
-func NewTenantPageOpsFTL() (FTL, error) { return harness.NewTenantPageOpsFTL() }
-
 // FTLKindNames lists the FTL strategy kinds in presentation order — the
 // spellings RunSpec.Kind and flashsim -ftl accept.
 var FTLKindNames = harness.FTLKindNames
-
-// RunPageOps executes n iterations of the standard page-op loop.
-func RunPageOps(f FTL, n int) error { return harness.RunPageOps(f, n) }
-
-// RunEventLoop replays n synthetic requests through the measured
-// discrete-event replay loop — the shared body of BenchmarkEventLoop and
-// ppbench -json's EventLoop microbenchmark.
-func RunEventLoop(f FTL, m *ReplayMetrics, n int) error { return harness.RunEventLoop(f, m, n) }
-
-// RunCompositorEventLoop replays n synthetic requests from a four-tenant
-// stream compositor through the measured replay with per-tenant
-// attribution and dispatch active — the shared body of
-// BenchmarkCompositorEventLoop and ppbench -json's CompositorEventLoop
-// microbenchmark.
-func RunCompositorEventLoop(f FTL, m *ReplayMetrics, n int) error {
-	return harness.RunCompositorEventLoop(f, m, n)
-}
-
-// NewReplayMetrics builds the request-latency histograms RunEventLoop
-// and RunCompositorEventLoop record into.
-func NewReplayMetrics() *ReplayMetrics { return harness.NewReplayMetrics() }
 
 // Experiment runs one of the paper's experiments by ID ("12".."18" for
 // figures, "3" for the motivation study, "a1".."a8" for ablations — the
