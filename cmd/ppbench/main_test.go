@@ -81,7 +81,6 @@ func TestParseFlagsOut(t *testing.T) {
 	}{
 		{[]string{"-fig", "13", "-scale", "quick"}, ""},
 		{[]string{"-fig", "13", "-scale", "quick", "-out", "x.json"}, "x.json"},
-		{[]string{"-out=BENCH_28.json"}, "BENCH_28.json"},
 	} {
 		opts, err := parseFlags(tc.args)
 		if err != nil {
