@@ -63,6 +63,13 @@
 // device, a negative -parallel or -reorder-window, a -disk below -1, and
 // a -disk other than -1 with -format simple (which has no disk field).
 //
+// flashsim charges Table 1's 533 MB/s channel transfer on every page
+// read and program: it builds its device from TableOneConfig, which
+// moves a 16 KiB page in 30.7 µs on top of the cell latency, while the
+// paper figures run on harness Scale.DeviceConfig, which zeroes that
+// transfer (its doc says why). Its latencies are therefore not directly
+// comparable with ppbench's.
+//
 // Traces replay as pull-based streams: one validation pass up front,
 // then each FTL's replay re-reads the file one request at a time, so a
 // multi-day MSR trace never resides fully in memory.

@@ -21,7 +21,11 @@
 // Crucially, PPB is *progressive*: identifying data as iron-hot (or
 // cold) never triggers an immediate copy. Data migrates to a page of the
 // right speed only when it is rewritten by the host or relocated by GC,
-// so the strategy adds no write or GC overhead of its own (§4.2).
+// so the strategy adds no write or GC overhead of its own (§4.2). The
+// code keeps that split: PPB hands ftl.NewBase only its placement —
+// placeHost for host writes, reprogramGC for GC relocations and
+// gcSlowFirst for their order — and ftl.Base runs the conventional
+// write, mapping, invalidation and greedy GC around it.
 //
 // On multi-chip devices PPB inherits chip placement from the
 // virtual-block manager's dispatch policy: by default each pool's
@@ -141,10 +145,6 @@ type PPB struct {
 	hot   *hotness.TwoLevelLRU
 	cold  *hotness.FreqTable
 
-	// GC callbacks bound once at construction (see New).
-	reprogramFn ftl.ReprogramFunc
-	slowFirstFn func(nand.OOB) bool
-
 	// staleWindow is the "demote if not modified" horizon: a hot-list
 	// chunk relocated by GC whose last write is more than staleWindow
 	// host writes ago is demoted to the cold area.
@@ -168,29 +168,22 @@ func New(dev *nand.Device, opt Options) (*PPB, error) {
 	// a hot/cold affinity dispatch the bulk/library/dark cold pools (and
 	// their GC erases) stay off the hot chips.
 	vbm.MarkHotPools(poolHotHost, poolHotGC)
+	p := &PPB{vbm: vbm, ident: opt.Identifier}
+	if p.ident == nil {
+		p.ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
+	}
 	low, high := gcWatermarks(dev.Config(), opt.FTL.OverProvision)
-	base, err := ftl.NewBase(dev, vbm, low, high, opt.FTL)
+	p.Base, err = ftl.NewBase(dev, vbm,
+		ftl.Placement{Host: p.placeHost, Relocate: p.reprogramGC, RelocateFirst: p.gcSlowFirst},
+		low, high, opt.FTL)
 	if err != nil {
 		return nil, err
 	}
-	ident := opt.Identifier
-	if ident == nil {
-		ident = hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}
-	}
-	logical := base.LogicalPages()
+	logical := p.LogicalPages()
 	listCap := trackerCap(logical)
-	p := &PPB{
-		Base:        base,
-		vbm:         vbm,
-		ident:       ident,
-		hot:         hotness.NewTwoLevelLRU(listCap, listCap, logical),
-		cold:        hotness.NewFreqTable(logical, coldPromoteReads),
-		staleWindow: 4 * uint64(listCap),
-	}
-	// Bind the GC callbacks once, so the MaybeGC check inlined into every
-	// Write passes two stored funcs instead of building method values.
-	p.reprogramFn = p.reprogramGC
-	p.slowFirstFn = p.gcSlowFirst
+	p.hot = hotness.NewTwoLevelLRU(listCap, listCap, logical)
+	p.cold = hotness.NewFreqTable(logical, coldPromoteReads)
+	p.staleWindow = 4 * uint64(listCap)
 	return p, nil
 }
 
@@ -260,17 +253,10 @@ func (p *PPB) Read(lpn uint64) (bool, error) {
 	return true, nil
 }
 
-// Write implements ftl.FTL.
-func (p *PPB) Write(lpn uint64, reqSize int) error {
-	if err := p.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := p.MaybeGC(p.reprogramFn, p.slowFirstFn); err != nil {
-		return err
-	}
-	if err := p.InvalidateOld(lpn); err != nil {
-		return err
-	}
+// placeHost is PPB's host-write placement: it classifies the write
+// (advancing the write sequence), then programs it into its level's
+// area at its level's speed.
+func (p *PPB) placeHost(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
 	p.writeSeq++
 	lvl := p.classifyWrite(lpn, reqSize)
 	// Figure 10b II: when an iron-hot chunk is updated but the iron-hot
@@ -283,23 +269,11 @@ func (p *PPB) Write(lpn uint64, reqSize int) error {
 		p.ppbStats.FastFullDemotions.Inc()
 		lvl = p.currentLevel(lpn, uint8(hotness.Hot))
 	}
-	oldPPN, hadOld := p.Map().Lookup(lpn)
 	pool := poolColdHost
 	if lvl.HotArea() {
 		pool = poolHotHost
 	}
-	cost, ppn, err := p.programAt(pool, lvl, lvl.Fast(), nand.OOB{LPN: lpn, Tag: uint8(lvl)})
-	if err != nil {
-		return err
-	}
-	if hadOld {
-		p.noteMigration(oldPPN, ppn)
-	}
-	p.Map().Set(lpn, ppn)
-	st := p.Stats()
-	st.HostWrites.Inc()
-	st.WriteLatency.Observe(cost)
-	return nil
+	return p.programAt(pool, lvl, lvl.Fast(), lpn)
 }
 
 // classifyWrite runs the four-level identification for a host write and
@@ -348,30 +322,29 @@ func (p *PPB) currentLevel(lpn uint64, tag uint8) hotness.Level {
 	return hotness.IcyCold
 }
 
-// noteMigration counts a page whose speed group changed with this copy.
-func (p *PPB) noteMigration(oldPPN, newPPN nand.PPN) {
-	_, oldPage := p.Geom().SplitPPN(oldPPN)
-	_, newPage := p.Geom().SplitPPN(newPPN)
-	if p.vbm.FastPart(p.vbm.PartOf(oldPage)) != p.vbm.FastPart(p.vbm.PartOf(newPage)) {
-		p.ppbStats.Migrations.Inc()
-	}
-}
-
-// programAt stores one page into the given pool at the wanted speed,
-// following Algorithm 1's allocation and diversion rules. lvl is the
-// data's hotness level (stored in OOB and counted); wantFast usually
+// programAt stores a copy of lpn into the given pool at the wanted
+// speed, following Algorithm 1's allocation and diversion rules. lvl is
+// the data's hotness level (stored in OOB and counted); wantFast usually
 // equals lvl.Fast() but GC relocation into the library pool reserves the
-// fast halves for the most re-read tier.
-func (p *PPB) programAt(pool int, lvl hotness.Level, wantFast bool, oob nand.OOB) (time.Duration, nand.PPN, error) {
+// fast halves for the most re-read tier. A copy whose speed group
+// differs from the one lpn still maps to counts as a migration.
+func (p *PPB) programAt(pool int, lvl hotness.Level, wantFast bool, lpn uint64) (time.Duration, nand.PPN, error) {
 	blk, err := p.target(pool, wantFast)
 	if err != nil {
 		return 0, 0, err
 	}
-	cost, ppn, err := p.ProgramNext(blk, oob)
+	cost, ppn, err := p.ProgramNext(blk, nand.OOB{LPN: lpn, Tag: uint8(lvl)})
 	if err != nil {
 		return 0, 0, err
 	}
 	p.ppbStats.LevelWrites[lvl].Inc()
+	if old, ok := p.Map().Lookup(lpn); ok {
+		_, oldPage := p.Geom().SplitPPN(old)
+		_, newPage := p.Geom().SplitPPN(ppn)
+		if p.vbm.FastPart(p.vbm.PartOf(oldPage)) != p.vbm.FastPart(p.vbm.PartOf(newPage)) {
+			p.ppbStats.Migrations.Inc()
+		}
+	}
 	return cost, ppn, nil
 }
 
@@ -544,13 +517,7 @@ func (p *PPB) reprogramGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
 			pool = poolColdGCDark
 		}
 	}
-	oldPPN, _ := p.Map().Lookup(oob.LPN)
-	cost, ppn, err := p.programAt(pool, lvl, wantFast, nand.OOB{LPN: oob.LPN, Tag: uint8(lvl)})
-	if err != nil {
-		return 0, 0, err
-	}
-	p.noteMigration(oldPPN, ppn)
-	return cost, ppn, nil
+	return p.programAt(pool, lvl, wantFast, oob.LPN)
 }
 
 // readSinceWrite reports whether the cold tracker has seen at least one

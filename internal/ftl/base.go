@@ -8,15 +8,39 @@ import (
 	"ppbflash/internal/vblock"
 )
 
+// Placement is what a strategy supplies to Base: where the pages it is
+// handed land. Base runs the rest of every write — range check, garbage
+// collection, mapping, invalidation of the old copy and the stats.
+type Placement struct {
+	// Host programs the new copy of a host write of lpn, reqSize being
+	// the byte length of its request, and returns the device cost and
+	// the programmed page. It runs after garbage collection and before
+	// the mapping changes, so Map().Lookup(lpn) still returns the old
+	// copy.
+	Host func(lpn uint64, reqSize int) (time.Duration, nand.PPN, error)
+	// Relocate programs the copy of a valid page garbage collection
+	// moves, the same way. It must not start another collection: a
+	// re-entered collection returns an error instead of running.
+	Relocate func(oob nand.OOB) (time.Duration, nand.PPN, error)
+	// RelocateFirst, when set, orders relocation within each collected
+	// block: pages for which it returns true move before the rest. PPB
+	// moves slow-deserving data first: filling slow halves opens their
+	// fast halves, which the fast-deserving data moved after it claims.
+	// The paper fixes no relocation order; this one makes the
+	// progressive migration converge. Nil keeps physical page order.
+	RelocateFirst func(oob nand.OOB) bool
+}
+
 // Base carries the machinery every FTL in this package shares: the
-// device, the mapping table, stats, options, the page-programming path
-// and victim selection.
+// device, the mapping table, stats, options, the host-write path, the
+// page-programming path and garbage collection.
 type Base struct {
 	dev   *nand.Device
 	cfg   nand.Config
 	opts  Options
 	table *Mapping
 	stats Stats
+	place Placement
 
 	// gcLow and gcHigh are the GC watermarks: collection starts when the
 	// free pool falls to gcLow blocks and stops once it is back at gcHigh.
@@ -25,24 +49,24 @@ type Base struct {
 	// vbm is the strategy's virtual-block manager; invalidations and GC
 	// victim picks go through it so its victim index stays current.
 	vbm *vblock.Manager
-	// gcDeferred is collectBlock's reusable fast-first scratch;
+	// gcDeferred is collectBlock's reusable relocate-later scratch;
 	// gcCollecting marks a collection in flight, so a collection
-	// re-entered through a reprogram callback fails instead of
-	// clobbering the slice the outer pass still ranges.
+	// re-entered through a relocation fails instead of clobbering the
+	// slice the outer pass still ranges.
 	gcDeferred   []int
 	gcCollecting bool
 }
 
 // NewBase validates the options and builds the shared state for an FTL
-// over dev and the strategy's virtual-block manager, collecting garbage
-// between the gcLow and gcHigh free-block watermarks. Strategy packages
-// (internal/core) embed the result. Taking the manager at construction
-// (rather than attaching it later) guarantees Invalidate always feeds
-// the manager's GC victim index — a strategy cannot forget to wire it —
-// and lets NewBase thread the dispatch policy plus the device's chip
-// clocks into the manager, so clock-aware policies work for every
-// strategy without per-FTL wiring.
-func NewBase(dev *nand.Device, vbm *vblock.Manager, gcLow, gcHigh int, opts Options) (Base, error) {
+// over dev, the strategy's virtual-block manager and its placement,
+// collecting garbage between the gcLow and gcHigh free-block watermarks.
+// Strategy packages (internal/core) embed the result. Taking the manager
+// at construction (rather than attaching it later) guarantees every
+// invalidation feeds the manager's GC victim index — a strategy cannot
+// forget to wire it — and lets NewBase thread the dispatch policy plus
+// the device's chip clocks into the manager, so clock-aware policies
+// work for every strategy without per-FTL wiring.
+func NewBase(dev *nand.Device, vbm *vblock.Manager, place Placement, gcLow, gcHigh int, opts Options) (Base, error) {
 	cfg := dev.Config()
 	opts = opts.withDefaults(cfg)
 	if err := opts.validate(); err != nil {
@@ -77,7 +101,7 @@ func NewBase(dev *nand.Device, vbm *vblock.Manager, gcLow, gcHigh int, opts Opti
 		return Base{}, fmt.Errorf("ftl: no logical space (over-provision %g on %d pages)",
 			opts.OverProvision, cfg.TotalPages())
 	}
-	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), vbm: vbm,
+	return Base{dev: dev, cfg: cfg, opts: opts, table: NewMapping(logical), place: place, vbm: vbm,
 		gcLow: gcLow, gcHigh: gcHigh}, nil
 }
 
@@ -117,10 +141,10 @@ func (b *Base) Map() *Mapping { return b.table }
 // manager ignores the active tenant entirely.
 func (b *Base) SetTenant(t int) { b.vbm.SetActiveTenant(t) }
 
-// Invalidate drops a physical page and keeps the victim index current.
+// invalidate drops a physical page and keeps the victim index current.
 // All FTL-side invalidation must go through here (not nand.Device
 // directly), or victim selection will run on stale invalid counts.
-func (b *Base) Invalidate(ppn nand.PPN) error {
+func (b *Base) invalidate(ppn nand.PPN) error {
 	if err := b.dev.Invalidate(ppn); err != nil {
 		return err
 	}
@@ -185,21 +209,34 @@ func (b *Base) ProgramNext(blk nand.BlockID, oob nand.OOB) (time.Duration, nand.
 	return cost, ppn, nil
 }
 
-// CheckWrite validates the target of a host write.
-func (b *Base) CheckWrite(lpn uint64) error {
+// Write implements FTL for every strategy: it checks lpn, collects
+// garbage when the free pool has fallen to the low-water mark, has the
+// strategy's Placement program the new copy, maps it and then
+// invalidates the old copy. GC runs before placement because PPB's host
+// placement advances the write sequence its stale-demotion rule reads
+// during GC. Invalidating only after mapping, as GC relocation does,
+// means a placement that fails (ErrNoSpace) leaves lpn mapped to its
+// old, valid page.
+func (b *Base) Write(lpn uint64, reqSize int) error {
 	if !b.table.inRange(lpn) {
 		return fmt.Errorf("ftl: write of lpn %d beyond logical space %d", lpn, b.table.pages())
 	}
-	return nil
-}
-
-// InvalidateOld drops the previous physical page of lpn, if any.
-func (b *Base) InvalidateOld(lpn uint64) error {
-	if old, had := b.table.Lookup(lpn); had {
-		if err := b.Invalidate(old); err != nil {
+	if b.vbm.FreeBlocks() <= b.gcLow {
+		if err := b.gc(); err != nil {
 			return err
 		}
 	}
+	cost, ppn, err := b.place.Host(lpn, reqSize)
+	if err != nil {
+		return err
+	}
+	if old, had := b.table.Set(lpn, ppn); had {
+		if err := b.invalidate(old); err != nil {
+			return err
+		}
+	}
+	b.stats.HostWrites.Inc()
+	b.stats.WriteLatency.Observe(cost)
 	return nil
 }
 

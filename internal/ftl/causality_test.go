@@ -36,7 +36,7 @@ func causalBase(t *testing.T) (*Base, *nand.Device, nand.BlockID) {
 		t.Fatal(err)
 	}
 	low, high := gcWatermarks(cfg)
-	base, err := NewBase(dev, vbm, low, high, Options{OverProvision: 0.5})
+	base, err := NewBase(dev, vbm, Placement{}, low, high, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,8 @@ func TestCausalRelocationChain(t *testing.T) {
 		}
 		return cost, ppn, nil
 	}
-	if err := base.collectBlock(victim, reprogram, nil); err != nil {
+	base.place.Relocate = reprogram
+	if err := base.collectBlock(victim); err != nil {
 		t.Fatal(err)
 	}
 	if violations != 0 {
@@ -102,8 +103,8 @@ func TestCausalRelocationChain(t *testing.T) {
 	}
 }
 
-// TestNestedCollectScratch: a collection re-entered through the
-// reprogram callback is refused with errGCReentered. collectBlock reuses
+// TestNestedCollectScratch: a collection re-entered through a
+// relocation is refused with errGCReentered. collectBlock reuses
 // one deferred-page scratch per FTL, so a nested collection would
 // clobber the page list the outer pass is still working through. The
 // refused collection must leave its victim untouched, and the outer one
@@ -116,7 +117,7 @@ func TestNestedCollectScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	low, high := gcWatermarks(cfg)
-	base, err := NewBase(dev, vbm, low, high, Options{OverProvision: 0.5})
+	base, err := NewBase(dev, vbm, Placement{}, low, high, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,12 @@ func TestNestedCollectScratch(t *testing.T) {
 			// First outer relocation: try to collect victim B while
 			// victim A's deferred scratch is live.
 			nested = true
-			nestedErr = base.collectBlock(victimB, writeOne, oddLast)
+			nestedErr = base.collectBlock(victimB)
 		}
 		return writeOne(oob)
 	}
-	if err := base.collectBlock(victimA, reprogram, oddLast); err != nil {
+	base.place = Placement{Relocate: reprogram, RelocateFirst: oddLast}
+	if err := base.collectBlock(victimA); err != nil {
 		t.Fatalf("outer collect: %v", err)
 	}
 	if !errors.Is(nestedErr, errGCReentered) {
@@ -195,7 +197,8 @@ func TestNestedCollectScratch(t *testing.T) {
 	}
 	// The refusal is scoped to the collection in flight: victim B
 	// collects normally afterwards.
-	if err := base.collectBlock(victimB, writeOne, oddLast); err != nil {
+	base.place.Relocate = writeOne
+	if err := base.collectBlock(victimB); err != nil {
 		t.Fatalf("collect after the outer pass: %v", err)
 	}
 	if got := base.Stats().GCErases.Value(); got != 2 {

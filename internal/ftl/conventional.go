@@ -43,37 +43,21 @@ func NewConventional(dev *nand.Device, opts Options) (*Conventional, error) {
 	// affinity dispatch the GC stream keeps its multi-ms erases off the
 	// host chips.
 	vbm.MarkHotPools(convHost)
+	c := &Conventional{}
 	low, high := gcWatermarks(dev.Config())
-	b, err := NewBase(dev, vbm, low, high, opts)
+	c.Base, err = NewBase(dev, vbm, Placement{Host: c.placeHost, Relocate: c.relocate}, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Conventional{Base: b}, nil
+	return c, nil
 }
 
 // Name implements FTL.
 func (c *Conventional) Name() string { return "conventional" }
 
-// Write implements FTL.
-func (c *Conventional) Write(lpn uint64, _ int) error {
-	if err := c.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := c.MaybeGC(c.programGC, nil); err != nil {
-		return err
-	}
-	if err := c.InvalidateOld(lpn); err != nil {
-		return err
-	}
-	cost, ppn, err := c.program(convHost, nand.OOB{LPN: lpn})
-	if err != nil {
-		return err
-	}
-	c.Map().Set(lpn, ppn)
-	st := c.Stats()
-	st.HostWrites.Inc()
-	st.WriteLatency.Observe(cost)
-	return nil
+// placeHost appends a host write to the host stream.
+func (c *Conventional) placeHost(lpn uint64, _ int) (time.Duration, nand.PPN, error) {
+	return c.program(convHost, nand.OOB{LPN: lpn})
 }
 
 // program appends one page to the stream's write point, opening a new
@@ -93,6 +77,7 @@ func (c *Conventional) program(stream int, oob nand.OOB) (time.Duration, nand.PP
 	return c.ProgramNext(blk, oob)
 }
 
-func (c *Conventional) programGC(oob nand.OOB) (time.Duration, nand.PPN, error) {
+// relocate appends a GC copy to the GC stream.
+func (c *Conventional) relocate(oob nand.OOB) (time.Duration, nand.PPN, error) {
 	return c.program(convGC, oob)
 }

@@ -16,6 +16,14 @@
 // The PPB strategy itself lives in internal/core and plugs into the same
 // FTL interface.
 //
+// A strategy places pages; Base writes, maps, invalidates and collects.
+// Each strategy embeds Base and hands NewBase only its Placement: where
+// a host write lands, where a GC relocation lands, and optionally which
+// pages of a victim relocate first. Base.Write is the one host-write
+// path: it checks the LPN, runs GC at the low-water mark, has the
+// placement program the new copy, maps it and then invalidates the old
+// copy; GC relocation keeps the same program-map-invalidate order.
+//
 // Every strategy allocates blocks through vblock.Manager, which also
 // keeps each pool's write points (Manager.Open): a strategy only picks
 // which block a page goes to and programs it through Base.ProgramNext,
@@ -189,13 +197,6 @@ type Stats struct {
 
 	GCCopies metrics.Counter // valid pages moved by GC
 	GCErases metrics.Counter // blocks erased by GC
-	GCRuns   metrics.Counter // GC invocations
-
-	// GCPoolErases/GCPoolCopies break GC activity down by the victim's
-	// allocation pool (diagnostics; pools beyond index 7 are folded into
-	// the last slot).
-	GCPoolErases [8]metrics.Counter
-	GCPoolCopies [8]metrics.Counter
 
 	// FastReads/SlowReads split host reads by the speed group of the
 	// page that served them (placement quality probe).

@@ -90,7 +90,7 @@ func TestOptionsDefaultsAndValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = NewBase(nand.MustNewDevice(cfg), vbm, 3, high, Options{})
+		_, err = NewBase(nand.MustNewDevice(cfg), vbm, Placement{}, 3, high, Options{})
 		return err
 	}
 	if err := newBase(cfg.TotalBlocks()); err == nil {

@@ -7,46 +7,21 @@ import (
 	"ppbflash/internal/nand"
 )
 
-// ReprogramFunc relocates one valid page during GC and returns the device
-// cost of the program plus the new physical page. It must not start
-// another collection, directly or through the FTL's Write: collectBlock
-// reuses one scratch slice per FTL, so a re-entered collection returns
-// an error instead of running.
-type ReprogramFunc func(oob nand.OOB) (time.Duration, nand.PPN, error)
+// errGCReentered reports a collection started from inside a relocation.
+var errGCReentered = errors.New("ftl: garbage collection re-entered from a relocation")
 
-// errGCReentered reports a collection started from inside a reprogram
-// callback.
-var errGCReentered = errors.New("ftl: garbage collection re-entered from a reprogram callback")
-
-// MaybeGC is the garbage-collection trigger every FTL in this module
-// calls before a host write: when the free pool has fallen to the
-// low-water mark it runs the collector. The check is kept this small so
-// it inlines into each strategy's Write; the collector stays out of line.
-//
-// reprogram relocates valid pages through the strategy's own placement.
-// Within each collected block, pages for which fastFirst returns true
-// relocate before the rest. PPB uses this to let fast-deserving data
-// (iron-hot, cold) claim the fast virtual-block space of a GC burst ahead
-// of slow-deserving data: the paper does not fix a relocation order, and
-// this one makes the progressive migration converge. A nil fastFirst
-// keeps physical page order.
-func (b *Base) MaybeGC(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
-	if b.vbm.FreeBlocks() > b.gcLow {
-		return nil
-	}
-	return b.gc(reprogram, fastFirst)
-}
-
-// gc is the collector shared by every FTL in this module: greedy victim
+// gc is the collector shared by every FTL in this module, which Write
+// runs when the free pool has fallen to the low-water mark: greedy victim
 // selection (most invalid pages, wear-aware tie-break), valid-page
-// relocation, erase, release. It runs until the free pool recovers to
-// the high-water mark or nothing reclaimable remains. Open blocks are
-// never victims: the manager skips them itself (vblock.Manager.IsOpen).
+// relocation through the strategy's Placement, erase, release. It runs
+// until the free pool recovers to the high-water mark or nothing
+// reclaimable remains. Open blocks are never victims: the manager skips
+// them itself (vblock.Manager.IsOpen).
 //
 // Victims come from the manager's incrementally maintained invalid-count
 // index, so each pick costs O(candidates at the top count) instead of a
 // scan over every block; the tests cross-check it against a full scan.
-func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) gc() error {
 	vbm := b.vbm
 	// Under Options.Wear == WearAware the greedy rule is relaxed by
 	// wearWindow invalid-count buckets.
@@ -54,7 +29,6 @@ func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error 
 	if b.opts.Wear == WearAware {
 		window = wearWindow(&b.cfg)
 	}
-	b.stats.GCRuns.Inc()
 	for vbm.FreeBlocks() < b.gcHigh {
 		victim, ok := vbm.PickVictim(true, b.dev.EraseCount, window)
 		if !ok {
@@ -66,7 +40,7 @@ func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error 
 		}
 		before := vbm.FreeBlocks()
 		retiredBefore := b.dev.RetiredBlocks()
-		if err := b.collectBlock(victim, reprogram, fastFirst); err != nil {
+		if err := b.collectBlock(victim); err != nil {
 			return err
 		}
 		if vbm.FreeBlocks() <= before && b.dev.RetiredBlocks() == retiredBefore {
@@ -83,10 +57,10 @@ func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error 
 	// Free space is healthy again: do the proactive reliability work —
 	// scrub blocks flagged for retirement, then rebalance wear. Both are
 	// bounded and guarded so they never push the pool back into GC.
-	if err := b.scrubRetireCandidates(reprogram, fastFirst); err != nil {
+	if err := b.scrubRetireCandidates(); err != nil {
 		return err
 	}
-	return b.maybeWearSwap(reprogram, fastFirst)
+	return b.maybeWearSwap()
 }
 
 // scrubRetireCandidates drains the device's retire-candidate queue
@@ -95,7 +69,7 @@ func (b *Base) gc(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error 
 // skipped here (open block, or the pool ran low) keeps its pending
 // recommendation and is retired at its next normal GC erase instead, so
 // retirement never depends on the scrub running.
-func (b *Base) scrubRetireCandidates(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) scrubRetireCandidates() error {
 	if !b.dev.ReliabilityEnabled() {
 		return nil
 	}
@@ -107,7 +81,7 @@ func (b *Base) scrubRetireCandidates(reprogram ReprogramFunc, fastFirst func(nan
 		if _, owned := b.vbm.PoolOf(cand); !owned || b.vbm.IsOpen(cand) {
 			continue
 		}
-		if err := b.collectBlock(cand, reprogram, fastFirst); err != nil {
+		if err := b.collectBlock(cand); err != nil {
 			return err
 		}
 	}
@@ -122,7 +96,7 @@ func (b *Base) scrubRetireCandidates(reprogram ReprogramFunc, fastFirst func(nan
 // max erase count is O(1) (the device maintains it incrementally); only
 // the min scan pays a ForEachFull walk, and only while the policy is
 // active and free space is healthy.
-func (b *Base) maybeWearSwap(reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) maybeWearSwap() error {
 	if b.opts.Wear != WearThresholdSwap {
 		return nil
 	}
@@ -145,12 +119,12 @@ func (b *Base) maybeWearSwap(reprogram ReprogramFunc, fastFirst func(nand.OOB) b
 	if !found || max-candWear < wearThreshold {
 		return nil
 	}
-	return b.collectBlock(cand, reprogram, fastFirst)
+	return b.collectBlock(cand)
 }
 
-// collectBlock relocates the victim's valid pages (optionally in two
-// passes ordered by fastFirst), erases it and returns it to the free
-// pool, charging all device time to GC.
+// collectBlock relocates the victim's valid pages (in two passes when
+// the placement sets RelocateFirst), erases it and returns it to the
+// free pool, charging all device time to GC.
 //
 // Each relocation is a read -> program chain: the copy's program is
 // armed (nand.Device.After) behind its source read's completion, and the
@@ -158,8 +132,7 @@ func (b *Base) maybeWearSwap(reprogram ReprogramFunc, fastFirst func(nand.OOB) b
 // copy never programs data before that data was read, and the block is
 // not erased before its contents are safe elsewhere. On a single chip
 // every op serializes on one clock and the floors are inert.
-func (b *Base) collectBlock(victim nand.BlockID,
-	reprogram ReprogramFunc, fastFirst func(nand.OOB) bool) error {
+func (b *Base) collectBlock(victim nand.BlockID) error {
 	if b.gcCollecting {
 		return errGCReentered
 	}
@@ -169,13 +142,6 @@ func (b *Base) collectBlock(victim nand.BlockID,
 	// A partially-used victim may still be queued as "pending": its next
 	// part could otherwise be opened as a relocation target mid-collect.
 	vbm.UnqueuePending(victim)
-	poolIdx := 0
-	if pool, ok := vbm.PoolOf(victim); ok {
-		poolIdx = pool
-		if poolIdx >= len(b.stats.GCPoolErases) {
-			poolIdx = len(b.stats.GCPoolErases) - 1
-		}
-	}
 	var lastReloc time.Duration // latest relocation finish (the erase floor)
 	relocate := func(page int) error {
 		ppn := b.cfg.PPNForBlockPage(victim, page)
@@ -184,7 +150,7 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			return err
 		}
 		b.dev.After(b.dev.LastFinish()) // program waits for its source read
-		progCost, newPPN, err := reprogram(oob)
+		progCost, newPPN, err := b.place.Relocate(oob)
 		if err != nil {
 			return err
 		}
@@ -192,11 +158,10 @@ func (b *Base) collectBlock(victim nand.BlockID,
 			lastReloc = fin
 		}
 		b.table.Set(oob.LPN, newPPN)
-		if err := b.Invalidate(ppn); err != nil {
+		if err := b.invalidate(ppn); err != nil {
 			return err
 		}
 		b.stats.GCCopies.Inc()
-		b.stats.GCPoolCopies[poolIdx].Inc()
 		b.stats.GCLatency.Observe(readCost + progCost)
 		return nil
 	}
@@ -209,7 +174,7 @@ func (b *Base) collectBlock(victim nand.BlockID,
 		if b.dev.State(ppn) != nand.PageValid {
 			continue
 		}
-		if fastFirst != nil && !fastFirst(b.dev.PeekOOB(ppn)) {
+		if first := b.place.RelocateFirst; first != nil && !first(b.dev.PeekOOB(ppn)) {
 			deferred = append(deferred, page)
 			continue
 		}
@@ -244,7 +209,6 @@ func (b *Base) collectBlock(victim nand.BlockID,
 		return err
 	}
 	b.stats.GCErases.Inc()
-	b.stats.GCPoolErases[poolIdx].Inc()
 	b.stats.GCLatency.Observe(eraseCost)
 	return nil
 }

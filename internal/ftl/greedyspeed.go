@@ -23,7 +23,6 @@ const (
 // copy roughly half a block per erase.
 type GreedySpeed struct {
 	Base
-	ident hotness.SizeCheck
 }
 
 var _ FTL = (*GreedySpeed)(nil)
@@ -38,40 +37,30 @@ func NewGreedySpeed(dev *nand.Device, opts Options) (*GreedySpeed, error) {
 	// The strawman mixes hot and cold data in one shared pool, so the
 	// whole pool counts as hot-stream for affinity dispatch purposes.
 	vbm.MarkHotPools(0)
+	g := &GreedySpeed{}
 	low, high := gcWatermarks(dev.Config())
-	b, err := NewBase(dev, vbm, low, high, opts)
+	g.Base, err = NewBase(dev, vbm, Placement{Host: g.placeHost, Relocate: g.program}, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &GreedySpeed{Base: b, ident: hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}}, nil
+	return g, nil
 }
 
 // Name implements FTL.
 func (g *GreedySpeed) Name() string { return "greedy-speed" }
 
-// Write implements FTL.
-func (g *GreedySpeed) Write(lpn uint64, reqSize int) error {
-	if err := g.CheckWrite(lpn); err != nil {
-		return err
+// sizeTag tags a host write of lpn by the paper's size check at the
+// device page size: tagHot for requests smaller than a page.
+func (b *Base) sizeTag(lpn uint64, reqSize int) uint8 {
+	if (hotness.SizeCheck{ThresholdBytes: b.cfg.PageSize}).Classify(lpn, reqSize) == hotness.AreaHot {
+		return tagHot
 	}
-	if err := g.MaybeGC(g.program, nil); err != nil {
-		return err
-	}
-	if err := g.InvalidateOld(lpn); err != nil {
-		return err
-	}
-	tag := tagCold
-	if g.ident.Classify(lpn, reqSize) == hotness.AreaHot {
-		tag = tagHot
-	}
-	cost, ppn, err := g.program(nand.OOB{LPN: lpn, Tag: tag})
-	if err != nil {
-		return err
-	}
-	g.table.Set(lpn, ppn)
-	g.stats.HostWrites.Inc()
-	g.stats.WriteLatency.Observe(cost)
-	return nil
+	return tagCold
+}
+
+// placeHost places a host write by its size tag.
+func (g *GreedySpeed) placeHost(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
+	return g.program(nand.OOB{LPN: lpn, Tag: g.sizeTag(lpn, reqSize)})
 }
 
 // program places the page by its tag: hot data goes to the pool's fast

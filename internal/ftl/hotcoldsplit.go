@@ -16,7 +16,6 @@ import (
 // brackets PPB: speed-aware-but-mixed vs separated-but-speed-blind.
 type HotColdSplit struct {
 	Base
-	ident hotness.SizeCheck
 }
 
 var _ FTL = (*HotColdSplit)(nil)
@@ -29,41 +28,21 @@ func NewHotColdSplit(dev *nand.Device, opts Options) (*HotColdSplit, error) {
 		return nil, err
 	}
 	vbm.MarkHotPools(int(hotness.AreaHot))
+	h := &HotColdSplit{}
 	low, high := gcWatermarks(dev.Config())
-	b, err := NewBase(dev, vbm, low, high, opts)
+	h.Base, err = NewBase(dev, vbm, Placement{Host: h.placeHost, Relocate: h.program}, low, high, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &HotColdSplit{Base: b, ident: hotness.SizeCheck{ThresholdBytes: dev.Config().PageSize}}, nil
+	return h, nil
 }
 
 // Name implements FTL.
 func (h *HotColdSplit) Name() string { return "hotcold-split" }
 
-// Write implements FTL.
-func (h *HotColdSplit) Write(lpn uint64, reqSize int) error {
-	if err := h.CheckWrite(lpn); err != nil {
-		return err
-	}
-	if err := h.MaybeGC(h.program, nil); err != nil {
-		return err
-	}
-	if err := h.InvalidateOld(lpn); err != nil {
-		return err
-	}
-	area := h.ident.Classify(lpn, reqSize)
-	tag := tagCold
-	if area == hotness.AreaHot {
-		tag = tagHot
-	}
-	cost, ppn, err := h.program(nand.OOB{LPN: lpn, Tag: tag})
-	if err != nil {
-		return err
-	}
-	h.table.Set(lpn, ppn)
-	h.stats.HostWrites.Inc()
-	h.stats.WriteLatency.Observe(cost)
-	return nil
+// placeHost places a host write in the area of its size tag.
+func (h *HotColdSplit) placeHost(lpn uint64, reqSize int) (time.Duration, nand.PPN, error) {
+	return h.program(nand.OOB{LPN: lpn, Tag: h.sizeTag(lpn, reqSize)})
 }
 
 // program appends to the write point of the page's area.

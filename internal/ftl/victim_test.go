@@ -127,7 +127,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 			i := rng.Intn(len(valid))
 			ppn := valid[i]
 			valid = append(valid[:i], valid[i+1:]...)
-			if err := base.Invalidate(ppn); err != nil {
+			if err := base.invalidate(ppn); err != nil {
 				t.Fatalf("invalidate: %v", err)
 			}
 		}
@@ -150,7 +150,7 @@ func TestVictimIndexMatchesLegacyScan(t *testing.T) {
 						break
 					}
 				}
-				if err := base.Invalidate(ppn); err != nil {
+				if err := base.invalidate(ppn); err != nil {
 					t.Fatalf("invalidate victim page: %v", err)
 				}
 			}
@@ -243,7 +243,7 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 			}
 		}
 		for p := 0; p < invalidate; p++ {
-			if err := base.Invalidate(cfg.PPNForBlockPage(vb.Block, p)); err != nil {
+			if err := base.invalidate(cfg.PPNForBlockPage(vb.Block, p)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,7 +270,7 @@ func TestVictimIndexHonorsExclude(t *testing.T) {
 
 // TestGCDesperationCollectsPartialBlock builds a state with no full
 // blocks and only a partially-programmed, pending victim, and verifies
-// MaybeGC falls back to the desperation pass: the partial block is
+// GC falls back to the desperation pass: the partial block is
 // unqueued from pending, its survivors relocated, and the block
 // force-released back to the free pool.
 func TestGCDesperationCollectsPartialBlock(t *testing.T) {
@@ -280,14 +280,14 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewBase(dev, vbm, 8, 9, Options{OverProvision: 0.5})
+	base, err := NewBase(dev, vbm, Placement{}, 8, 9, Options{OverProvision: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A dummy allocation besides the victim pulls the free pool to the
-	// low-water mark so MaybeGC actually runs; with zero invalid pages
-	// it can never be picked itself.
+	// low-water mark, below the high-water mark GC collects up to; with
+	// zero invalid pages it can never be picked itself.
 	if _, err := vbm.AllocateFirst(0); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 	// Invalidate half; two survivors must be relocated by GC.
 	for lpn := uint64(0); lpn < 2; lpn++ {
 		ppn, _ := base.Map().Lookup(lpn)
-		if err := base.Invalidate(ppn); err != nil {
+		if err := base.invalidate(ppn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,8 @@ func TestGCDesperationCollectsPartialBlock(t *testing.T) {
 		}
 		return base.ProgramNext(target.Block, oob)
 	}
-	if err := base.MaybeGC(reprogram, nil); err != nil {
+	base.place.Relocate = reprogram
+	if err := base.gc(); err != nil {
 		t.Fatal(err)
 	}
 	if dev.EraseCount(victim) != 1 {

@@ -63,16 +63,13 @@ func lifetimeProbe(cfg nand.Config, wear ftl.WearPolicy, prof nand.ReliabilityCo
 	if err != nil {
 		return 0, err
 	}
-	span := f.LogicalPages()
-	for lpn := uint64(0); lpn < span; lpn++ {
-		if err := f.Write(lpn, 1<<20); err != nil {
-			if errors.Is(err, ftl.ErrNoSpace) {
-				return 0, fmt.Errorf("harness: lifetime probe died during cold fill: %w", err)
-			}
-			return 0, err
+	if err := prefill(f); err != nil {
+		if errors.Is(err, ftl.ErrNoSpace) {
+			return 0, fmt.Errorf("harness: lifetime probe died during cold fill: %w", err)
 		}
+		return 0, err
 	}
-	hot := span / 8
+	hot := f.LogicalPages() / 8
 	if hot < 1 {
 		hot = 1
 	}

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"ppbflash/internal/ftl"
+	"ppbflash/internal/nand"
 )
 
 // TestReliabilitySweepShape runs experiment a9 at CI scale and asserts
@@ -80,5 +84,56 @@ func TestReliabilitySweepShape(t *testing.T) {
 	}
 	if swap <= none {
 		t.Errorf("threshold-swap lifetime %g not strictly above no-leveling %g", swap, none)
+	}
+}
+
+// TestFailedWriteKeepsOldCopy: a host write that fails for lack of space
+// must leave its LPN mapped to the old copy, still valid. P/E-limit
+// retirement (the high profile, limit 3) shrinks a 20-block device until
+// a write fails with ErrNoSpace; every strategy must then pass the
+// mapping and device accounting checks.
+func TestFailedWriteKeepsOldCopy(t *testing.T) {
+	cfg := QuickScale.DeviceConfig(16<<10, 2).Scaled(8).WithChips(4)
+	prof, err := nand.ReliabilityProfileByName("high")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.PECycleLimit = 3
+	for _, kind := range FTLKindNames {
+		t.Run(kind, func(t *testing.T) {
+			dev := nand.MustNewDevice(cfg)
+			f, err := buildFTL(RunSpec{Kind: FTLKind(kind), FTLOptions: ftl.Options{
+				OverProvision: 0.1, Reliability: &prof, ReliabilitySeed: 1,
+			}}, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each LPN once in order, then a stride-7919 walk; every
+			// third write is a 1 MiB request, the rest 4 KiB.
+			span := f.LogicalPages()
+			limit := cfg.TotalPages() * uint64(prof.PECycleLimit+1) * 2
+			var i uint64
+			for ; i < limit; i++ {
+				lpn, size := i, 4096
+				if i >= span {
+					lpn = i * 7919 % span
+				}
+				if i%3 == 0 {
+					size = 1 << 20
+				}
+				if err = f.Write(lpn, size); err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, ftl.ErrNoSpace) {
+				t.Fatalf("after %d writes: %v, want ErrNoSpace", i, err)
+			}
+			if err := f.(interface{ CheckMapping() error }).CheckMapping(); err != nil {
+				t.Errorf("after failed write %d: %v", i, err)
+			}
+			if err := dev.CheckAccounting(); err != nil {
+				t.Errorf("after failed write %d: %v", i, err)
+			}
+		})
 	}
 }

@@ -21,9 +21,9 @@ type ZipfDomain struct {
 func ZipfDomains(g Generator) []ZipfDomain {
 	switch g := g.(type) {
 	case *WebSQL:
-		return []ZipfDomain{{g.cfg.ZipfS, g.dataPages}, {websqlMetaSkew, g.metaBytes / uint64(g.cfg.DBPageBytes)}}
+		return []ZipfDomain{{websqlZipfS, g.dataPages}, {websqlMetaSkew, g.metaBytes / websqlDBPageBytes}}
 	case *MediaServer:
-		return []ZipfDomain{{g.cfg.ZipfS, uint64(g.cfg.FileCount)}, {mediaMetaSkew, g.metaSlot}}
+		return []ZipfDomain{{mediaZipfS, uint64(g.fileCount)}, {mediaMetaSkew, g.metaSlot}}
 	}
 	return nil
 }

@@ -16,19 +16,6 @@ type MediaConfig struct {
 	Requests int
 	// Seed makes the stream deterministic; 0 is a seed like any other.
 	Seed int64
-	// ReadFraction is the share of read requests (default 0.85; media
-	// servers are read-dominated).
-	ReadFraction float64
-	// FileCount is the number of media files sharing the file region
-	// (default LogicalBytes/16MiB, at least 16).
-	FileCount int
-	// ZipfS is the file-popularity skew (default 1.15).
-	ZipfS float64
-	// ChunkBytes is the streaming read/ingest request size (default 256 KiB).
-	ChunkBytes int
-	// MetaFraction is the share of the disk holding the hot metadata
-	// region (default 0.01).
-	MetaFraction float64
 }
 
 func (c MediaConfig) withDefaults() MediaConfig {
@@ -38,30 +25,18 @@ func (c MediaConfig) withDefaults() MediaConfig {
 	if c.Requests == 0 {
 		c.Requests = 200_000
 	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.85
-	}
-	if c.FileCount == 0 {
-		c.FileCount = int(c.LogicalBytes / (16 << 20))
-		if c.FileCount < 16 {
-			c.FileCount = 16
-		}
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.15
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 256 << 10
-	}
-	if c.MetaFraction == 0 {
-		c.MetaFraction = 0.01
-	}
 	return c
 }
 
-// mediaMetaSkew is the access skew over the metadata region's 4 KiB
-// chunks.
-const mediaMetaSkew = 1.3
+// The fixed shape of the media-server workload. The file count is
+// derived from the space: one file per 16 MiB, at least 16.
+const (
+	mediaReadFraction = 0.85      // share of reads: media servers are read-dominated
+	mediaZipfS        = 1.15      // file-popularity skew
+	mediaChunkBytes   = 256 << 10 // streaming read/ingest request size
+	mediaMetaFraction = 0.01      // share of the disk holding the hot metadata region
+	mediaMetaSkew     = 1.3       // access skew over the metadata region's 4 KiB chunks
+)
 
 // MediaServer generates the media-server stand-in trace: Zipf-popular
 // write-once-read-many files streamed sequentially, bulk ingest rewrites
@@ -74,7 +49,9 @@ type MediaServer struct {
 
 	metaBytes uint64 // [0, metaBytes) is the metadata region
 	fileBase  uint64 // file region start
+	fileCount int    // media files sharing the file region
 	fileSize  uint64 // bytes per file extent (chunk aligned)
+	chunk     uint64 // streaming read/ingest request size
 
 	filePop  zipf // popularity over file indices
 	metaPop  zipf // popularity over metadata 4K chunks
@@ -97,28 +74,21 @@ type MediaServer struct {
 func NewMediaServer(cfg MediaConfig) *MediaServer {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &MediaServer{cfg: cfg, rng: rng}
-	if cfg.LogicalBytes < 2*uint64(cfg.FileCount)*4096 {
+	m := &MediaServer{cfg: cfg, rng: rng, chunk: mediaChunkBytes,
+		fileCount: max(int(cfg.LogicalBytes/(16<<20)), 16)}
+	if cfg.LogicalBytes < 2*uint64(m.fileCount)*4096 {
 		panic(fmt.Sprintf("workload: mediaserver logical space %d below %d files x 4K plus metadata",
-			cfg.LogicalBytes, cfg.FileCount))
+			cfg.LogicalBytes, m.fileCount))
 	}
-	minFiles := uint64(cfg.FileCount) * 4096
-	m.metaBytes = alignDown(uint64(float64(cfg.LogicalBytes)*cfg.MetaFraction), 4096)
-	// A fraction that cannot leave one 4 KiB chunk per file is a
-	// misconfiguration, not a tiny-space artifact: fail loudly like the
-	// size check above.
-	if m.metaBytes > cfg.LogicalBytes-minFiles {
-		panic(fmt.Sprintf("workload: mediaserver meta fraction %g leaves no file region in %d bytes",
-			cfg.MetaFraction, cfg.LogicalBytes))
-	}
+	minFiles := uint64(m.fileCount) * 4096
+	m.metaBytes = alignDown(uint64(float64(cfg.LogicalBytes)*mediaMetaFraction), 4096)
 	if m.metaBytes < 1<<20 {
 		m.metaBytes = 1 << 20
 	}
 	// The 1 MiB floor can swallow a tiny logical space whole, making the
 	// file-region subtraction below wrap around uint64. Only when the
 	// floor left the file region without one 4 KiB chunk per file, shrink
-	// the metadata region to whatever leaves exactly that minimum;
-	// feasible user-configured fractions are honored as-is.
+	// the metadata region to whatever leaves exactly that minimum.
 	if m.metaBytes > cfg.LogicalBytes-minFiles {
 		m.metaBytes = alignDown(cfg.LogicalBytes-minFiles, 4096)
 		if m.metaBytes < 4096 {
@@ -127,18 +97,18 @@ func NewMediaServer(cfg MediaConfig) *MediaServer {
 	}
 	m.fileBase = m.metaBytes
 	fileRegion := cfg.LogicalBytes - m.fileBase
-	m.fileSize = alignDown(fileRegion/uint64(cfg.FileCount), uint64(cfg.ChunkBytes))
+	m.fileSize = alignDown(fileRegion/uint64(m.fileCount), m.chunk)
 	if m.fileSize == 0 {
 		// Files smaller than the streaming chunk (tiny logical space):
 		// shrink the chunk to the 4 KiB-aligned per-file share instead of
 		// letting fileSize overrun the region by rounding up.
-		m.fileSize = alignDown(fileRegion/uint64(cfg.FileCount), 4096)
+		m.fileSize = alignDown(fileRegion/uint64(m.fileCount), 4096)
 		if m.fileSize < 4096 {
 			m.fileSize = 4096
 		}
-		m.cfg.ChunkBytes = int(m.fileSize)
+		m.chunk = m.fileSize
 	}
-	m.filePop = newZipf(rng, cfg.ZipfS, uint64(cfg.FileCount))
+	m.filePop = newZipf(rng, mediaZipfS, uint64(m.fileCount))
 	m.metaSlot = m.metaBytes / 4096
 	m.metaPop = newZipf(rng, mediaMetaSkew, m.metaSlot)
 	return m
@@ -156,7 +126,7 @@ func (m *MediaServer) Next() (trace.Request, bool) {
 		return trace.Request{}, false
 	}
 	m.emitted++
-	if m.rng.Float64() < m.cfg.ReadFraction {
+	if m.rng.Float64() < mediaReadFraction {
 		return m.nextRead(), true
 	}
 	return m.nextWrite(), true
@@ -174,13 +144,13 @@ func (m *MediaServer) nextRead() trace.Request {
 		m.readFile = int(m.filePop.draw())
 		m.readPos = 0
 		if m.rng.Float64() < 0.3 { // seek-resume sessions
-			chunks := m.fileSize / uint64(m.cfg.ChunkBytes)
-			m.readPos = uint64(m.rng.Int63n(int64(chunks))) * uint64(m.cfg.ChunkBytes)
+			chunks := m.fileSize / m.chunk
+			m.readPos = uint64(m.rng.Int63n(int64(chunks))) * m.chunk
 		}
 		m.readChunks = 4 + m.rng.Intn(61) // 4..64 chunks per session
 	}
 	off := m.fileBase + uint64(m.readFile)*m.fileSize + m.readPos
-	size := uint64(m.cfg.ChunkBytes)
+	size := m.chunk
 	if m.readPos+size >= m.fileSize {
 		size = m.fileSize - m.readPos
 		m.readChunks = 1 // end of file terminates the session
@@ -207,9 +177,9 @@ func (m *MediaServer) nextWrite() trace.Request {
 		} else {
 			// Eviction: bias to the unpopular tail by mirroring a Zipf
 			// rank so high-popularity files are rarely evicted.
-			victim = m.cfg.FileCount - 1 - int(m.filePop.draw())
+			victim = m.fileCount - 1 - int(m.filePop.draw())
 			if victim < 0 {
-				victim = m.cfg.FileCount - 1
+				victim = m.fileCount - 1
 			}
 		}
 		m.ingestFile = victim
@@ -217,7 +187,7 @@ func (m *MediaServer) nextWrite() trace.Request {
 		m.ingestActive = true
 	}
 	off := m.fileBase + uint64(m.ingestFile)*m.fileSize + m.ingestPos
-	size := uint64(m.cfg.ChunkBytes)
+	size := m.chunk
 	if m.ingestPos+size >= m.fileSize {
 		size = m.fileSize - m.ingestPos
 		m.ingestActive = false

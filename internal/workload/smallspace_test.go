@@ -41,63 +41,6 @@ func TestWebSQLTinyLogicalSpace(t *testing.T) {
 	}
 }
 
-// TestWebSQLHonorsLargeFeasibleFractions: the tiny-space clamp must not
-// rewrite valid user-configured region splits, even ones claiming more
-// than half the space.
-func TestWebSQLHonorsLargeFeasibleFractions(t *testing.T) {
-	var space uint64 = 1 << 30
-	g := NewWebSQL(WebSQLConfig{
-		LogicalBytes: space, Requests: 2000, Seed: 3,
-		MetaFraction: 0.35, LogFraction: 0.2,
-	})
-	wantMeta := alignDown(uint64(float64(space)*0.35), 8<<10)
-	if g.metaBytes != wantMeta {
-		t.Errorf("metaBytes = %d, want configured %d (clamp fired on a feasible split)", g.metaBytes, wantMeta)
-	}
-	if g.dataBase >= g.LogicalBytes() {
-		t.Fatalf("dataBase %d beyond logical space", g.dataBase)
-	}
-	drainChecked(t, g)
-}
-
-// TestMediaServerHonorsLargeFeasibleFraction is the media twin: a
-// metadata region over half the space is valid as long as every file
-// keeps a chunk.
-func TestMediaServerHonorsLargeFeasibleFraction(t *testing.T) {
-	var space uint64 = 1 << 30
-	g := NewMediaServer(MediaConfig{
-		LogicalBytes: space, Requests: 2000, Seed: 3, MetaFraction: 0.6,
-	})
-	wantMeta := alignDown(uint64(float64(space)*0.6), 4096)
-	if g.metaBytes != wantMeta {
-		t.Errorf("metaBytes = %d, want configured %d (clamp fired on a feasible split)", g.metaBytes, wantMeta)
-	}
-	drainChecked(t, g)
-}
-
-// TestWebSQLRejectsInfeasibleFractions: fractions summing past the space
-// are a misconfiguration and fail loudly instead of being rewritten.
-func TestWebSQLRejectsInfeasibleFractions(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("meta+log fractions > 1 should panic")
-		}
-	}()
-	NewWebSQL(WebSQLConfig{LogicalBytes: 1 << 30, Requests: 10, Seed: 1,
-		MetaFraction: 0.7, LogFraction: 0.4})
-}
-
-// TestMediaServerRejectsInfeasibleFraction is the media twin.
-func TestMediaServerRejectsInfeasibleFraction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("meta fraction ~1 should panic")
-		}
-	}()
-	NewMediaServer(MediaConfig{LogicalBytes: 1 << 30, Requests: 10, Seed: 1,
-		MetaFraction: 0.9999})
-}
-
 // TestWebSQLRejectsAbsurdSpace: spaces that cannot hold one page per
 // region fail fast instead of wrapping offsets.
 func TestWebSQLRejectsAbsurdSpace(t *testing.T) {

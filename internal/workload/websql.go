@@ -16,19 +16,6 @@ type WebSQLConfig struct {
 	Requests int
 	// Seed makes the stream deterministic; 0 is a seed like any other.
 	Seed int64
-	// ReadFraction is the share of reads (default 0.60; OLTP-ish mix).
-	ReadFraction float64
-	// DBPageBytes is the database page size (default 8 KiB).
-	DBPageBytes int
-	// ZipfS is the row/page access skew (default 1.2 — web workloads
-	// re-access a small working set very often).
-	ZipfS float64
-	// LogFraction is the share of the disk holding the redo log
-	// (default 0.05).
-	LogFraction float64
-	// MetaFraction is the share holding hot index/catalog pages
-	// (default 0.02).
-	MetaFraction float64
 }
 
 func (c WebSQLConfig) withDefaults() WebSQLConfig {
@@ -38,26 +25,20 @@ func (c WebSQLConfig) withDefaults() WebSQLConfig {
 	if c.Requests == 0 {
 		c.Requests = 200_000
 	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.60
-	}
-	if c.DBPageBytes == 0 {
-		c.DBPageBytes = 8 << 10
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if c.LogFraction == 0 {
-		c.LogFraction = 0.05
-	}
-	if c.MetaFraction == 0 {
-		c.MetaFraction = 0.02
-	}
 	return c
 }
 
-// websqlMetaSkew is the access skew over the index/catalog pages.
-const websqlMetaSkew = 1.4
+// The fixed shape of the web/SQL workload.
+const (
+	websqlReadFraction = 0.60    // share of reads: an OLTP-ish mix
+	websqlDBPageBytes  = 8 << 10 // database page size
+	// websqlZipfS is the row/page access skew: web workloads re-access
+	// a small working set very often.
+	websqlZipfS        = 1.2
+	websqlLogFraction  = 0.05 // share of the disk holding the redo log
+	websqlMetaFraction = 0.02 // share holding hot index/catalog pages
+	websqlMetaSkew     = 1.4  // access skew over the index/catalog pages
+)
 
 // WebSQL generates the web/SQL stand-in trace: Zipf-skewed small page
 // updates and re-reads over a table region, sequential log appends, very
@@ -90,19 +71,13 @@ func NewWebSQL(cfg WebSQLConfig) *WebSQL {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &WebSQL{cfg: cfg, rng: rng}
-	page := uint64(cfg.DBPageBytes)
+	const page = uint64(websqlDBPageBytes)
 	if cfg.LogicalBytes < 4*page {
 		panic(fmt.Sprintf("workload: websql logical space %d below 4 DB pages (%d)",
 			cfg.LogicalBytes, 4*page))
 	}
-	w.metaBytes = alignDown(uint64(float64(cfg.LogicalBytes)*cfg.MetaFraction), page)
-	logBytes := alignDown(uint64(float64(cfg.LogicalBytes)*cfg.LogFraction), page)
-	// Fractions that cannot leave one table page are a misconfiguration,
-	// not a tiny-space artifact: fail loudly like the size check above.
-	if w.metaBytes+logBytes > cfg.LogicalBytes-page {
-		panic(fmt.Sprintf("workload: websql meta+log fractions (%g+%g) leave no table region in %d bytes",
-			cfg.MetaFraction, cfg.LogFraction, cfg.LogicalBytes))
-	}
+	w.metaBytes = alignDown(uint64(float64(cfg.LogicalBytes)*websqlMetaFraction), page)
+	logBytes := alignDown(uint64(float64(cfg.LogicalBytes)*websqlLogFraction), page)
 	if w.metaBytes < page*16 {
 		w.metaBytes = page * 16
 	}
@@ -113,8 +88,7 @@ func NewWebSQL(cfg WebSQLConfig) *WebSQL {
 	// leaving dataBase past LogicalBytes and wrapping dataPages around
 	// uint64. Only when the floors made the layout impossible — less than
 	// one table page would remain — shrink both regions to an eighth of
-	// the space; any feasible user-configured fraction split is honored
-	// as-is.
+	// the space.
 	if w.metaBytes+logBytes > cfg.LogicalBytes-page {
 		shrunk := alignDown(cfg.LogicalBytes/8, page)
 		if shrunk < page {
@@ -125,7 +99,7 @@ func NewWebSQL(cfg WebSQLConfig) *WebSQL {
 	w.logBase = w.metaBytes
 	w.dataBase = w.logBase + logBytes
 	w.dataPages = (cfg.LogicalBytes - w.dataBase) / page
-	w.dataPop = newZipf(rng, cfg.ZipfS, w.dataPages)
+	w.dataPop = newZipf(rng, websqlZipfS, w.dataPages)
 	w.metaPop = newZipf(rng, websqlMetaSkew, w.metaBytes/page)
 	return w
 }
@@ -142,14 +116,14 @@ func (w *WebSQL) Next() (trace.Request, bool) {
 		return trace.Request{}, false
 	}
 	w.emitted++
-	if w.rng.Float64() < w.cfg.ReadFraction {
+	if w.rng.Float64() < websqlReadFraction {
 		return w.nextRead(), true
 	}
 	return w.nextWrite(), true
 }
 
 func (w *WebSQL) nextRead() trace.Request {
-	page := uint64(w.cfg.DBPageBytes)
+	const page = uint64(websqlDBPageBytes)
 	roll := w.rng.Float64()
 	switch {
 	case roll < 0.25:
@@ -185,7 +159,7 @@ func (w *WebSQL) nextRead() trace.Request {
 }
 
 func (w *WebSQL) nextWrite() trace.Request {
-	page := uint64(w.cfg.DBPageBytes)
+	const page = uint64(websqlDBPageBytes)
 	roll := w.rng.Float64()
 	switch {
 	case roll < 0.20:
